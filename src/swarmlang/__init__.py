@@ -16,7 +16,7 @@ from .linker import compile_and_link, link
 from .parser import parse
 from .values import (HostClosure, NativeClosure, SwarmHandle, Table,
                      VStigHandle)
-from .vm import SentMessage, Vm, VmConfig, vm_create
+from .vm import SentMessage, Vm, VmConfig
 from .wire import Situated, decode_message, encode_message
 
 __version__ = "0.1.0"
@@ -28,7 +28,7 @@ __all__ = [
     "VmRuntimeError", "WireError",
     "BytecodeImage", "Token", "tokenize", "compile_and_link", "link",
     "parse", "HostClosure", "NativeClosure", "SwarmHandle", "Table",
-    "VStigHandle", "SentMessage", "Vm", "VmConfig", "vm_create",
+    "VStigHandle", "SentMessage", "Vm", "VmConfig",
     "Situated", "decode_message", "encode_message",
     "__version__",
 ]

@@ -33,6 +33,9 @@ class BytecodeImage:
     functions: list = field(default_factory=list)   # (name_idx, offset)
     debug: list = field(default_factory=list)       # (offset, line, col, origin_idx)
     code: bytes = b""
+    # decoded form for the VM, built on first use (vm._Program.of)
+    program: object = field(default=None, init=False, repr=False,
+                            compare=False)
 
     def function_offsets(self):
         """name -> code offset for every linked top-level function."""

@@ -10,13 +10,34 @@ actuator bindings (phase 5).
 
 Runtime errors fault the VM: the error (with source position recovered
 from the image debug map) is stored and every later step is a no-op.
+
+Dispatch invariants of the interpreter loop (`Vm._run`):
+
+- The running frame, its `ip` and its locals list are cached in Python
+  locals.  `frame.ip` is written back only when a call leaves the loop
+  (a script call switches frames, a host call may re-enter), on return,
+  and when an error propagates, so the fault position is the instruction
+  at `ip - 1` of the innermost frame.
+- Fuel is exact: each source instruction costs one unit, charged and
+  checked before it runs.  The remaining fuel lives in a local and is
+  synced to `self._fuel` around every host call and on exit.
+- Script-to-script calls push their frame inside the loop.  Host code
+  enters the script only through `Vm.call_value` (listeners, `reduce` and
+  the other neighbor methods, swarm and stigmergy callbacks, `init` and
+  `step`), which runs a nested loop down to its own frame.
+- The decoded `_Program` is built once per `BytecodeImage` object and
+  kept by it (`image.program`), so every VM on that image shares it.
 """
 
 import builtins
 import math as _math
 from dataclasses import dataclass
 
-from . import opcodes as op
+from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, FUNC, GLOAD,
+                      GSTORE, GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD,
+                      LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
+                      NOP, NOT, OPERANDS, POP, POW, PUSHNIL, PUSHS, RET, RETN,
+                      SUB, TGET, TSET, ULOAD, USTORE)
 from .errors import VmError, VmRuntimeError, WireError
 from .image import decode_instructions
 from .neighbors import make_view, record_table
@@ -50,25 +71,29 @@ class SentMessage:
 
 
 class _Program:
-    """Image code decoded to an indexed instruction list.
+    """Image code decoded to an indexed list of (opcode, operand) pairs.
 
     Jump operands become instruction indices, string/const operands become
     the actual values, and MKCLOSURE operands become (entry, nparams,
     nlocals) prototypes, so the dispatch loop never touches the pools.
+    An instruction without operands carries None, one with a single
+    operand carries it bare, and ULOAD/USTORE carry (depth - 1, slot),
+    the index of the captured frame in the closure's env.
     """
 
     def __init__(self, image):
-        self.image = image
+        # holds no reference back to the image, which owns the program:
+        # the pair is freed by reference counting, not the cycle collector
         raw = decode_instructions(image.code)
         off2idx = {offset: i for i, (offset, _, _) in enumerate(raw)}
         self.offsets = [offset for offset, _, _ in raw]
         headers = {}  # FUNC index -> (nparams, nlocals)
         for i, (offset, opcode, args) in enumerate(raw):
-            if opcode == op.FUNC:
+            if opcode == FUNC:
                 headers[i] = args
         instrs = []
         for offset, opcode, args in raw:
-            kinds = op.OPERANDS[opcode]
+            kinds = OPERANDS[opcode]
             vals = []
             for kind, arg in zip(kinds, args):
                 if kind == "j":
@@ -82,34 +107,27 @@ class _Program:
                     vals.append(image.consts[arg][1])
                 else:
                     vals.append(arg)
-            if opcode == op.MKCLOSURE:
+            if opcode == MKCLOSURE:
                 target = vals[0]
                 if target not in headers:
                     raise VmError("closure target is not a function header")
                 nparams, nlocals = headers[target]
-                vals = [(target + 1, nparams, nlocals)]
-            instrs.append((opcode, tuple(vals)))
+                operand = (target + 1, nparams, nlocals)
+            elif opcode == ULOAD or opcode == USTORE:
+                operand = (vals[0] - 1, vals[1])
+            elif len(vals) == 1:
+                operand = vals[0]
+            else:
+                operand = tuple(vals) or None
+            instrs.append((opcode, operand))
         self.instrs = instrs
-        self.functions = {}
-        for name_idx, offset in image.functions:
-            if offset in off2idx:
-                self.functions[image.strings[name_idx]] = off2idx[offset]
 
-    def position_at_index(self, idx):
-        if 0 <= idx < len(self.offsets):
-            return self.image.position_at(self.offsets[idx])
-        return None
-
-
-_PROGRAM_CACHE = {}
-
-
-def _program_for(image):
-    prog = _PROGRAM_CACHE.get(id(image))
-    if prog is None or prog.image is not image:
-        prog = _Program(image)
-        _PROGRAM_CACHE[id(image)] = prog
-    return prog
+    @classmethod
+    def of(cls, image):
+        """The image's program, decoded on first use and kept by the image."""
+        if image.program is None:
+            image.program = cls(image)
+        return image.program
 
 
 class _Frame:
@@ -153,7 +171,7 @@ class Vm:
         if type(robot_id) is not int or not 0 <= robot_id < 2 ** 32:
             raise VmError(f"robot id must be a u32, got {robot_id!r}")
         self.image = image
-        self.program = _program_for(image)
+        self.program = _Program.of(image)
         self.robot_id = robot_id
         self.config = config or VmConfig()
         self.print_sink = print_sink or builtins.print
@@ -394,200 +412,241 @@ class Vm:
         self._run(len(self.frames) - 1)
 
     def call_value(self, fn, args, self_val=None):
-        """Synchronously call a closure value; returns its result."""
+        """Synchronously call a closure value; returns its result.
+
+        Every entry from host code into the script comes through here.
+        """
         floor = len(self.frames)
         stack_floor = len(self.stack)
         try:
-            self._invoke(fn, self_val, args)
-            if len(self.frames) > floor:
+            if isinstance(fn, NativeClosure):
+                self._push_frame(fn, self_val, args)
                 self._run(floor)
-            return self.stack.pop()
+                return self.stack.pop()
+            if isinstance(fn, HostClosure):
+                return coerce(fn.fn(self, self_val, args))
+            raise VmRuntimeError(f"called a {type_name(fn)} value")
         except BaseException:
             del self.frames[floor:]
             del self.stack[stack_floor:]
             raise
 
-    def _invoke(self, fn, self_val, args):
-        if isinstance(fn, NativeClosure):
-            if len(self.frames) >= self.config.max_frames:
-                raise VmRuntimeError("stack overflow")
-            nlocals = fn.nlocals
-            locals_ = [None] * max(nlocals, len(args) + 1)
-            locals_[0] = self_val
-            take = min(len(args), fn.nparams)
-            for i in range(take):
-                locals_[i + 1] = args[i]
-            self.frames.append(_Frame(fn.entry, locals_, fn.env,
-                                      len(self.stack)))
-        elif isinstance(fn, HostClosure):
-            result = fn.fn(self, self_val, args)
-            self.stack.append(coerce(result))
-        else:
-            raise VmRuntimeError(f"called a {type_name(fn)} value")
+    def _push_frame(self, fn, self_val, args):
+        # the CALL/CALLM arm of _run builds the same frame in place
+        if len(self.frames) >= self.config.max_frames:
+            raise VmRuntimeError("stack overflow")
+        locals_ = [None] * max(fn.nlocals, len(args) + 1)
+        locals_[0] = self_val
+        take = min(len(args), fn.nparams)
+        locals_[1:take + 1] = args[:take]
+        self.frames.append(_Frame(fn.entry, locals_, fn.env,
+                                  len(self.stack)))
 
     def _run(self, floor):
-        try:
-            self._run_inner(floor)
-        except VmRuntimeError as exc:
-            if exc.line is None and self.frames:
-                pos = self.program.position_at_index(self.frames[-1].ip - 1)
-                if pos:
-                    raise VmRuntimeError(exc.message, pos[1], pos[2],
-                                         pos[0]) from None
-            raise
-
-    def _run_inner(self, floor):
+        # Run frames until the one at index `floor` returns.  The running
+        # frame's ip and locals live in Python locals (see the module
+        # docstring); the handler at the end reports errors at ip - 1.
         frames = self.frames
         stack = self.stack
+        push = stack.append
+        pop = stack.pop
         instrs = self.program.instrs
+        globals_ = self.globals
+        max_frames = self.config.max_frames
         fuel = self._fuel
+        frame = frames[-1]
+        ip = frame.ip
+        locals_ = frame.locals
         try:
-            while len(frames) > floor:
-                frame = frames[-1]
-                opcode, args = instrs[frame.ip]
-                frame.ip += 1
+            while True:
+                opcode, arg = instrs[ip]
+                ip += 1
                 fuel -= 1
                 if fuel <= 0:
                     raise VmRuntimeError("instruction budget exceeded")
 
-                if opcode == op.LLOAD:
-                    stack.append(frame.locals[args[0]])
-                elif opcode == op.PUSHI or opcode == op.PUSHC or \
-                        opcode == op.PUSHS:
-                    stack.append(args[0])
-                elif opcode == op.PUSHNIL:
-                    stack.append(None)
-                elif opcode == op.GLOAD:
-                    stack.append(self.globals.get(args[0]))
-                elif opcode == op.GSTORE:
-                    self.globals[args[0]] = stack.pop()
-                elif opcode == op.LSTORE:
-                    frame.locals[args[0]] = stack.pop()
-                elif opcode == op.ULOAD:
-                    stack.append(frame.env[args[0] - 1][args[1]])
-                elif opcode == op.USTORE:
-                    frame.env[args[0] - 1][args[1]] = stack.pop()
-                elif opcode == op.ADD:
-                    b = stack.pop()
-                    stack[-1] = arith_add(stack[-1], b)
-                elif opcode == op.SUB:
-                    b = stack.pop()
-                    stack[-1] = arith_sub(stack[-1], b)
-                elif opcode == op.MUL:
-                    b = stack.pop()
-                    stack[-1] = arith_mul(stack[-1], b)
-                elif opcode == op.DIV:
-                    b = stack.pop()
-                    stack[-1] = arith_div(stack[-1], b)
-                elif opcode == op.MOD:
-                    b = stack.pop()
-                    stack[-1] = arith_mod(stack[-1], b)
-                elif opcode == op.POW:
-                    b = stack.pop()
-                    stack[-1] = arith_pow(stack[-1], b)
-                elif opcode == op.NEG:
-                    stack[-1] = arith_neg(stack[-1])
-                elif opcode == op.NOT:
-                    stack[-1] = 0 if is_truthy(stack[-1]) else 1
-                elif opcode == op.EQ:
-                    b = stack.pop()
-                    stack[-1] = 1 if value_eq(stack[-1], b) else 0
-                elif opcode == op.NEQ:
-                    b = stack.pop()
-                    stack[-1] = 0 if value_eq(stack[-1], b) else 1
-                elif opcode == op.LT:
-                    b = stack.pop()
-                    stack[-1] = 1 if value_lt(stack[-1], b) else 0
-                elif opcode == op.LTE:
-                    b = stack.pop()
-                    stack[-1] = 1 if value_lte(stack[-1], b) else 0
-                elif opcode == op.GT:
-                    b = stack.pop()
-                    stack[-1] = 1 if value_lt(b, stack[-1]) else 0
-                elif opcode == op.GTE:
-                    b = stack.pop()
-                    stack[-1] = 1 if value_lte(b, stack[-1]) else 0
-                elif opcode == op.JUMP:
-                    frame.ip = args[0]
-                elif opcode == op.JUMPF:
-                    if not is_truthy(stack.pop()):
-                        frame.ip = args[0]
-                elif opcode == op.JFKEEP:
-                    if is_truthy(stack[-1]):
-                        stack.pop()
+                # arms in measured order of frequency
+                if opcode == LLOAD:
+                    push(locals_[arg])
+                elif PUSHNIL <= opcode <= PUSHS:
+                    push(arg)  # PUSHNIL carries None
+                elif opcode == TGET:
+                    key = pop()
+                    obj = pop()
+                    if type(obj) is Table and type(key) is str:
+                        value = obj.data.get(key)
+                        if value is None and obj.methods is not None:
+                            value = obj.methods.get(key)
+                        push(value)
                     else:
-                        frame.ip = args[0]
-                elif opcode == op.JTKEEP:
-                    if is_truthy(stack[-1]):
-                        frame.ip = args[0]
+                        push(_index(obj, key))
+                elif opcode == GLOAD:
+                    push(globals_.get(arg))
+                elif opcode == DUP:
+                    push(stack[-1])
+                elif opcode == CALL or opcode == CALLM:
+                    if arg:
+                        call_args = stack[-arg:]
+                        del stack[-arg:]
                     else:
-                        stack.pop()
-                elif opcode == op.MKTABLE:
-                    stack.append(Table())
-                elif opcode == op.TGET:
-                    key = stack.pop()
-                    obj = stack.pop()
-                    if isinstance(obj, Table):
-                        check_key(key)
-                        stack.append(obj.get(key))
-                    elif isinstance(obj, (SwarmHandle, VStigHandle)):
-                        method = type(obj).METHODS.get(key) \
-                            if type(key) is str else None
-                        stack.append(method)
+                        call_args = []
+                    fn = pop()
+                    self_val = pop() if opcode == CALLM else None
+                    if isinstance(fn, NativeClosure):
+                        # the frame _push_frame builds, without the call
+                        if len(frames) >= max_frames:
+                            raise VmRuntimeError("stack overflow")
+                        frame.ip = ip
+                        locals_ = [None] * max(fn.nlocals, arg + 1)
+                        locals_[0] = self_val
+                        take = min(arg, fn.nparams)
+                        locals_[1:take + 1] = call_args[:take]
+                        ip = fn.entry
+                        frame = _Frame(ip, locals_, fn.env, len(stack))
+                        frames.append(frame)
+                    elif isinstance(fn, HostClosure):
+                        # host code may re-enter call_value, which reads
+                        # and leaves the remaining fuel in self._fuel
+                        frame.ip = ip
+                        self._fuel = fuel
+                        result = fn.fn(self, self_val, call_args)
+                        fuel = self._fuel
+                        push(coerce(result))
                     else:
                         raise VmRuntimeError(
-                            f"indexing a {type_name(obj)} value")
-                elif opcode == op.TSET:
-                    value = stack.pop()
-                    key = stack.pop()
-                    obj = stack.pop()
+                            f"called a {type_name(fn)} value")
+                elif opcode == ADD:
+                    b = pop()
+                    a = stack[-1]
+                    if type(a) is float and type(b) is float:
+                        stack[-1] = a + b
+                    else:
+                        stack[-1] = arith_add(a, b)
+                elif opcode == MUL:
+                    b = pop()
+                    a = stack[-1]
+                    if type(a) is float and type(b) is float:
+                        stack[-1] = a * b
+                    else:
+                        stack[-1] = arith_mul(a, b)
+                elif opcode == DIV:
+                    b = pop()
+                    a = stack[-1]
+                    if type(a) is float and type(b) is float and b:
+                        stack[-1] = a / b  # b == 0 raises on the slow path
+                    else:
+                        stack[-1] = arith_div(a, b)
+                elif opcode == SUB:
+                    b = pop()
+                    a = stack[-1]
+                    if type(a) is float and type(b) is float:
+                        stack[-1] = a - b
+                    else:
+                        stack[-1] = arith_sub(a, b)
+                elif opcode == POW:
+                    b = pop()
+                    stack[-1] = arith_pow(stack[-1], b)
+                elif opcode == NEG:
+                    stack[-1] = arith_neg(stack[-1])
+                elif opcode == RET or opcode == RETN or opcode == DONE:
+                    value = pop() if opcode == RET else None
+                    done = frames.pop()
+                    del stack[done.base:]
+                    if opcode != DONE:
+                        push(value)
+                    if len(frames) <= floor:
+                        break
+                    frame = frames[-1]
+                    ip = frame.ip
+                    locals_ = frame.locals
+                elif opcode == LSTORE:
+                    locals_[arg] = pop()
+                elif opcode == TSET:
+                    value = pop()
+                    key = pop()
+                    obj = pop()
                     if not isinstance(obj, Table):
                         raise VmRuntimeError(
                             f"cannot write into a {type_name(obj)} value")
                     obj.set(key, value)
-                elif opcode == op.MKCLOSURE:
-                    entry, nparams, nlocals = args[0]
-                    stack.append(NativeClosure(
-                        entry, nparams, nlocals,
-                        (frame.locals,) + frame.env))
-                elif opcode == op.CALL or opcode == op.CALLM:
-                    argc = args[0]
-                    if argc:
-                        call_args = stack[-argc:]
-                        del stack[-argc:]
+                elif opcode == GSTORE:
+                    globals_[arg] = pop()
+                elif opcode == POP:
+                    pop()
+                elif opcode == JUMPF:
+                    if not is_truthy(pop()):
+                        ip = arg
+                elif opcode == JUMP:
+                    ip = arg
+                elif opcode == MKCLOSURE:
+                    entry, nparams, nlocals = arg
+                    push(NativeClosure(entry, nparams, nlocals,
+                                       (locals_,) + frame.env))
+                elif opcode == EQ:
+                    b = pop()
+                    stack[-1] = 1 if value_eq(stack[-1], b) else 0
+                elif opcode == NEQ:
+                    b = pop()
+                    stack[-1] = 0 if value_eq(stack[-1], b) else 1
+                elif opcode == LT:
+                    b = pop()
+                    stack[-1] = 1 if value_lt(stack[-1], b) else 0
+                elif opcode == LTE:
+                    b = pop()
+                    stack[-1] = 1 if value_lte(stack[-1], b) else 0
+                elif opcode == GT:
+                    b = pop()
+                    stack[-1] = 1 if value_lt(b, stack[-1]) else 0
+                elif opcode == GTE:
+                    b = pop()
+                    stack[-1] = 1 if value_lte(b, stack[-1]) else 0
+                elif opcode == NOT:
+                    stack[-1] = 0 if is_truthy(stack[-1]) else 1
+                elif opcode == MOD:
+                    b = pop()
+                    stack[-1] = arith_mod(stack[-1], b)
+                elif opcode == JFKEEP:
+                    if is_truthy(stack[-1]):
+                        pop()
                     else:
-                        call_args = []
-                    fn = stack.pop()
-                    self_val = stack.pop() if opcode == op.CALLM else None
-                    self._fuel = fuel
-                    self._invoke(fn, self_val, call_args)
-                    fuel = self._fuel
-                elif opcode == op.RET:
-                    value = stack.pop()
-                    done = frames.pop()
-                    del stack[done.base:]
-                    stack.append(value)
-                elif opcode == op.RETN:
-                    done = frames.pop()
-                    del stack[done.base:]
-                    stack.append(None)
-                elif opcode == op.POP:
-                    stack.pop()
-                elif opcode == op.DUP:
-                    stack.append(stack[-1])
-                elif opcode == op.DONE:
-                    done = frames.pop()
-                    del stack[done.base:]
-                elif opcode == op.NOP:
+                        ip = arg
+                elif opcode == JTKEEP:
+                    if is_truthy(stack[-1]):
+                        ip = arg
+                    else:
+                        pop()
+                elif opcode == ULOAD:
+                    depth, slot = arg
+                    push(frame.env[depth][slot])
+                elif opcode == USTORE:
+                    depth, slot = arg
+                    frame.env[depth][slot] = pop()
+                elif opcode == MKTABLE:
+                    push(Table())
+                elif opcode == NOP:
                     pass
-                elif opcode == op.FUNC:
+                elif opcode == FUNC:
                     raise VmRuntimeError("fell through into a function body")
                 else:  # pragma: no cover
                     raise VmRuntimeError(f"unknown opcode {opcode}")
-        finally:
+        except BaseException as exc:
+            frame.ip = ip
             self._fuel = fuel
+            if isinstance(exc, VmRuntimeError) and exc.line is None:
+                pos = self.image.position_at(self.program.offsets[ip - 1])
+                if pos:
+                    raise VmRuntimeError(exc.message, pos[1], pos[2],
+                                         pos[0]) from None
+            raise
+        self._fuel = fuel
 
 
-def vm_create(image, robot_id, config=None, print_sink=None):
-    """Create a VM bound to a robot id; top-level code runs on first step."""
-    return Vm(image, robot_id, config, print_sink)
+def _index(obj, key):
+    """TGET on anything but a table indexed by a string."""
+    if isinstance(obj, Table):
+        check_key(key)
+        return obj.get(key)
+    if isinstance(obj, (SwarmHandle, VStigHandle)):
+        return type(obj).METHODS.get(key) if type(key) is str else None
+    raise VmRuntimeError(f"indexing a {type_name(obj)} value")
+

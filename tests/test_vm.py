@@ -232,3 +232,119 @@ def test_destroy_entry_point():
     assert vm.get_global("cleaned") == 1
     vm.destroy()  # idempotent
     assert vm.get_global("cleaned") == 1
+
+
+# --- fuel and fault positions across script calls ------------------------
+#
+# The instruction counts below were recorded before the dispatch loop
+# cached frame state in locals and inlined calls; any later change to the
+# loop must run exactly the same instruction stream, host re-entry
+# included.
+
+CALL_SRC = """
+function add(a, b) {
+  return a + b
+}
+function step() { x = add(1, 2) }
+"""
+
+REDUCE_SRC = """
+function add(rid, data, acc) {
+  return acc + data.distance
+}
+function step() { total = neighbors.reduce(add, 0) }
+"""
+
+LISTEN_SRC = """
+function init() {
+  neighbors.listen("k", function(key, value, sender) {
+    got = value * 2
+  })
+}
+function step() { }
+"""
+
+NEIGHBORS = [Situated(rid, 10.0 * rid, 0.0, 0.0, Announce())
+             for rid in (1, 2, 3)]
+PING = [Situated(3, 100.0, 0.0, 0.0, Broadcast("k", 5))]
+
+
+def _second_step(src, inbox, budget=None):
+    """Run the first step on an empty inbox, then one step on `inbox`."""
+    vm = build_vm(src)
+    vm.step([])
+    if budget is not None:
+        vm.config.instruction_budget = budget
+    vm.step(inbox)
+    return vm
+
+
+@pytest.mark.parametrize("src, inbox, k, last_line, name, value", [
+    (CALL_SRC, [], 11, 5, "x", 3),
+    (REDUCE_SRC, NEIGHBORS, 28, 5, "total", 60.0),
+    (LISTEN_SRC, PING, 7, 7, "got", 10),
+], ids=["call", "reduce", "listen"])
+def test_step_fuel_is_exact(src, inbox, k, last_line, name, value):
+    # a budget of K lets the step's K-1 instructions run; K-1 faults on
+    # the last of them
+    vm = _second_step(src, inbox, budget=k)
+    assert vm.faulted is None
+    assert vm.get_global(name) == value
+    vm = _second_step(src, inbox, budget=k - 1)
+    assert vm.faulted.message == "instruction budget exceeded"
+    assert vm.faulted.line == last_line
+
+
+@pytest.mark.parametrize("src, inbox, line, col", [
+    ("""
+function bad(x) {
+  return x + nil
+}
+function step() { bad(1) }
+""", [], 3, 12),
+    ("""
+function bad(rid, data, acc) {
+  return acc + nil
+}
+function step() { neighbors.reduce(bad, 0) }
+""", NEIGHBORS, 3, 14),
+    ("""
+function init() {
+  neighbors.listen("k", function(key, value, sender) {
+    got = value + nil
+  })
+}
+""", PING, 4, 17),
+], ids=["call", "reduce", "listen"])
+def test_fault_inside_closure_reports_its_own_line(src, inbox, line, col):
+    vm = _second_step(src, inbox)
+    assert vm.faulted.message == "cannot apply '+' to int and nil"
+    assert (vm.faulted.line, vm.faulted.col) == (line, col)
+    assert vm.frames == [] and vm.stack == []
+
+
+@pytest.mark.parametrize("src, inbox", [
+    ("""
+function f(n) {
+  depth = n
+  f(n + 1)
+}
+function step() { f(1) }
+""", []),
+    ("""
+function f(rid, data, n) {
+  depth = n
+  return neighbors.reduce(f, n + 1)
+}
+function step() { neighbors.reduce(f, 1) }
+""", NEIGHBORS[:1]),
+], ids=["direct", "reduce"])
+@pytest.mark.parametrize("max_frames", [30, 31])
+def test_recursion_overflows_at_exactly_max_frames(src, inbox, max_frames):
+    vm = build_vm(src, config=VmConfig(max_frames=max_frames))
+    vm.step([])
+    vm.step(inbox)
+    assert vm.faulted.message == "stack overflow"
+    assert vm.faulted.line == 4
+    # the step frame plus one frame per level of f fill max_frames
+    assert vm.get_global("depth") == max_frames - 1
