@@ -17,7 +17,7 @@ from .linker import compile_and_link
 from .values import to_display
 from .vm import Vm
 from .sim.config import SimulationConfig
-from .sim.experiments import BUILDERS, CONVERGENCE, build_custom
+from .sim.experiments import BUILDERS, ORACLES, build_custom
 from .sim.runner import run as run_sim
 from .sim.sweep import experiment_sweep, write_outputs
 
@@ -86,7 +86,7 @@ def build_parser():
         p.add_argument("--readout", default=None,
                        help="global to sample for user-supplied scripts")
         p.add_argument("--convergence", default="none",
-                       choices=sorted(CONVERGENCE),
+                       choices=sorted(ORACLES),
                        help="convergence predicate for user scripts")
         if name == "sweep":
             p.add_argument("--reps", type=int, required=True)

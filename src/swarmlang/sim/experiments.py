@@ -26,7 +26,7 @@ class Experiment:
     name: str
     sources: list                      # [(origin, text)] linked in order
     readout: str
-    convergence: str                   # key into CONVERGENCE
+    convergence: str                   # key into ORACLES
     payload_budget: int = 200
     globals_setup: dict = field(default_factory=dict)
     bindings: tuple = ()               # host function names to mock
@@ -48,10 +48,10 @@ class Experiment:
                           value(ctx, rid) if callable(value) else value)
 
     def prepare(self, ctx):
-        PREPARE[self.convergence](ctx)
+        ctx.extra["converged"] = ORACLES[self.convergence](ctx)
 
     def converged(self, ctx, readouts):
-        return CONVERGENCE[self.convergence](ctx, readouts)
+        return ctx.extra["converged"](readouts)
 
 
 def _mock_binding(name):
@@ -106,59 +106,33 @@ def barrier_pass_steps(topology, threshold):
 
 
 # --- convergence predicates -------------------------------------------------
+# Each oracle takes the run context once and returns the predicate that
+# `Experiment.converged` applies to every step's readouts.
 
-def _prepare_consensus(ctx):
-    ctx.extra["max_rid"] = ctx.cfg.n_robots - 1
-
-
-def _converged_consensus(ctx, readouts):
-    target = ctx.extra["max_rid"]
-    return all(r == target for r in readouts)
+def _max_id_consensus(ctx):
+    target = ctx.cfg.n_robots - 1
+    return lambda readouts: all(r == target for r in readouts)
 
 
-def _prepare_gradient(ctx):
-    ctx.extra["fixpoint"] = gradient_fixpoint(ctx.topology)
+def _gradient_fixpoint(ctx):
+    fixpoint = gradient_fixpoint(ctx.topology)
+    return lambda readouts: all(r == f for r, f in zip(readouts, fixpoint))
 
 
-def _converged_gradient(ctx, readouts):
-    fixpoint = ctx.extra["fixpoint"]
-    return all(r == f for r, f in zip(readouts, fixpoint))
+def _all_ones(ctx):
+    return lambda readouts: all(r == 1 for r in readouts)
 
 
-def _prepare_barrier(ctx):
-    pass
+def _never(ctx):
+    return lambda readouts: False
 
 
-def _converged_barrier(ctx, readouts):
-    return all(r == 1 for r in readouts)
-
-
-def _prepare_none(ctx):
-    pass
-
-
-def _converged_none(ctx, readouts):
-    return False
-
-
-def _converged_all_ones(ctx, readouts):
-    return all(r == 1 for r in readouts)
-
-
-PREPARE = {
-    "max-id-consensus": _prepare_consensus,
-    "gradient-fixpoint": _prepare_gradient,
-    "barrier-passed": _prepare_barrier,
-    "all-ones": _prepare_none,
-    "none": _prepare_none,
-}
-
-CONVERGENCE = {
-    "max-id-consensus": _converged_consensus,
-    "gradient-fixpoint": _converged_gradient,
-    "barrier-passed": _converged_barrier,
-    "all-ones": _converged_all_ones,
-    "none": _converged_none,
+ORACLES = {
+    "max-id-consensus": _max_id_consensus,
+    "gradient-fixpoint": _gradient_fixpoint,
+    "barrier-passed": _all_ones,
+    "all-ones": _all_ones,
+    "none": _never,
 }
 
 

@@ -3,8 +3,10 @@
 Membership changes queue JOIN/LEAVE messages; a periodic LIST message
 carries the complete current membership.  Knowledge about neighbors ages
 by one step per silent step and is forgotten past a threshold.  The
-outbound queue is optimized on enqueue so that at most one message per
-swarm id (or a single LIST subsuming everything) is ever in flight.
+outbound queue is optimized on enqueue: a JOIN or LEAVE for swarm id
+`sid` sits in slot ("swarm", sid) and the one LIST in slot ("swarm",),
+so at most one message per swarm id is in flight, and while a LIST is
+queued it subsumes everything (no JOIN/LEAVE slot is left beside it).
 """
 
 from .errors import VmRuntimeError
@@ -72,55 +74,45 @@ class SwarmRegistry:
         return info[0] if info is not None else None
 
 
+LIST_SLOT = ("swarm",)  # the one queued LIST; JOIN/LEAVE use ("swarm", sid)
+
+
 def enqueue_swarm_message(queue, msg):
     """Apply the outbound-queue optimization rules for one new message.
 
-    `queue` may contain non-swarm messages; only swarm messages are
-    touched.  Mutates `queue` in place.
+    `queue` is the VM's outbound dict from slot to message; only the
+    swarm slots are touched.  Mutates `queue` in place.
     """
     if isinstance(msg, SwarmList):
-        queue[:] = [m for m in queue
-                    if not isinstance(m, (SwarmJoin, SwarmLeave, SwarmList))]
-        queue.append(msg)
+        for slot in [s for s in queue if s[0] == "swarm"]:
+            del queue[slot]
+        queue[LIST_SLOT] = msg
         return
     sid = msg.swarm_id
-    joins = [m for m in queue if isinstance(m, SwarmJoin) and m.swarm_id == sid]
-    leaves = [m for m in queue
-              if isinstance(m, SwarmLeave) and m.swarm_id == sid]
-    lists = [m for m in queue if isinstance(m, SwarmList)]
-    if isinstance(msg, SwarmJoin):
-        if joins:
-            return  # duplicate JOIN discarded
-        if leaves:
-            queue.remove(leaves[0])
-            queue.append(msg)
-            return
-        if lists:
-            if sid not in lists[0].swarm_ids:
-                lists[0].swarm_ids.append(sid)
-            return
-        queue.append(msg)
-    else:
-        if leaves:
-            return  # duplicate LEAVE discarded (mirror of the JOIN rule)
-        if joins:
-            queue.remove(joins[0])
-            queue.append(msg)
-            return
-        if lists:
-            if sid in lists[0].swarm_ids:
-                lists[0].swarm_ids.remove(sid)
-            return
-        queue.append(msg)
+    slot = ("swarm", sid)
+    old = queue.get(slot)
+    if old is not None:
+        if type(old) is not type(msg):  # JOIN cancels LEAVE and vice versa
+            del queue[slot]
+            queue[slot] = msg
+        return  # a duplicate JOIN or LEAVE is discarded
+    listed = queue.get(LIST_SLOT)
+    if listed is None:
+        queue[slot] = msg
+    elif isinstance(msg, SwarmJoin):
+        if sid not in listed.swarm_ids:
+            listed.swarm_ids.append(sid)
+    elif sid in listed.swarm_ids:
+        listed.swarm_ids.remove(sid)
 
 
 def optimize_queue(messages):
     """Fold a raw oldest-first swarm message sequence through the
     enqueue-time optimization; returns the optimized queue."""
-    queue = []
+    queue = {}
     for msg in messages:
         enqueue_swarm_message(queue, msg)
-    return queue
+    return list(queue.values())
 
 
 def apply_to_view(view, msg):

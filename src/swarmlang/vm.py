@@ -173,6 +173,8 @@ class Vm:
         self.image = image
         self.program = _Program.of(image)
         self.robot_id = robot_id
+        self._announce = SentMessage(Announce(),
+                                     encode_message(robot_id, Announce()))
         self.config = config or VmConfig()
         self.print_sink = print_sink or builtins.print
 
@@ -182,7 +184,7 @@ class Vm:
         self.swarm_stack = []
         self.step_count = 0
         self.faulted = None
-        self.out_queue = []
+        self.out_queue = {}  # slot -> message, oldest first (docs/wire.md)
         self.actuation = {}
         self.listeners = {}
         self._fuel = 0
@@ -302,14 +304,13 @@ class Vm:
         if self.config.optimize_vstig_queue:
             enqueue_vstig_message(self.out_queue, msg)
         else:
-            self.out_queue.append(msg)
+            self.out_queue[("vstig", object())] = msg  # a slot of its own
 
     def enqueue_broadcast(self, msg):
-        # one queued message per key; the most recent wins
-        self.out_queue[:] = [m for m in self.out_queue
-                             if not (isinstance(m, Broadcast) and
-                                     m.key == msg.key)]
-        self.out_queue.append(Broadcast(msg.key, copy_value(msg.value)))
+        # one queued message per key; the most recent wins and goes last
+        slot = ("bcast", msg.key)
+        self.out_queue.pop(slot, None)
+        self.out_queue[slot] = Broadcast(msg.key, copy_value(msg.value))
 
     # --- the step cycle --------------------------------------------------
 
@@ -334,11 +335,12 @@ class Vm:
     def _ingest(self, inbox):
         # phase 2: rebuild the neighbor view from every sender heard this
         # step, then apply messages to the subsystems in arrival order
-        records = {}
+        last = {}  # sender -> its last message, in first-heard order
         for sm in inbox:
-            records[sm.sender_id] = record_table(sm.distance, sm.azimuth,
-                                                 sm.elevation)
-        self.neighbor_view = make_view(records)
+            last[sm.sender_id] = sm
+        self.neighbor_view = make_view({
+            rid: record_table(sm.distance, sm.azimuth, sm.elevation)
+            for rid, sm in last.items()})
         self.globals["neighbors"] = self.neighbor_view
 
         for msg in self.swarm_registry.on_step(self.step_count):
@@ -378,30 +380,25 @@ class Vm:
 
     def _drain(self):
         # phase 4: longest prefix of [announce] + queue that fits
-        budget = self.config.payload_budget
-        outbox = []
-        announce = Announce()
+        budget = self.config.payload_budget - len(self._announce.raw)
+        if budget < 0:
+            return []
+        outbox = [self._announce]
+        queue = self.out_queue
+        sent = []
         try:
-            raw = encode_message(self.robot_id, announce)
-        except WireError as exc:  # pragma: no cover - announce is tiny
-            raise VmRuntimeError(str(exc))
-        if len(raw) > budget:
-            return outbox
-        outbox.append(SentMessage(announce, raw))
-        budget -= len(raw)
-        while self.out_queue:
-            msg = self.out_queue[0]
-            try:
+            for slot, msg in queue.items():
                 raw = encode_message(self.robot_id, msg)
-            except WireError as exc:
-                self.faulted = VmRuntimeError(
-                    f"cannot serialize outbound message: {exc}")
-                return outbox
-            if len(raw) > budget:
-                break
-            self.out_queue.pop(0)
-            outbox.append(SentMessage(msg, raw))
-            budget -= len(raw)
+                if len(raw) > budget:
+                    break
+                sent.append(slot)
+                outbox.append(SentMessage(msg, raw))
+                budget -= len(raw)
+        except WireError as exc:
+            self.faulted = VmRuntimeError(
+                f"cannot serialize outbound message: {exc}")
+        for slot in sent:  # one walk, then the deletes (not pop-first)
+            del queue[slot]
         return outbox
 
     # --- interpreter ------------------------------------------------------

@@ -5,7 +5,10 @@ read returns the local value and queues a GET carrying the local entry so
 neighbors can correct stale readers.  Entries with a higher timestamp
 always win; equal timestamps from different writers go through a conflict
 resolver (highest robot id by default).  The outbound queue holds at most
-one message per (stigmergy id, key), keeping the most up-to-date one.
+one message per (stigmergy id, key), keeping the most up-to-date one, in
+slot ("vstig", vstig_id, key).  Slots match keys the way `VStigMap.entries`
+does: 1 and 1.0 share one, a table matches only itself, and a NaN key
+matches only the same float object.
 """
 
 from dataclasses import dataclass
@@ -130,27 +133,16 @@ def _entry_table(value, robot_id):
 def enqueue_vstig_message(queue, msg):
     """Keep at most one message per (vstig_id, key): highest timestamp
     wins; PUT beats GET on a tie; newer beats older among equals.
-    Mutates `queue` in place."""
-    for i, old in enumerate(queue):
-        if not isinstance(old, (VstigPut, VstigGet)):
-            continue
-        if old.vstig_id != msg.vstig_id or not _key_eq(old.key, msg.key):
-            continue
-        if old.timestamp > msg.timestamp:
+    Mutates `queue` (slot -> message) in place."""
+    slot = ("vstig", msg.vstig_id, msg.key)
+    old = queue.get(slot)
+    if old is not None:
+        if old.timestamp > msg.timestamp or (
+                old.timestamp == msg.timestamp and
+                isinstance(old, VstigPut) and isinstance(msg, VstigGet)):
             return
-        if old.timestamp == msg.timestamp and \
-           isinstance(old, VstigPut) and isinstance(msg, VstigGet):
-            return
-        del queue[i]
-        queue.append(msg)
-        return
-    queue.append(msg)
-
-
-def _key_eq(a, b):
-    if isinstance(a, Table) or isinstance(b, Table):
-        return a is b
-    return value_eq(a, b)
+        del queue[slot]
+    queue[slot] = msg
 
 
 # --- script-facing methods -------------------------------------------------

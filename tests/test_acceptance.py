@@ -116,16 +116,19 @@ def test_criterion_queue_optimization_equivalence():
             mismatches += 1
 
     paper_rules = []
-    q = [SwarmJoin(1)]
     from swarmlang.swarms import enqueue_swarm_message
+    q = {}
+    enqueue_swarm_message(q, SwarmJoin(1))
     enqueue_swarm_message(q, SwarmList([1, 2]))
-    paper_rules.append(q == [SwarmList([1, 2])])
-    q = [SwarmList([1, 2])]
+    paper_rules.append(list(q.values()) == [SwarmList([1, 2])])
+    q = {}
+    enqueue_swarm_message(q, SwarmList([1, 2]))
     enqueue_swarm_message(q, SwarmLeave(2))
-    paper_rules.append(q == [SwarmList([1])])
-    q = [SwarmLeave(3)]
+    paper_rules.append(list(q.values()) == [SwarmList([1])])
+    q = {}
+    enqueue_swarm_message(q, SwarmLeave(3))
     enqueue_swarm_message(q, SwarmJoin(3))
-    paper_rules.append(q == [SwarmJoin(3)])
+    paper_rules.append(list(q.values()) == [SwarmJoin(3)])
 
     ok = mismatches == 0 and all(paper_rules)
     assert report("queue-optimization equivalence", ok,

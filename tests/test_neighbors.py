@@ -38,6 +38,17 @@ def test_duplicate_announcement_last_wins():
     assert vm.get_global("d") == 99.0
 
 
+def test_one_record_per_sender_last_message_first_order():
+    inbox = [announce(5, 10.0), announce(2, 20.0),
+             Situated(5, 99.0, 0.5, 0.0, Broadcast("k", 1))]
+    vm = stepped("", inbox)
+    records = vm.neighbor_view.data
+    assert list(records) == [5, 2]
+    assert records[5].data == {"distance": 99.0, "azimuth": 0.5,
+                               "elevation": 0.0}
+    assert records[2].get("distance") == 20.0
+
+
 def test_view_rebuilt_each_step():
     vm = build_vm("function step() { n = neighbors.count() }")
     vm.step([])

@@ -57,10 +57,10 @@ def test_unselect_false_predicate_no_change_no_message():
 
 
 def test_join_then_leave_one_step_keeps_only_leave():
-    queue = []
+    queue = {}
     enqueue_swarm_message(queue, SwarmJoin(1))
     enqueue_swarm_message(queue, SwarmLeave(1))
-    assert queue == [SwarmLeave(1)]
+    assert list(queue.values()) == [SwarmLeave(1)]
 
 
 def test_membership_message_only_on_change():
@@ -194,39 +194,45 @@ def test_leave_then_list_reflects_membership():
 # --- queue optimization --------------------------------------------------------
 
 def test_rule_list_purges_older_swarm_messages():
-    queue = [SwarmJoin(1)]
+    queue = {}
+    enqueue_swarm_message(queue, SwarmJoin(1))
     enqueue_swarm_message(queue, SwarmList([1, 2]))
-    assert queue == [SwarmList([1, 2])]
+    assert list(queue.values()) == [SwarmList([1, 2])]
 
 
 def test_rule_leave_edits_queued_list():
-    queue = [SwarmList([1, 2])]
+    queue = {}
+    enqueue_swarm_message(queue, SwarmList([1, 2]))
     enqueue_swarm_message(queue, SwarmLeave(2))
-    assert queue == [SwarmList([1])]
+    assert list(queue.values()) == [SwarmList([1])]
 
 
 def test_rule_join_drops_older_leave():
-    queue = [SwarmLeave(3)]
+    queue = {}
+    enqueue_swarm_message(queue, SwarmLeave(3))
     enqueue_swarm_message(queue, SwarmJoin(3))
-    assert queue == [SwarmJoin(3)]
+    assert list(queue.values()) == [SwarmJoin(3)]
 
 
 def test_rule_join_added_to_queued_list():
-    queue = [SwarmList([1])]
+    queue = {}
+    enqueue_swarm_message(queue, SwarmList([1]))
     enqueue_swarm_message(queue, SwarmJoin(4))
-    assert queue == [SwarmList([1, 4])]
+    assert list(queue.values()) == [SwarmList([1, 4])]
 
 
 def test_rule_duplicate_join_discarded():
-    queue = [SwarmJoin(1)]
+    queue = {}
     enqueue_swarm_message(queue, SwarmJoin(1))
-    assert queue == [SwarmJoin(1)]
+    enqueue_swarm_message(queue, SwarmJoin(1))
+    assert list(queue.values()) == [SwarmJoin(1)]
 
 
 def test_rule_leave_drops_older_join():
-    queue = [SwarmJoin(5)]
+    queue = {}
+    enqueue_swarm_message(queue, SwarmJoin(5))
     enqueue_swarm_message(queue, SwarmLeave(5))
-    assert queue == [SwarmLeave(5)]
+    assert list(queue.values()) == [SwarmLeave(5)]
 
 
 def random_messages(rng, length):

@@ -195,45 +195,45 @@ def test_get_absent_on_both_sides_is_silent():
 # --- outbound queue optimization --------------------------------------------------
 
 def test_queue_keeps_highest_timestamp():
-    queue = []
+    queue = {}
     enqueue_vstig_message(queue, VstigPut(1, "k", 1, 2, 0))
     enqueue_vstig_message(queue, VstigPut(1, "k", 2, 3, 0))
-    assert queue == [VstigPut(1, "k", 2, 3, 0)]
+    assert list(queue.values()) == [VstigPut(1, "k", 2, 3, 0)]
 
 
 def test_queue_distinct_keys_kept():
-    queue = []
+    queue = {}
     enqueue_vstig_message(queue, VstigPut(1, "k1", 1, 1, 0))
     enqueue_vstig_message(queue, VstigPut(1, "k2", 1, 1, 0))
     assert len(queue) == 2
 
 
 def test_queue_put_beats_get_on_tie():
-    queue = []
+    queue = {}
     enqueue_vstig_message(queue, VstigGet(1, "k", 1, 3, 0))
     enqueue_vstig_message(queue, VstigPut(1, "k", 1, 3, 0))
-    assert queue == [VstigPut(1, "k", 1, 3, 0)]
+    assert list(queue.values()) == [VstigPut(1, "k", 1, 3, 0)]
     # and an incoming GET does not displace a queued PUT at equal ts
     enqueue_vstig_message(queue, VstigGet(1, "k", 1, 3, 0))
-    assert queue == [VstigPut(1, "k", 1, 3, 0)]
+    assert list(queue.values()) == [VstigPut(1, "k", 1, 3, 0)]
 
 
 def test_queue_lower_timestamp_discarded():
-    queue = []
+    queue = {}
     enqueue_vstig_message(queue, VstigPut(1, "k", 9, 5, 0))
     enqueue_vstig_message(queue, VstigGet(1, "k", 1, 2, 0))
-    assert queue == [VstigPut(1, "k", 9, 5, 0)]
+    assert list(queue.values()) == [VstigPut(1, "k", 9, 5, 0)]
 
 
 def test_queue_ignores_other_vstig_ids():
-    queue = []
+    queue = {}
     enqueue_vstig_message(queue, VstigPut(1, "k", 1, 1, 0))
     enqueue_vstig_message(queue, VstigPut(2, "k", 2, 2, 0))
     assert len(queue) == 2
 
 
 def test_queue_leaves_non_vstig_messages_alone():
-    queue = [Broadcast("b", 1)]
+    queue = {("bcast", "b"): Broadcast("b", 1)}
     enqueue_vstig_message(queue, VstigPut(1, "k", 1, 1, 0))
     assert len(queue) == 2
 
