@@ -17,7 +17,7 @@ from .linker import compile_and_link
 from .values import to_display
 from .vm import Vm
 from .sim.config import SimulationConfig
-from .sim.experiments import BUILDERS, ORACLES, build_custom
+from .sim.experiments import BUILDERS, ORACLES, experiment_for
 from .sim.runner import run as run_sim
 from .sim.sweep import experiment_sweep, write_outputs
 
@@ -101,17 +101,9 @@ def build_parser():
 
 
 def cmd_compile(args):
-    try:
-        with open(args.source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    try:
-        image = compile_and_link(text, origin=args.source)
-    except SourceError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_DIAG
+    with open(args.source, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    image = compile_and_link(text, origin=args.source)
     with open(args.output, "wb") as fh:
         fh.write(image.encode())
     return EXIT_OK
@@ -159,16 +151,6 @@ def _load_image(path):
         return BytecodeImage.decode(fh.read())
 
 
-def _experiment_for(args):
-    if args.script in BUILDERS:
-        return BUILDERS[args.script]()
-    if args.readout is None:
-        raise SwarmlangError(
-            "user-supplied scripts need --readout (and usually "
-            "--convergence)")
-    return build_custom(args.script, args.readout, args.convergence)
-
-
 def _int_list(text):
     try:
         return [int(x) for x in text.split(",") if x != ""]
@@ -185,7 +167,8 @@ def _float_list(text):
 
 def cmd_sim(args):
     try:
-        experiment = _experiment_for(args)
+        experiment = experiment_for(args.script, args.readout,
+                                    args.convergence)
         n = int(args.robots)
         p = float(args.drop_prob)
         cfg = SimulationConfig(n_robots=n, drop_prob=p, seed=args.seed,
@@ -223,21 +206,15 @@ def cmd_sweep(args):
             raise SwarmlangError("robot counts must be positive")
         if any(not 0 <= p <= 1 for p in p_grid):
             raise SwarmlangError("drop probabilities must be within [0, 1]")
-        if args.script in BUILDERS:
-            name, script_path, readout = args.script, None, None
-        else:
-            if args.readout is None:
-                raise SwarmlangError("user-supplied scripts need --readout")
-            name, script_path, readout = args.script, args.script, \
-                args.readout
+        experiment_for(args.script, args.readout, args.convergence)
     except SwarmlangError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows, summary = experiment_sweep(
-        name, n_grid, p_grid, args.reps, master_seed=args.seed,
+        args.script, n_grid, p_grid, args.reps, master_seed=args.seed,
         max_steps=args.max_steps, density=args.density,
-        comm_range=args.comm_range, script_path=script_path,
-        readout=readout, convergence=args.convergence)
+        comm_range=args.comm_range, readout=args.readout,
+        convergence=args.convergence)
     paths = write_outputs(rows, summary, args.out, gnuplot=args.gnuplot)
     for path in paths:
         print(path)

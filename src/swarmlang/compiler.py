@@ -58,6 +58,7 @@ class ObjectUnit:
     global_names: list = field(default_factory=list)
     local_names: list = field(default_factory=list)
     string_consts: list = field(default_factory=list)
+    toplevel_nlocals: int = 1                     # top-level chunk slots
 
     def symbols(self):
         """(name, kind) pairs for inspection and link-time reporting."""

@@ -89,7 +89,12 @@ class BytecodeImage:
             raise ImageError(f"unsupported image version {version}", offset=4)
         strings = []
         for _ in range(r.u32()):
-            strings.append(r.take(r.u32()).decode("utf-8"))
+            raw = r.take(r.u32())
+            try:
+                strings.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ImageError("string is not valid UTF-8",
+                                 offset=r.pos - len(raw) + exc.start) from None
         consts = []
         for _ in range(r.u32()):
             tag = r.u8()

@@ -52,8 +52,7 @@ def link(units):
                 raise LinkError(f"duplicate symbol '{name}'")
             functions[name] = label
         stream.append((LabelMark(chunk_label), unit))
-        nlocals = getattr(unit, "toplevel_nlocals", 1)
-        stream.append((Instr(op.FUNC, (0, nlocals)), unit))
+        stream.append((Instr(op.FUNC, (0, unit.toplevel_nlocals)), unit))
         for ins in unit.main:
             stream.append((ins, unit))
         stream.append((Instr(op.RETN, ()), unit))

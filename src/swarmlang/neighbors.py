@@ -11,8 +11,8 @@ during message ingestion the following step.
 """
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, NativeClosure, Table, is_truthy,
-                     is_wire_value)
+from .values import (HostClosure, Table, is_truthy, is_wire_value,
+                     require_closure)
 from .wire import Broadcast
 
 
@@ -30,20 +30,14 @@ def _iter_sorted(view):
     return sorted(view.data.items())
 
 
-def _require_closure(fn, what):
-    if not isinstance(fn, (NativeClosure, HostClosure)):
-        raise VmRuntimeError(f"{what} expects a closure")
-    return fn
-
-
 def _m_foreach(vm, view, args):
-    fn = _require_closure(args[0] if args else None, "foreach")
+    fn = require_closure(args[0] if args else None, "foreach")
     for rid, data in _iter_sorted(view):
         vm.call_value(fn, [rid, data])
 
 
 def _m_map(vm, view, args):
-    fn = _require_closure(args[0] if args else None, "map")
+    fn = require_closure(args[0] if args else None, "map")
     out = {}
     for rid, data in _iter_sorted(view):
         out[rid] = vm.call_value(fn, [rid, data])
@@ -53,7 +47,7 @@ def _m_map(vm, view, args):
 def _m_reduce(vm, view, args):
     if len(args) != 2:
         raise VmRuntimeError("reduce expects (closure, initial value)")
-    fn = _require_closure(args[0], "reduce")
+    fn = require_closure(args[0], "reduce")
     accum = args[1]
     for rid, data in _iter_sorted(view):
         accum = vm.call_value(fn, [rid, data, accum])
@@ -61,7 +55,7 @@ def _m_reduce(vm, view, args):
 
 
 def _m_filter(vm, view, args):
-    fn = _require_closure(args[0] if args else None, "filter")
+    fn = require_closure(args[0] if args else None, "filter")
     out = {}
     for rid, data in _iter_sorted(view):
         if is_truthy(vm.call_value(fn, [rid, data])):
@@ -114,7 +108,7 @@ def _m_broadcast(vm, view, args):
 def _m_listen(vm, view, args):
     if len(args) != 2 or type(args[0]) is not str:
         raise VmRuntimeError("listen expects (string key, closure)")
-    fn = _require_closure(args[1], "listen")
+    fn = require_closure(args[1], "listen")
     vm.listeners[args[0]] = fn
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .. import behaviors
 from ..compiler import compile_source
+from ..errors import SwarmlangError
 from ..linker import link
 from ..values import Table
 
@@ -227,10 +228,11 @@ def build_target_select(targets=((0.0, 0.0, COLOR_RED),),
 
 
 def build_custom(script_path, readout, convergence="none"):
+    """A user script, named after its path as given."""
     with open(script_path, "r", encoding="utf-8") as fh:
         text = fh.read()
     return Experiment(
-        name="custom",
+        name=script_path,
         sources=[(script_path, text)],
         readout=readout,
         convergence=convergence,
@@ -243,3 +245,19 @@ BUILDERS = {
     "gradient": build_gradient,
     "barrier": build_barrier,
 }
+
+
+def experiment_for(script, readout=None, convergence="none"):
+    """The experiment a `--script` value names, built afresh.
+
+    A key of BUILDERS gives that built-in experiment; `readout` and
+    `convergence` are then ignored.  Anything else is a script path run
+    by `build_custom`, which needs the global to sample as `readout`
+    (SwarmlangError without it) and raises OSError for an unreadable file.
+    """
+    if script in BUILDERS:
+        return BUILDERS[script]()
+    if readout is None:
+        raise SwarmlangError("user-supplied scripts need --readout (and "
+                             "usually --convergence)")
+    return build_custom(script, readout, convergence)

@@ -14,7 +14,7 @@ import statistics
 from concurrent.futures import ProcessPoolExecutor
 
 from .config import SimulationConfig, derive_seed
-from .experiments import BUILDERS, build_custom
+from .experiments import experiment_for
 from .runner import run
 
 DATA_FIELDS = ["experiment", "N", "P", "rep", "seed", "converged", "steps"]
@@ -35,40 +35,41 @@ def worker_count(workers=None):
 
 def run_cell(task):
     """One grid cell; module-level so process pools can pickle the call."""
-    (name, script_path, readout, convergence, n, p, rep, seed, max_steps,
-     density, comm_range) = task
-    if name in BUILDERS:
-        experiment = BUILDERS[name]()
-    else:
-        experiment = build_custom(script_path, readout, convergence)
-    cfg = SimulationConfig(n_robots=n, drop_prob=p, seed=seed,
-                           max_steps=max_steps, density=density,
-                           comm_range=comm_range)
+    script, readout, convergence, cfg, rep = task
+    experiment = experiment_for(script, readout, convergence)
     result = run(cfg, experiment)
     return {
-        "experiment": experiment.name if name in BUILDERS else name,
-        "N": n,
-        "P": p,
+        "experiment": experiment.name,
+        "N": cfg.n_robots,
+        "P": cfg.drop_prob,
         "rep": rep,
-        "seed": seed,
+        "seed": cfg.seed,
         "converged": 1 if result.converged else 0,
-        "steps": result.steps_used(max_steps),
+        "steps": result.steps_used(cfg.max_steps),
     }
 
 
-def experiment_sweep(name, n_grid, p_grid, reps, master_seed=0,
+def experiment_sweep(script, n_grid, p_grid, reps, master_seed=0,
                      max_steps=100, density=0.1, comm_range=1.0,
-                     workers=None, script_path=None, readout=None,
-                     convergence="none"):
-    """Run the grid; returns (rows, summary_rows), both sorted."""
+                     workers=None, readout=None, convergence="none"):
+    """Run the (N, P) x reps grid; returns (rows, summary_rows), both sorted.
+
+    `script`, `readout` and `convergence` name the experiment as
+    `experiment_for` reads them: a built-in name, or a script path whose
+    rows are labelled with that path as given.  Each cell runs a fresh
+    experiment under its own seed, derived from `master_seed` and the
+    cell's (N, P, rep).
+    """
     tasks = []
     for n in n_grid:
         for p in p_grid:
             for rep in range(reps):
-                seed = derive_seed(master_seed, n, p, rep)
-                tasks.append((name, script_path, readout, convergence,
-                              n, p, rep, seed, max_steps, density,
-                              comm_range))
+                cfg = SimulationConfig(
+                    n_robots=n, drop_prob=p,
+                    seed=derive_seed(master_seed, n, p, rep),
+                    max_steps=max_steps, density=density,
+                    comm_range=comm_range)
+                tasks.append((script, readout, convergence, cfg, rep))
     nworkers = worker_count(workers)
     if nworkers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=nworkers) as pool:

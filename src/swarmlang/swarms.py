@@ -10,7 +10,7 @@ queued it subsumes everything (no JOIN/LEAVE slot is left beside it).
 """
 
 from .errors import VmRuntimeError
-from .values import HostClosure, NativeClosure, SwarmHandle, is_truthy
+from .values import HostClosure, SwarmHandle, is_truthy, require_closure
 from .wire import SwarmJoin, SwarmLeave, SwarmList
 
 
@@ -45,12 +45,7 @@ class SwarmRegistry:
         if info is None:
             info = [set(), 0]
             self.neighbor_info[sender_id] = info
-        if isinstance(msg, SwarmJoin):
-            info[0].add(msg.swarm_id)
-        elif isinstance(msg, SwarmLeave):
-            info[0].discard(msg.swarm_id)
-        elif isinstance(msg, SwarmList):
-            info[0] = set(msg.swarm_ids)
+        apply_to_view(info[0], msg)
         info[1] = 0
 
     def on_step(self, step_count):
@@ -129,12 +124,6 @@ def apply_to_view(view, msg):
 
 # --- script-facing methods -------------------------------------------------
 
-def _require_closure(vm, v, what):
-    if not isinstance(v, (NativeClosure, HostClosure)):
-        raise VmRuntimeError(f"{what} expects a closure argument")
-    return v
-
-
 def _m_select(vm, handle, args):
     pred = args[0] if args else None
     if is_truthy(pred):
@@ -160,7 +149,7 @@ def _m_in(vm, handle, args):
 
 
 def _m_exec(vm, handle, args):
-    fn = _require_closure(vm, args[0] if args else None, "exec")
+    fn = require_closure(args[0] if args else None, "exec")
     if not vm.swarm_registry.is_member(handle.swarm_id):
         return None
     vm.swarm_stack.append(handle.swarm_id)

@@ -12,6 +12,8 @@ import math
 
 from .errors import VmRuntimeError
 
+MAX_DEPTH = 16  # deepest table nesting a value may carry, on the wire or off
+
 
 class Table:
     """Script table: dict keyed by int/float/str, plus optional methods."""
@@ -71,6 +73,9 @@ class HostClosure:
         return f"HostClosure({self.name})"
 
 
+CLOSURES = (NativeClosure, HostClosure)  # the values scripts can call
+
+
 class SwarmHandle:
     """First-class swarm object; methods resolve via METHODS."""
 
@@ -109,6 +114,13 @@ def is_number(v):
     return type(v) is int or type(v) is float
 
 
+def require_closure(v, what):
+    """`v` itself if scripts can call it; else a runtime error."""
+    if not isinstance(v, CLOSURES):
+        raise VmRuntimeError(f"{what} expects a closure")
+    return v
+
+
 def check_key(key):
     if key is None:
         raise VmRuntimeError("table key cannot be nil")
@@ -127,7 +139,7 @@ def type_name(v):
         return "string"
     if isinstance(v, Table):
         return "table"
-    if isinstance(v, (NativeClosure, HostClosure)):
+    if isinstance(v, CLOSURES):
         return "closure"
     if isinstance(v, SwarmHandle):
         return "swarm"
@@ -237,7 +249,7 @@ def arith_neg(a):
 
 def is_wire_value(v, _depth=0):
     """True for values that can travel on the wire (no nil, no closures)."""
-    if _depth > 16:
+    if _depth > MAX_DEPTH:
         return False
     if type(v) is int:
         return -(2 ** 63) <= v < 2 ** 63
@@ -253,7 +265,7 @@ def is_wire_value(v, _depth=0):
 def copy_value(v, _depth=0):
     """Deep-copy tables so shared message payloads cannot alias stores."""
     if isinstance(v, Table) and type(v) is Table:
-        if _depth > 16:
+        if _depth > MAX_DEPTH:
             raise VmRuntimeError("table nesting too deep to copy")
         return Table({k: copy_value(x, _depth + 1)
                       for k, x in v.data.items()})
@@ -272,7 +284,7 @@ def to_display(v):
         return repr(v)
     if isinstance(v, Table):
         return f"[table({len(v)})]"
-    if isinstance(v, (NativeClosure, HostClosure)):
+    if isinstance(v, CLOSURES):
         return "[closure]"
     if isinstance(v, SwarmHandle):
         return f"[swarm {v.swarm_id}]"

@@ -43,11 +43,11 @@ from .image import decode_instructions
 from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
-from .values import (HostClosure, NativeClosure, SwarmHandle, Table,
-                     VStigHandle, arith_add, arith_div, arith_mod, arith_mul,
-                     arith_neg, arith_pow, arith_sub, check_key, coerce,
-                     copy_value, is_number, is_truthy, to_display, type_name,
-                     value_eq, value_lt, value_lte)
+from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
+                     Table, VStigHandle, arith_add, arith_div, arith_mod,
+                     arith_mul, arith_neg, arith_pow, arith_sub, check_key,
+                     coerce, copy_value, is_number, is_truthy, to_display,
+                     type_name, value_eq, value_lt, value_lte)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -57,8 +57,6 @@ from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
 @dataclass
 class VmConfig:
     payload_budget: int = 200        # bytes sent per step
-    list_period: int = 10            # steps between SWARM_LIST refreshes
-    forget_threshold: int = 50       # steps before neighbor info is dropped
     max_frames: int = 200
     instruction_budget: int = 5_000_000  # per step; guards runaway loops
     optimize_vstig_queue: bool = True    # off only for equivalence testing
@@ -190,8 +188,7 @@ class Vm:
         self._fuel = 0
         self._destroyed = False
 
-        self.swarm_registry = SwarmRegistry(self.config.list_period,
-                                            self.config.forget_threshold)
+        self.swarm_registry = SwarmRegistry()
         self._swarm_handles = {}
         self._vstigs = {}
         self._vstig_handles = {}
@@ -251,7 +248,7 @@ class Vm:
         if self.faulted:
             raise VmError(f"VM is faulted: {self.faulted}")
         fn = self.globals.get(name)
-        if not isinstance(fn, (NativeClosure, HostClosure)):
+        if not isinstance(fn, CLOSURES):
             raise VmError(f"global '{name}' is not a closure")
         if self._fuel <= 0:
             self._fuel = self.config.instruction_budget
@@ -263,7 +260,7 @@ class Vm:
             return
         self._destroyed = True
         fn = self.globals.get("destroy")
-        if isinstance(fn, (NativeClosure, HostClosure)):
+        if isinstance(fn, CLOSURES):
             if self._fuel <= 0:
                 self._fuel = self.config.instruction_budget
             self.call_value(fn, [])
@@ -372,10 +369,10 @@ class Vm:
         if self.step_count == 1:
             self._run_toplevel()
             init = self.globals.get("init")
-            if isinstance(init, (NativeClosure, HostClosure)):
+            if isinstance(init, CLOSURES):
                 self.call_value(init, [])
         step_fn = self.globals.get("step")
-        if isinstance(step_fn, (NativeClosure, HostClosure)):
+        if isinstance(step_fn, CLOSURES):
             self.call_value(step_fn, [])
 
     def _drain(self):

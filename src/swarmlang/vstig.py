@@ -14,8 +14,8 @@ matches only the same float object.
 from dataclasses import dataclass
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, NativeClosure, Table, VStigHandle,
-                     copy_value, is_wire_value, value_eq)
+from .values import (HostClosure, Table, VStigHandle, copy_value,
+                     is_wire_value, require_closure, value_eq)
 from .wire import VstigGet, VstigPut
 
 
@@ -178,17 +178,13 @@ def _m_size(vm, handle, args):
 
 
 def _m_onconflict(vm, handle, args):
-    fn = args[0] if args else None
-    if not isinstance(fn, (NativeClosure, HostClosure)):
-        raise VmRuntimeError("onconflict expects a closure")
-    vm.vstig_map(handle.vstig_id).onconflict = fn
+    vm.vstig_map(handle.vstig_id).onconflict = require_closure(
+        args[0] if args else None, "onconflict")
 
 
 def _m_onconflictlost(vm, handle, args):
-    fn = args[0] if args else None
-    if not isinstance(fn, (NativeClosure, HostClosure)):
-        raise VmRuntimeError("onconflictlost expects a closure")
-    vm.vstig_map(handle.vstig_id).onconflictlost = fn
+    vm.vstig_map(handle.vstig_id).onconflictlost = require_closure(
+        args[0] if args else None, "onconflictlost")
 
 
 VStigHandle.METHODS = {

@@ -10,7 +10,7 @@ import struct
 from dataclasses import dataclass
 
 from .errors import WireError
-from .values import Table
+from .values import MAX_DEPTH, Table
 
 MSG_ANNOUNCE = 0
 MSG_SWARM_JOIN = 1
@@ -82,7 +82,7 @@ class Situated:
 
 
 def encode_value(v, depth=0):
-    if depth > 16:
+    if depth > MAX_DEPTH:
         raise WireError("value nesting too deep to encode")
     if v is None:
         return bytes([TAG_NIL])
@@ -105,7 +105,10 @@ def encode_value(v, depth=0):
     raise WireError(f"value of type {type(v).__name__} is not serializable")
 
 
-def decode_value(data, pos):
+def decode_value(data, pos, depth=0):
+    """(value, position after it); malformed bytes raise only WireError."""
+    if depth > MAX_DEPTH:
+        raise WireError("value nesting too deep to decode")
     if pos >= len(data):
         raise WireError("truncated value")
     tag = data[pos]
@@ -122,15 +125,17 @@ def decode_value(data, pos):
         _need(data, pos, 4)
         n = struct.unpack_from("<I", data, pos)[0]
         _need(data, pos + 4, n)
-        return data[pos + 4:pos + 4 + n].decode("utf-8"), pos + 4 + n
+        return _utf8(data[pos + 4:pos + 4 + n]), pos + 4 + n
     if tag == TAG_TABLE:
         _need(data, pos, 4)
         n = struct.unpack_from("<I", data, pos)[0]
         pos += 4
         t = Table()
         for _ in range(n):
-            key, pos = decode_value(data, pos)
-            val, pos = decode_value(data, pos)
+            key, pos = decode_value(data, pos, depth + 1)
+            if key is None or type(key) is Table:
+                raise WireError("table key must be an int, float or string")
+            val, pos = decode_value(data, pos, depth + 1)
             t.set(key, val)
         return t, pos
     raise WireError(f"unknown value tag {tag}")
@@ -139,6 +144,13 @@ def decode_value(data, pos):
 def _need(data, pos, n):
     if pos + n > len(data):
         raise WireError("truncated value")
+
+
+def _utf8(raw):
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError:
+        raise WireError("string is not valid UTF-8") from None
 
 
 def encode_message(sender_id, msg):
@@ -221,7 +233,7 @@ def decode_message(data):
         _need(data, pos, 2)
         n = struct.unpack_from("<H", data, pos)[0]
         _need(data, pos + 2, n)
-        key = data[pos + 2:pos + 2 + n].decode("utf-8")
+        key = _utf8(data[pos + 2:pos + 2 + n])
         pos += 2 + n
         value, pos = decode_value(data, pos)
         msg = Broadcast(key, value)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from swarmlang import behaviors
 from swarmlang.cli import main
 
 GOOD = 'a = 1\nfunction step() { print("hi ", id) }\n'
@@ -196,3 +197,73 @@ def _env_with(**extra):
     env = dict(os.environ)
     env.update(extra)
     return env
+
+
+# --- user scripts: --script path.swl --readout GLOBAL ----------------------
+
+def test_sweep_user_script_rows_carry_path_as_given(workspace, capsys,
+                                                    monkeypatch):
+    tmp, _ = workspace
+    (tmp / "one.swl").write_text("x = 1\n")
+    monkeypatch.chdir(tmp)
+    code, _, err = invoke(["sweep", "--script", "one.swl", "--readout", "x",
+                           "--convergence", "all-ones", "--robots", "3,4",
+                           "--drop-prob", "0", "--reps", "2",
+                           "--out", "data.csv"], capsys)
+    assert code == 0, err
+    rows = (tmp / "data.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    assert all(r.startswith("one.swl,") and r.endswith(",1,1")
+               for r in rows)
+    summary = (tmp / "data_summary.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in summary] == ["one.swl", "one.swl"]
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sim", []),
+    ("sweep", ["--reps", "1", "--out", "x.csv"]),
+    ("sweep", ["--reps", "0", "--out", "x.csv"]),
+], ids=["sim", "sweep", "sweep-reps-0"])
+def test_user_script_without_readout_exits_2(workspace, capsys, monkeypatch,
+                                             command, extra):
+    tmp, src = workspace
+    monkeypatch.chdir(tmp)
+    code, _, err = invoke([command, "--script", str(src), "--robots", "3"]
+                          + extra, capsys)
+    assert code == 2
+    assert "--readout" in err
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("sim", []),
+    ("sweep", ["--reps", "1", "--out", "x.csv"]),
+], ids=["sim", "sweep"])
+def test_missing_user_script_exits_3(workspace, capsys, monkeypatch,
+                                    command, extra):
+    tmp, _ = workspace
+    monkeypatch.chdir(tmp)
+    code, _, err = invoke([command, "--script", "none.swl", "--readout", "x",
+                           "--robots", "3"] + extra, capsys)
+    assert code == 3
+    assert "io error" in err
+
+
+def test_env_var_worker_cap_does_not_change_user_script_csv(tmp_path):
+    script = tmp_path / "consensus_copy.swl"
+    script.write_text(behaviors.load_script("consensus"))
+    argv_base = [sys.executable, "-m", "swarmlang.cli", "sweep", "--script",
+                 str(script), "--readout", "vs_value", "--convergence",
+                 "max-id-consensus", "--robots", "6", "--drop-prob", "0,0.5",
+                 "--reps", "2", "--seed", "4", "--max-steps", "40"]
+    outputs = []
+    for workers in ("1", "2"):
+        out_csv = tmp_path / f"w{workers}.csv"
+        proc = subprocess.run(argv_base + ["--out", str(out_csv)],
+                              capture_output=True, text=True,
+                              env=_env_with(SWARMLANG_THREADS=workers))
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out_csv.read_bytes())
+    assert outputs[0] == outputs[1]
+    rows = outputs[0].decode().splitlines()[1:]
+    assert len(rows) == 4 and all(r.startswith(str(script) + ",")
+                                  for r in rows)

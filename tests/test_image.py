@@ -1,7 +1,9 @@
+import random
 import struct
 
 import pytest
 
+from swarmlang import behaviors
 from swarmlang.asm import assemble, disassemble
 from swarmlang.compiler import compile_source
 from swarmlang.errors import AsmError, ImageError, LinkError
@@ -87,6 +89,31 @@ def test_truncated_image_reports_offset():
 def test_truncated_mid_header():
     with pytest.raises(ImageError):
         BytecodeImage.decode(MAGIC + b"\x01")
+
+
+def test_invalid_utf8_string_reports_its_offset():
+    data = bytearray(compile_and_link('s = "hello"').encode())
+    at = data.index(b"hello") + 1
+    data[at] = 0xff
+    with pytest.raises(ImageError, match="UTF-8") as err:
+        BytecodeImage.decode(bytes(data))
+    assert err.value.offset == at
+
+
+def test_mutated_bundled_image_raises_only_image_errors():
+    data = compile_and_link(behaviors.load_script("gradient")).encode()
+    rng = random.Random(3)
+    for _ in range(3000):
+        at, byte = rng.randrange(len(data)), rng.randrange(256)
+        bad = bytearray(data)
+        bad[at] = byte
+        try:
+            BytecodeImage.decode(bytes(bad))
+        except ImageError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} with byte {at} = {byte}: "
+                        f"{exc}")
 
 
 def test_single_unit_link_runs():

@@ -1,10 +1,14 @@
+import random
+import struct
+
 import pytest
 
 from swarmlang.errors import WireError
-from swarmlang.values import Table
-from swarmlang.wire import (Announce, Broadcast, SwarmJoin, SwarmLeave,
-                            SwarmList, VstigGet, VstigPut, decode_message,
-                            encode_message)
+from swarmlang.values import MAX_DEPTH, Table
+from swarmlang.wire import (MSG_BCAST, TAG_INT, TAG_NIL, TAG_STRING,
+                            TAG_TABLE, Announce, Broadcast, SwarmJoin,
+                            SwarmLeave, SwarmList, VstigGet, VstigPut,
+                            decode_message, encode_message)
 
 
 def round_trip(sender, msg):
@@ -98,3 +102,78 @@ def test_oversized_int_rejected():
 def test_swarm_id_range_checked():
     with pytest.raises(WireError):
         encode_message(1, SwarmJoin(70_000))
+
+
+# --- hostile bytes: decoding raises WireError and nothing else -------------
+
+def _bcast_bytes(key, value_bytes):
+    """A BCAST envelope from robot 0 built by hand around raw value bytes."""
+    return (struct.pack("<IBH", 0, MSG_BCAST, len(key)) + key + value_bytes)
+
+
+def _nested_bytes(depth):
+    """`depth` tables, each holding the next under key 1; the last holds 7."""
+    table = struct.pack("<BIBq", TAG_TABLE, 1, TAG_INT, 1)
+    return table * depth + struct.pack("<Bq", TAG_INT, 7)
+
+
+def test_nesting_bound_is_the_same_for_encode_and_decode():
+    value = 7
+    for _ in range(MAX_DEPTH):
+        value = Table({1: value})
+    data = encode_message(0, Broadcast("t", value))
+    assert data == _bcast_bytes(b"t", _nested_bytes(MAX_DEPTH))
+    got = decode_message(data)[1].value
+    for _ in range(MAX_DEPTH):
+        got = got.get(1)
+    assert got == 7
+    with pytest.raises(WireError, match="too deep to encode"):
+        encode_message(0, Broadcast("t", Table({1: value})))
+    with pytest.raises(WireError, match="too deep to decode"):
+        decode_message(_bcast_bytes(b"t", _nested_bytes(MAX_DEPTH + 1)))
+
+
+def test_very_deep_nesting_is_a_wire_error():
+    with pytest.raises(WireError):
+        decode_message(_bcast_bytes(b"t", _nested_bytes(3000)))
+
+
+@pytest.mark.parametrize("data", [
+    _bcast_bytes(b"\xffk", struct.pack("<Bq", TAG_INT, 1)),
+    _bcast_bytes(b"k", struct.pack("<BI", TAG_STRING, 2) + b"\xc3("),
+    _bcast_bytes(b"k", struct.pack("<BIBIB", TAG_TABLE, 1, TAG_STRING, 1,
+                                   0x80) + struct.pack("<Bq", TAG_INT, 1)),
+], ids=["key", "string", "table-key"])
+def test_invalid_utf8_is_a_wire_error(data):
+    with pytest.raises(WireError, match="UTF-8"):
+        decode_message(data)
+
+
+@pytest.mark.parametrize("key", [
+    bytes([TAG_NIL]),
+    struct.pack("<BI", TAG_TABLE, 0),
+], ids=["nil", "table"])
+def test_bad_table_key_is_a_wire_error(key):
+    value = struct.pack("<BI", TAG_TABLE, 1) + key + \
+        struct.pack("<Bq", TAG_INT, 1)
+    with pytest.raises(WireError, match="table key"):
+        decode_message(_bcast_bytes(b"k", value))
+
+
+def test_mutated_messages_raise_only_wire_errors():
+    table = Table({"name": "ré→", 2: Table({1.5: "x", "é": -3}), 3: 0.25})
+    corpus = [encode_message(7, msg) for msg in (
+        Announce(), SwarmJoin(5), SwarmLeave(6), SwarmList([1, 2, 300]),
+        VstigPut(1, "clé", table, 9, 7), VstigGet(2, 4, None, 0, 7),
+        Broadcast("dïst", table), Broadcast("k", "héllo"))]
+    rng = random.Random(5)
+    for _ in range(20_000):
+        data = bytearray(rng.choice(corpus))
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(len(data))] = rng.randrange(256)
+        try:
+            decode_message(bytes(data))
+        except WireError:
+            pass
+        except Exception as exc:
+            pytest.fail(f"{type(exc).__name__} on {data.hex()}: {exc}")
