@@ -332,37 +332,41 @@ class Vm:
     def _ingest(self, inbox):
         # phase 2: rebuild the neighbor view from every sender heard this
         # step, then apply messages to the subsystems in arrival order
-        last = {}  # sender -> its last message, in first-heard order
-        for sm in inbox:
-            last[sm.sender_id] = sm
+        last = {sm[0]: sm for sm in inbox}  # first-heard order, last record
         self.neighbor_view = make_view({
-            rid: record_table(sm.distance, sm.azimuth, sm.elevation)
-            for rid, sm in last.items()})
+            rid: record_table(distance, azimuth, elevation)
+            for rid, (_, distance, azimuth, elevation, _) in last.items()})
         self.globals["neighbors"] = self.neighbor_view
 
         for msg in self.swarm_registry.on_step(self.step_count):
             enqueue_swarm_message(self.out_queue, msg)
 
-        for sm in inbox:
-            msg = sm.message
-            if isinstance(msg, (SwarmJoin, SwarmLeave, SwarmList)):
-                self.swarm_registry.handle_message(sm.sender_id, msg)
-            elif isinstance(msg, VstigPut):
-                vstig = self._vstigs.get(msg.vstig_id)
+        # exact wire types; an ANNOUNCE carries nothing more, and a message
+        # of any other type is ignored
+        vstigs = self._vstigs
+        enqueue_vstig = self.enqueue_vstig
+        for sender_id, _, _, _, msg in inbox:
+            kind = type(msg)
+            if kind is Announce:
+                continue
+            if kind is VstigPut:
+                vstig = vstigs.get(msg.vstig_id)
                 if vstig is not None:
                     for out in vstig.on_put(msg, self):
-                        self.enqueue_vstig(out)
-            elif isinstance(msg, VstigGet):
-                vstig = self._vstigs.get(msg.vstig_id)
+                        enqueue_vstig(out)
+            elif kind is VstigGet:
+                vstig = vstigs.get(msg.vstig_id)
                 if vstig is not None:
                     for out in vstig.on_get(msg, self):
-                        self.enqueue_vstig(out)
-            elif isinstance(msg, Broadcast):
+                        enqueue_vstig(out)
+            elif kind is Broadcast:
                 listener = self.listeners.get(msg.key)
                 if listener is not None:
                     self.call_value(listener, [msg.key,
                                                copy_value(msg.value),
-                                               sm.sender_id])
+                                               sender_id])
+            elif kind is SwarmJoin or kind is SwarmLeave or kind is SwarmList:
+                self.swarm_registry.handle_message(sender_id, msg)
 
     def _execute(self):
         # phase 3

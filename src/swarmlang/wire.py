@@ -8,6 +8,7 @@ table of tagged key/value pairs.
 
 import struct
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import WireError
 from .values import MAX_DEPTH, Table
@@ -71,9 +72,12 @@ class Broadcast:
     value: object
 
 
-@dataclass(frozen=True)
-class Situated:
-    """An inbox message plus the sensed relative position of its sender."""
+class Situated(NamedTuple):
+    """An inbox message plus the sensed relative position of its sender.
+
+    A tuple, so delivery can build one per (message, receiver) pair
+    cheaply: `tuple.__new__(Situated, fields)` skips even `__new__`.
+    """
     sender_id: int
     distance: float   # centimeters
     azimuth: float    # radians
@@ -94,7 +98,7 @@ def encode_value(v, depth=0):
     if type(v) is float:
         return struct.pack("<Bd", TAG_FLOAT, v)
     if type(v) is str:
-        raw = v.encode("utf-8")
+        raw = _utf8_bytes(v)
         return struct.pack("<BI", TAG_STRING, len(raw)) + raw
     if isinstance(v, Table):
         out = bytearray(struct.pack("<BI", TAG_TABLE, len(v.data)))
@@ -153,6 +157,13 @@ def _utf8(raw):
         raise WireError("string is not valid UTF-8") from None
 
 
+def _utf8_bytes(text):
+    try:
+        return text.encode("utf-8")
+    except UnicodeEncodeError:  # a lone surrogate has no UTF-8 form
+        raise WireError("string cannot be encoded as UTF-8") from None
+
+
 def encode_message(sender_id, msg):
     """Encode envelope + body for one message."""
     if isinstance(msg, Announce):
@@ -180,7 +191,7 @@ def encode_message(sender_id, msg):
         body += encode_value(msg.value)
         body += struct.pack("<II", msg.timestamp, msg.robot_id)
     elif isinstance(msg, Broadcast):
-        raw = msg.key.encode("utf-8")
+        raw = _utf8_bytes(msg.key)
         if len(raw) > 65535:
             raise WireError("broadcast key too long")
         body = struct.pack("<H", len(raw)) + raw + encode_value(msg.value)

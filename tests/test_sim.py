@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -11,7 +12,8 @@ from swarmlang.sim.config import rng_for, _STREAM_NETWORK
 from swarmlang.sim.experiments import Experiment
 from swarmlang.sim.sweep import rows_to_csv, DATA_FIELDS
 from swarmlang.vm import SentMessage
-from swarmlang.wire import Announce, encode_message
+from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
+                            VstigPut, decode_message, encode_message)
 
 
 def test_arena_side_formula():
@@ -93,6 +95,61 @@ def test_deliver_pattern_reproducible():
         return [[sm.sender_id for sm in inbox] for inbox in inboxes]
 
     assert pattern() == pattern()
+
+
+def _per_pair_deliver(drop_prob, topology, outboxes, rng):
+    """Reference delivery: one draw test and one record per pair."""
+    inboxes = [[] for _ in outboxes]
+    total = sum(len(outbox) * len(links)
+                for outbox, links in zip(outboxes, topology.out_links))
+    if total == 0:
+        return inboxes
+    draws = rng.random(total)
+    k = 0
+    for outbox, links in zip(outboxes, topology.out_links):
+        for sent in outbox:
+            sender_id, msg = decode_message(sent.raw)
+            for j, dist_cm, azimuth in links:
+                if draws[k] >= drop_prob:
+                    inboxes[j].append((sender_id, dist_cm, azimuth, 0.0, msg))
+                k += 1
+    return inboxes
+
+
+def _random_outboxes(rng, n):
+    """0-3 messages per robot, of several wire types."""
+    kinds = [lambda rid: Announce(), lambda rid: Broadcast("d", rid * 0.5),
+             lambda rid: VstigPut(1, rid, "x" * rid, rid + 1, rid),
+             lambda rid: SwarmJoin(rid)]
+    outboxes = []
+    for rid in range(n):
+        msgs = [rng.choice(kinds)(rid) for _ in range(rng.randint(0, 3))]
+        outboxes.append([SentMessage(m, encode_message(rid, m))
+                         for m in msgs])
+    return outboxes
+
+
+@pytest.mark.parametrize("n", [1, 7, 60])
+@pytest.mark.parametrize("drop_prob", [0.0, 0.3, 0.75, 1.0])
+def test_deliver_matches_per_pair_model(n, drop_prob):
+    cfg = SimulationConfig(n_robots=n, drop_prob=drop_prob, seed=n)
+    poses = place_robots(cfg)
+    if n > 1:
+        poses[-1] = (10 * cfg.side, 10 * cfg.side)  # out of everyone's range
+    topo = Topology.build(cfg, poses)
+    if n > 1:
+        assert topo.out_links[-1] == [] and any(topo.out_links)
+    pick = random.Random(n * 100 + int(drop_prob * 100))
+    rng, model_rng = rng_for(cfg, _STREAM_NETWORK), \
+        rng_for(cfg, _STREAM_NETWORK)
+    for step in range(4):
+        outboxes = ([[] for _ in range(n)] if step == 0
+                    else _random_outboxes(pick, n))
+        got = deliver(drop_prob, topo, outboxes, rng)
+        want = _per_pair_deliver(drop_prob, topo, outboxes, model_rng)
+        assert [[tuple(sm) for sm in inbox] for inbox in got] == want
+        assert all(type(sm) is Situated for inbox in got for sm in inbox)
+        assert rng.bit_generator.state == model_rng.bit_generator.state
 
 
 def test_range_cutoff():

@@ -2,8 +2,11 @@ import pytest
 
 from swarmlang.errors import VmError, VmRuntimeError
 from swarmlang.linker import compile_and_link
+from swarmlang.values import HostClosure
 from swarmlang.vm import Vm, VmConfig
-from swarmlang.wire import Announce, Broadcast, Situated, decode_message
+from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
+                            SwarmLeave, SwarmList, VstigGet, VstigPut,
+                            decode_message)
 
 from conftest import build_vm
 
@@ -348,3 +351,48 @@ def test_recursion_overflows_at_exactly_max_frames(src, inbox, max_frames):
     assert vm.faulted.line == 4
     # the step frame plus one frame per level of f fill max_frames
     assert vm.get_global("depth") == max_frames - 1
+
+
+@pytest.mark.parametrize("src", [
+    'function step() { neighbors.broadcast("k", s) }',
+    'function step() { neighbors.broadcast(s, 1) }',
+    'function init() { v = stigmergy.create(1) }\n'
+    'function step() { v.put(s, 1) }',
+], ids=["value", "key", "vstig-key"])
+def test_unencodable_string_faults_only_its_robot(src):
+    bad, good = build_vm(src, robot_id=1), build_vm(src, robot_id=2)
+    bad.set_global("s", "\udc80")  # a lone surrogate has no UTF-8 form
+    good.set_global("s", "fine")
+    out, _ = bad.step([])
+    assert isinstance(bad.faulted, VmRuntimeError)
+    assert "UTF-8" in str(bad.faulted)
+    assert [type(sent.message) for sent in out] == [Announce]
+    assert bad.step([]) == ([], {})  # a faulted robot stays silent
+    out, _ = good.step([])
+    assert good.faulted is None and len(out) == 2
+
+
+def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
+    vm = build_vm("function step() { }")
+    vm.step([])
+    applied = []
+    store = vm.vstig_map(1)
+    store.on_put = lambda msg, _vm: applied.append(msg) or []
+    store.on_get = lambda msg, _vm: applied.append(msg) or []
+    vm.swarm_registry.handle_message = \
+        lambda sender, msg: applied.append(msg)
+    vm.listeners["k"] = HostClosure(
+        "record", lambda _vm, _self, args: applied.append(
+            Broadcast(args[0], args[1])))
+    protocol = [SwarmList([5]), VstigGet(1, "b", None, 0, 0),
+                Broadcast("k", 7), VstigPut(1, "a", 3, 1, 4),
+                SwarmLeave(4), SwarmJoin(4)]
+    foreign = object()
+    messages = [Announce(), protocol[0], protocol[1], foreign, protocol[2],
+                Announce(), protocol[3], protocol[4], protocol[5]]
+    vm.step([Situated(sender, 10.0, 0.0, 0.0, msg)
+             for sender, msg in enumerate(messages, start=1)])
+    assert vm.faulted is None
+    assert applied == protocol
+    # every sender is heard, whatever it sent
+    assert sorted(vm.neighbor_view.data) == list(range(1, 10))

@@ -3,12 +3,13 @@ import struct
 
 import pytest
 
+import swarmlang
 from swarmlang.errors import WireError
 from swarmlang.values import MAX_DEPTH, Table
 from swarmlang.wire import (MSG_BCAST, TAG_INT, TAG_NIL, TAG_STRING,
-                            TAG_TABLE, Announce, Broadcast, SwarmJoin,
-                            SwarmLeave, SwarmList, VstigGet, VstigPut,
-                            decode_message, encode_message)
+                            TAG_TABLE, Announce, Broadcast, Situated,
+                            SwarmJoin, SwarmLeave, SwarmList, VstigGet,
+                            VstigPut, decode_message, encode_message)
 
 
 def round_trip(sender, msg):
@@ -177,3 +178,40 @@ def test_mutated_messages_raise_only_wire_errors():
             pass
         except Exception as exc:
             pytest.fail(f"{type(exc).__name__} on {data.hex()}: {exc}")
+
+
+@pytest.mark.parametrize("msg", [
+    Broadcast("k", "\udc80"),
+    Broadcast("\ud800k", 1),
+    Broadcast("k", Table({"\udc80": 1})),
+    VstigPut(1, "\udfff", 2, 1, 0),
+    VstigGet(1, "k", Table({1: "a\ud83d"}), 1, 0),
+], ids=["string", "bcast-key", "table-key", "vstig-key", "nested-value"])
+def test_lone_surrogate_is_a_wire_error(msg):
+    # a str that is not valid Unicode has no UTF-8 bytes to send
+    with pytest.raises(WireError, match="UTF-8"):
+        encode_message(3, msg)
+
+
+def test_situated_keeps_its_record_contract():
+    msg = Broadcast("k", 1)
+    by_position = Situated(3, 10.0, 0.5, 0.0, msg)
+    by_keyword = Situated(sender_id=3, distance=10.0, azimuth=0.5,
+                          elevation=0.0, message=msg)
+    assert by_position == by_keyword
+    assert (by_position.sender_id, by_position.distance, by_position.azimuth,
+            by_position.elevation, by_position.message) == \
+        (3, 10.0, 0.5, 0.0, msg)
+    assert tuple(by_position) == (3, 10.0, 0.5, 0.0, msg)  # field order
+    # the record delivery builds without calling Situated(...)
+    fast = tuple.__new__(Situated, (3, 10.0, 0.5, 0.0, msg))
+    assert type(fast) is Situated and fast == by_position
+    assert fast.message is msg
+    with pytest.raises(AttributeError):
+        by_position.distance = 1.0
+    with pytest.raises(TypeError):
+        by_position[0] = 4
+    with pytest.raises(TypeError):
+        Situated(3, 10.0, 0.5, 0.0)  # every field is required
+    assert swarmlang.Situated is Situated
+    assert "Situated" in swarmlang.__all__
