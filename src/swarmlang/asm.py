@@ -7,7 +7,8 @@ ignored by the assembler.
 
 from . import opcodes as op
 from .errors import AsmError, ImageError
-from .image import BytecodeImage, decode_instructions, encode_instruction
+from .image import (VERSION, BytecodeImage, decode_instructions,
+                    encode_instruction)
 
 
 def disassemble(img):
@@ -127,6 +128,8 @@ def assemble(text):
             raise AsmError(f"{label} indices not contiguous: missing "
                            f"{sorted(missing)}")
 
+    if version != VERSION:
+        raise ImageError(f"unsupported image version {version}")
     img = BytecodeImage(
         version=version,
         strings=[strings[i] for i in range(len(strings))],
@@ -135,9 +138,7 @@ def assemble(text):
         debug=debug,
         code=bytes(code),
     )
-    if version != img.version:
-        raise ImageError(f"unsupported image version {version}")
-    img.validate()
+    img.program  # verify now, like BytecodeImage.decode
     return img
 
 

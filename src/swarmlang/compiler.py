@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from . import opcodes as op
 from . import parser as ast
 from .errors import CompileError
+from .image import MAX_LOCALS
 from .parser import parse
 
 INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
@@ -139,6 +140,14 @@ class Compiler:
     def error(self, msg, node):
         raise CompileError(msg, node.line, node.col, self.unit.origin)
 
+    def declare(self, scope, name, node):
+        slot = scope.declare(name)
+        if slot >= MAX_LOCALS:
+            self.error(f"more than {MAX_LOCALS} locals in one function",
+                       node)
+        self.note_symbol(name, "local")
+        return slot
+
     # --- top level ---
 
     def compile_program(self, stmts):
@@ -156,8 +165,7 @@ class Compiler:
         out = self.unit.funcs
         scope = _Scope(defscope)
         for p in node.params:
-            scope.declare(p)
-            self.note_symbol(p, "local")
+            self.declare(scope, p, node)
         nparams = len(node.params)
         self.mark(out, entry)
         header = Instr(op.FUNC, (nparams, 0), node.line, node.col)
@@ -175,8 +183,7 @@ class Compiler:
         if isinstance(stmt, ast.Assign):
             self.compile_assign(stmt, scope, out)
         elif isinstance(stmt, ast.VarDecl):
-            slot = scope.declare(stmt.name)
-            self.note_symbol(stmt.name, "local")
+            slot = self.declare(scope, stmt.name, stmt)
             if stmt.value is not None:
                 self.compile_expr(stmt.value, scope, out)
                 self.emit(out, op.LSTORE, slot, node=stmt)

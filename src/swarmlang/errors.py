@@ -43,7 +43,15 @@ class LinkError(SwarmlangError):
 
 
 class ImageError(SwarmlangError):
-    """Bad magic, version mismatch, or truncated bytecode image."""
+    """A bytecode image that cannot be loaded.
+
+    Raised for a bad magic, an unsupported version or a truncated file,
+    and by the load-time verifier for any code section that breaks a
+    rule of docs/bytecode.md, "Verification": a bad pool index, jump or
+    closure target, control flow, local or upvalue slot, or stack depth.
+    A VM is only ever built on an image that passed, so no image can
+    crash the host.
+    """
 
     def __init__(self, message, offset=None):
         self.offset = offset

@@ -1,4 +1,4 @@
-"""Binary bytecode image (.bo file) encoder/decoder.
+"""Binary bytecode image (.bo file) encoder, decoder and verifier.
 
 Layout (all integers little-endian; see docs/bytecode.md):
 
@@ -14,15 +14,38 @@ Layout (all integers little-endian; see docs/bytecode.md):
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
-from . import opcodes as op
 from .errors import ImageError
+from .opcodes import (CALL, CALLM, DONE, FUNC, JFKEEP, JTKEEP, JUMP, JUMPF,
+                      LLOAD, LSTORE, MKCLOSURE, OPERANDS, RET, RETN, STACK,
+                      ULOAD, USTORE)
 
 MAGIC = b"SWBC"
 VERSION = 1
+MAX_LOCALS = 1024  # local slots per function; the compiler refuses more
 
 TAG_INT = 0
 TAG_FLOAT = 1
+
+
+class Program(NamedTuple):
+    """A verified code section in the form the VM runs.
+
+    `instrs[i]` is the (opcode, operand) pair of the i-th instruction and
+    `offsets[i]` its code offset.  Jump operands are instruction indices,
+    string/const operands are the pooled values, and MKCLOSURE operands
+    are (entry, nparams, nlocals) prototypes, so the dispatch loop never
+    touches the pools.  An instruction without operands carries None, one
+    with a single operand carries it bare, and ULOAD/USTORE carry
+    (depth - 1, slot), the index of the captured frame in the closure's env.
+    It holds no reference back to its image, so the pair is freed by
+    reference counting, not the cycle collector.
+    """
+
+    instrs: list
+    offsets: list
 
 
 @dataclass
@@ -33,9 +56,15 @@ class BytecodeImage:
     functions: list = field(default_factory=list)   # (name_idx, offset)
     debug: list = field(default_factory=list)       # (offset, line, col, origin_idx)
     code: bytes = b""
-    # decoded form for the VM, built on first use (vm._Program.of)
-    program: object = field(default=None, init=False, repr=False,
-                            compare=False)
+
+    @cached_property
+    def program(self):
+        """The code section decoded and verified, once per image.
+
+        Every VM on the image shares it.  Raises ImageError for any image
+        that breaks a rule of docs/bytecode.md, "Verification".
+        """
+        return _verify(self)
 
     def function_offsets(self):
         """name -> code offset for every linked top-level function."""
@@ -110,20 +139,8 @@ class BytecodeImage:
         if r.pos != len(data):
             raise ImageError("trailing bytes after code section", offset=r.pos)
         img = cls(version, strings, consts, functions, debug, code)
-        img.validate()
+        img.program  # verify now, so a bad file fails at load
         return img
-
-    def validate(self):
-        nstr = len(self.strings)
-        for idx, offset in self.functions:
-            if idx >= nstr:
-                raise ImageError(f"function name index {idx} out of range")
-            if offset >= len(self.code):
-                raise ImageError(f"function offset {offset} out of range")
-        for _, _, _, oidx in self.debug:
-            if oidx >= nstr:
-                raise ImageError(f"debug origin index {oidx} out of range")
-        decode_instructions(self.code)  # raises on malformed stream
 
 
 class _Reader:
@@ -150,24 +167,28 @@ class _Reader:
 
 def encode_instruction(opcode, args):
     out = bytearray([opcode])
-    for kind, arg in zip(op.OPERANDS[opcode], args):
+    for kind, arg in zip(OPERANDS[opcode], args):
         out += struct.pack("<i" if kind == "i" else "<I", arg)
     return bytes(out)
 
 
+def _error(offset, message):
+    return ImageError(f"code @{offset}: {message}")
+
+
 def decode_instructions(code):
-    """Decode a code section to [(offset, opcode, args)], validating it."""
+    """Decode a code section to [(offset, opcode, args)], operands raw."""
     out = []
     pos = 0
     n = len(code)
     while pos < n:
         opcode = code[pos]
-        if opcode not in op.OPERANDS:
-            raise ImageError(f"unknown opcode {opcode}", offset=pos)
-        kinds = op.OPERANDS[opcode]
+        if opcode not in OPERANDS:
+            raise _error(pos, f"unknown opcode {opcode}")
+        kinds = OPERANDS[opcode]
         end = pos + 1 + 4 * len(kinds)
         if end > n:
-            raise ImageError("truncated instruction", offset=pos)
+            raise _error(pos, "truncated instruction")
         args = []
         apos = pos + 1
         for kind in kinds:
@@ -177,3 +198,161 @@ def decode_instructions(code):
         out.append((pos, opcode, tuple(args)))
         pos = end
     return out
+
+
+_NO_FALL_THROUGH = frozenset((JUMP, RET, RETN, DONE))
+_BRANCHES = frozenset((JUMP, JUMPF, JFKEEP, JTKEEP))
+_KEEPS = frozenset((JFKEEP, JTKEEP))  # keep the value on the jump
+
+
+def _verify(img):
+    """Decode and verify an image's code section into its Program.
+
+    One pass over the instructions resolves operands and checks the
+    per-instruction rules; the closure tree and a stack-depth worklist
+    follow (docs/bytecode.md, "Verification").  Raises only ImageError.
+    """
+    strings, consts = img.strings, img.consts
+    for idx, _ in img.functions:
+        if idx >= len(strings):
+            raise ImageError(f"function name index {idx} out of range")
+    for _, _, _, idx in img.debug:
+        if idx >= len(strings):
+            raise ImageError(f"debug origin index {idx} out of range")
+    raw = decode_instructions(img.code)
+    if not raw:
+        raise ImageError("empty code section")
+    offsets = [offset for offset, _, _ in raw]
+    index = {offset: i for i, offset in enumerate(offsets)}
+
+    # an instruction's frame is the index of its function's FUNC header,
+    # or 0 for the bootstrap, whose root frame has one local slot
+    nlocals = {0: 1}
+    owner = []
+    frame = 0
+    for i, (offset, opcode, args) in enumerate(raw):
+        if opcode == FUNC:
+            if i == 0:
+                raise _error(offset, "function header at offset 0")
+            if args[1] > MAX_LOCALS:
+                raise _error(offset, f"{args[1]} locals, more than "
+                                     f"{MAX_LOCALS}")
+            frame = i
+            nlocals[i] = args[1]
+        owner.append(frame)
+
+    for _, offset in img.functions:
+        at = index.get(offset)
+        if at is None or raw[at][1] != FUNC:
+            raise ImageError(f"function table offset {offset} is not a "
+                             "function header")
+
+    instrs = []
+    creator = {}   # FUNC index -> frame holding its one MKCLOSURE site
+    upvalues = []  # (offset, frame, depth, slot), checked against chains
+    last = len(raw) - 1
+    for i, (offset, opcode, args) in enumerate(raw):
+        frame = owner[i]
+        kinds = OPERANDS[opcode]
+        if not kinds:
+            operand = None
+            if opcode == DONE and frame:
+                raise _error(offset, "DONE outside the bootstrap")
+        elif kinds == "s":
+            if args[0] >= len(strings):
+                raise _error(offset, f"string index {args[0]} out of range")
+            operand = strings[args[0]]
+        elif kinds == "c":
+            if args[0] >= len(consts):
+                raise _error(offset, f"constant index {args[0]} out of "
+                                     "range")
+            operand = consts[args[0]][1]
+        elif kinds == "j":
+            operand = index.get(args[0])
+            if operand is None:
+                raise _error(offset, f"target {args[0]} is not an "
+                                     "instruction boundary")
+            if opcode == MKCLOSURE:
+                func = operand
+                if raw[func][1] != FUNC:
+                    raise _error(offset, f"closure target {args[0]} is not "
+                                         "a function header")
+                if func in creator:
+                    raise _error(offset, f"function @{args[0]} has a second "
+                                         "MKCLOSURE site")
+                creator[func] = frame
+                operand = (func + 1, raw[func][2][0], nlocals[func])
+            elif owner[operand] != frame or raw[operand][1] == FUNC:
+                raise _error(offset, f"jump target {args[0]} is outside its "
+                                     "function body")
+        elif opcode == ULOAD or opcode == USTORE:
+            upvalues.append((offset, frame) + args)
+            operand = (args[0] - 1, args[1])
+        elif opcode == FUNC:
+            operand = args
+        else:
+            operand = args[0]
+            if (opcode == LLOAD or opcode == LSTORE) \
+                    and operand >= nlocals[frame]:
+                raise _error(offset, f"local slot {operand} out of range")
+        if opcode not in _NO_FALL_THROUGH:
+            if i == last:
+                raise _error(offset, "falls off the end of the code")
+            if raw[i + 1][1] == FUNC:
+                raise _error(offset, "falls through into a function header")
+        instrs.append((opcode, operand))
+
+    # the static closure chain: a function's env holds a frame of its
+    # creator, of its creator's creator, ... up to the bootstrap
+    chains = {0: ()}  # frame -> nlocals of env[0], env[1], ...
+    for func in nlocals:
+        path = []
+        node = func
+        while node not in chains:
+            if node not in creator:
+                raise _error(offsets[node], "function has no MKCLOSURE "
+                                            "site")
+            if node in path:
+                raise _error(offsets[node], "MKCLOSURE sites form a cycle")
+            path.append(node)
+            node = creator[node]
+        for func in reversed(path):
+            parent = creator[func]
+            chains[func] = (nlocals[parent],) + chains[parent]
+    for offset, frame, depth, slot in upvalues:
+        chain = chains[frame]
+        if not 1 <= depth <= len(chain) or slot >= chain[depth - 1]:
+            raise _error(offset, f"upvalue {depth} {slot} is outside the "
+                                 "closure chain")
+
+    # one stack depth, relative to the frame base, per reachable instruction
+    depths = [None] * len(raw)
+    work = [0] + [func + 1 for func in nlocals if func]
+    for i in work:
+        depths[i] = 0
+    while work:
+        i = work.pop()
+        opcode, operand = instrs[i]
+        here = depths[i]
+        pops, pushes = STACK[opcode]
+        if opcode == CALL or opcode == CALLM:
+            pops += operand
+        if here < pops:
+            raise _error(offsets[i], f"stack underflow: pops {pops} of "
+                                     f"{here}")
+        after = here - pops + pushes
+        if opcode in _BRANCHES:
+            _flow(depths, work, offsets, operand,
+                  here if opcode in _KEEPS else after)
+        if opcode not in _NO_FALL_THROUGH:
+            _flow(depths, work, offsets, i + 1, after)
+    return Program(instrs, offsets)
+
+
+def _flow(depths, work, offsets, i, depth):
+    if depths[i] is None:
+        depths[i] = depth
+        work.append(i)
+    elif depths[i] != depth:
+        raise _error(offsets[i], f"stack depths {depths[i]} and {depth} "
+                                 "meet")

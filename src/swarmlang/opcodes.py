@@ -2,7 +2,7 @@
 
 Encoding: one u8 opcode followed by zero or more little-endian 32-bit
 operands.  Operand kinds only matter for disassembly comments and for
-validating jump targets; the byte layout is the same for all of them.
+verifying operands at load; the byte layout is the same for all of them.
 See docs/bytecode.md for the full image format.
 """
 
@@ -49,54 +49,58 @@ RET = 38        # return top of stack
 RETN = 39       # return nil
 FUNC = 40       # u32 nparams, u32 nlocals: function prologue marker
 
+# (name, operand kinds, pops, pushes)
 # operand kinds: "i" signed imm, "u" unsigned imm, "s" string index,
-# "c" const index, "j" jump target (code offset)
+# "c" const index, "j" jump target (code offset).  pops/pushes are the
+# stack effect the load-time verifier checks: CALL and CALLM pop their
+# argc operand's worth more, and JFKEEP/JTKEEP pop only on fall-through.
 _SPEC = {
-    NOP: ("NOP", ""),
-    DONE: ("DONE", ""),
-    PUSHNIL: ("PUSHNIL", ""),
-    PUSHI: ("PUSHI", "i"),
-    PUSHC: ("PUSHC", "c"),
-    PUSHS: ("PUSHS", "s"),
-    POP: ("POP", ""),
-    DUP: ("DUP", ""),
-    ADD: ("ADD", ""),
-    SUB: ("SUB", ""),
-    MUL: ("MUL", ""),
-    DIV: ("DIV", ""),
-    MOD: ("MOD", ""),
-    POW: ("POW", ""),
-    NEG: ("NEG", ""),
-    NOT: ("NOT", ""),
-    EQ: ("EQ", ""),
-    NEQ: ("NEQ", ""),
-    LT: ("LT", ""),
-    LTE: ("LTE", ""),
-    GT: ("GT", ""),
-    GTE: ("GTE", ""),
-    JUMP: ("JUMP", "j"),
-    JUMPF: ("JUMPF", "j"),
-    JFKEEP: ("JFKEEP", "j"),
-    JTKEEP: ("JTKEEP", "j"),
-    GLOAD: ("GLOAD", "s"),
-    GSTORE: ("GSTORE", "s"),
-    LLOAD: ("LLOAD", "u"),
-    LSTORE: ("LSTORE", "u"),
-    ULOAD: ("ULOAD", "uu"),
-    USTORE: ("USTORE", "uu"),
-    MKTABLE: ("MKTABLE", ""),
-    TGET: ("TGET", ""),
-    TSET: ("TSET", ""),
-    MKCLOSURE: ("MKCLOSURE", "j"),
-    CALL: ("CALL", "u"),
-    CALLM: ("CALLM", "u"),
-    RET: ("RET", ""),
-    RETN: ("RETN", ""),
-    FUNC: ("FUNC", "uu"),
+    NOP: ("NOP", "", 0, 0),
+    DONE: ("DONE", "", 0, 0),
+    PUSHNIL: ("PUSHNIL", "", 0, 1),
+    PUSHI: ("PUSHI", "i", 0, 1),
+    PUSHC: ("PUSHC", "c", 0, 1),
+    PUSHS: ("PUSHS", "s", 0, 1),
+    POP: ("POP", "", 1, 0),
+    DUP: ("DUP", "", 1, 2),
+    ADD: ("ADD", "", 2, 1),
+    SUB: ("SUB", "", 2, 1),
+    MUL: ("MUL", "", 2, 1),
+    DIV: ("DIV", "", 2, 1),
+    MOD: ("MOD", "", 2, 1),
+    POW: ("POW", "", 2, 1),
+    NEG: ("NEG", "", 1, 1),
+    NOT: ("NOT", "", 1, 1),
+    EQ: ("EQ", "", 2, 1),
+    NEQ: ("NEQ", "", 2, 1),
+    LT: ("LT", "", 2, 1),
+    LTE: ("LTE", "", 2, 1),
+    GT: ("GT", "", 2, 1),
+    GTE: ("GTE", "", 2, 1),
+    JUMP: ("JUMP", "j", 0, 0),
+    JUMPF: ("JUMPF", "j", 1, 0),
+    JFKEEP: ("JFKEEP", "j", 1, 0),
+    JTKEEP: ("JTKEEP", "j", 1, 0),
+    GLOAD: ("GLOAD", "s", 0, 1),
+    GSTORE: ("GSTORE", "s", 1, 0),
+    LLOAD: ("LLOAD", "u", 0, 1),
+    LSTORE: ("LSTORE", "u", 1, 0),
+    ULOAD: ("ULOAD", "uu", 0, 1),
+    USTORE: ("USTORE", "uu", 1, 0),
+    MKTABLE: ("MKTABLE", "", 0, 1),
+    TGET: ("TGET", "", 2, 1),
+    TSET: ("TSET", "", 3, 0),
+    MKCLOSURE: ("MKCLOSURE", "j", 0, 1),
+    CALL: ("CALL", "u", 1, 1),
+    CALLM: ("CALLM", "u", 2, 1),
+    RET: ("RET", "", 1, 0),
+    RETN: ("RETN", "", 0, 0),
+    FUNC: ("FUNC", "uu", 0, 0),
 }
 
-NAMES = {op: name for op, (name, _) in _SPEC.items()}
-OPERANDS = {op: kinds for op, (_, kinds) in _SPEC.items()}
+NAMES = {op: spec[0] for op, spec in _SPEC.items()}
+OPERANDS = {op: spec[1] for op, spec in _SPEC.items()}
+STACK = {op: spec[2:] for op, spec in _SPEC.items()}  # (pops, pushes)
 BY_NAME = {name: op for op, name in NAMES.items()}
 
 

@@ -25,21 +25,24 @@ Dispatch invariants of the interpreter loop (`Vm._run`):
   enters the script only through `Vm.call_value` (listeners, `reduce` and
   the other neighbor methods, swarm and stigmergy callbacks, `init` and
   `step`), which runs a nested loop down to its own frame.
-- The decoded `_Program` is built once per `BytecodeImage` object and
-  kept by it (`image.program`), so every VM on that image shares it.
+- The program is the image's verified decode (`image.program`, built
+  once per `BytecodeImage` and shared by every VM on it).  Verification
+  guarantees that no instruction pops below its frame base, every local
+  and upvalue slot exists, every jump lands inside its own function, and
+  no FUNC header or unknown opcode is ever reached, so the loop checks
+  none of these.
 """
 
 import builtins
 import math as _math
 from dataclasses import dataclass
 
-from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, FUNC, GLOAD,
-                      GSTORE, GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD,
-                      LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
-                      NOP, NOT, OPERANDS, POP, POW, PUSHNIL, PUSHS, RET, RETN,
-                      SUB, TGET, TSET, ULOAD, USTORE)
+from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD, GSTORE,
+                      GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD, LSTORE, LT,
+                      LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ, NOP, NOT,
+                      POP, POW, PUSHNIL, PUSHS, RET, RETN, SUB, TGET, TSET,
+                      ULOAD, USTORE)
 from .errors import VmError, VmRuntimeError, WireError
-from .image import decode_instructions
 from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
@@ -66,66 +69,6 @@ class VmConfig:
 class SentMessage:
     message: object
     raw: bytes
-
-
-class _Program:
-    """Image code decoded to an indexed list of (opcode, operand) pairs.
-
-    Jump operands become instruction indices, string/const operands become
-    the actual values, and MKCLOSURE operands become (entry, nparams,
-    nlocals) prototypes, so the dispatch loop never touches the pools.
-    An instruction without operands carries None, one with a single
-    operand carries it bare, and ULOAD/USTORE carry (depth - 1, slot),
-    the index of the captured frame in the closure's env.
-    """
-
-    def __init__(self, image):
-        # holds no reference back to the image, which owns the program:
-        # the pair is freed by reference counting, not the cycle collector
-        raw = decode_instructions(image.code)
-        off2idx = {offset: i for i, (offset, _, _) in enumerate(raw)}
-        self.offsets = [offset for offset, _, _ in raw]
-        headers = {}  # FUNC index -> (nparams, nlocals)
-        for i, (offset, opcode, args) in enumerate(raw):
-            if opcode == FUNC:
-                headers[i] = args
-        instrs = []
-        for offset, opcode, args in raw:
-            kinds = OPERANDS[opcode]
-            vals = []
-            for kind, arg in zip(kinds, args):
-                if kind == "j":
-                    if arg not in off2idx:
-                        raise VmError(f"jump target {arg} is not an "
-                                      "instruction boundary")
-                    vals.append(off2idx[arg])
-                elif kind == "s":
-                    vals.append(image.strings[arg])
-                elif kind == "c":
-                    vals.append(image.consts[arg][1])
-                else:
-                    vals.append(arg)
-            if opcode == MKCLOSURE:
-                target = vals[0]
-                if target not in headers:
-                    raise VmError("closure target is not a function header")
-                nparams, nlocals = headers[target]
-                operand = (target + 1, nparams, nlocals)
-            elif opcode == ULOAD or opcode == USTORE:
-                operand = (vals[0] - 1, vals[1])
-            elif len(vals) == 1:
-                operand = vals[0]
-            else:
-                operand = tuple(vals) or None
-            instrs.append((opcode, operand))
-        self.instrs = instrs
-
-    @classmethod
-    def of(cls, image):
-        """The image's program, decoded on first use and kept by the image."""
-        if image.program is None:
-            image.program = cls(image)
-        return image.program
 
 
 class _Frame:
@@ -169,7 +112,7 @@ class Vm:
         if type(robot_id) is not int or not 0 <= robot_id < 2 ** 32:
             raise VmError(f"robot id must be a u32, got {robot_id!r}")
         self.image = image
-        self.program = _Program.of(image)
+        self.program = image.program
         self.robot_id = robot_id
         self._announce = SentMessage(Announce(),
                                      encode_message(robot_id, Announce()))
@@ -623,10 +566,6 @@ class Vm:
                     push(Table())
                 elif opcode == NOP:
                     pass
-                elif opcode == FUNC:
-                    raise VmRuntimeError("fell through into a function body")
-                else:  # pragma: no cover
-                    raise VmRuntimeError(f"unknown opcode {opcode}")
         except BaseException as exc:
             frame.ip = ip
             self._fuel = fuel

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -86,6 +87,27 @@ def test_run_faulted_vm_exits_4(workspace, capsys):
     code, _, err = invoke(["run", str(out_bo)], capsys)
     assert code == 4
     assert "fault.swl:1:" in err
+
+
+# Checked-in images made by patching bytes of compiled scripts:
+# bad_string_index.bo is `s = "hi"` with PUSHS's operand set to 200, and
+# stack_underflow.bo is `a = 1` with PUSHI 1 replaced by GSTORE "a", which
+# pops an empty stack.
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("command", ["run", "disasm"])
+@pytest.mark.parametrize("image, reason", [
+    ("bad_string_index.bo", "string index 200 out of range"),
+    ("stack_underflow.bo", "stack underflow"),
+])
+def test_corrupt_image_exits_1_without_traceback(command, image, reason,
+                                                 capsys):
+    code, out, err = invoke([command, str(DATA / image)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and reason in err
+    assert "Traceback" not in err
 
 
 def test_run_steps_zero_is_load_only(workspace, capsys):

@@ -1,14 +1,22 @@
+import functools
 import random
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlang import behaviors
+from swarmlang import image as image_mod
+from swarmlang import opcodes as op
+from swarmlang import vm as vm_mod
 from swarmlang.asm import assemble, disassemble
 from swarmlang.compiler import compile_source
-from swarmlang.errors import AsmError, ImageError, LinkError
-from swarmlang.image import MAGIC, BytecodeImage
+from swarmlang.errors import AsmError, CompileError, ImageError, LinkError
+from swarmlang.image import (MAGIC, MAX_LOCALS, BytecodeImage,
+                             encode_instruction)
 from swarmlang.linker import compile_and_link, link
+from swarmlang.vm import Vm
 
 SAMPLE = """
 DELTA = 50.
@@ -182,3 +190,288 @@ def test_assembler_rejects_unknown_opcode():
 def test_assembler_requires_image_directive():
     with pytest.raises(AsmError):
         assemble(".code 0\n")
+
+
+def test_assembler_rejects_unsupported_version():
+    listing = disassemble(compile_and_link("a = 1"))
+    with pytest.raises(ImageError, match="version 99"):
+        assemble(listing.replace(".image 1", ".image 99", 1))
+
+
+# --- hostile images: only ImageError at load, or a fault of the one robot
+
+SCRIPTS = ("gradient", "consensus", "barrier", "segregation", "formation",
+           "target_select")
+
+
+@functools.lru_cache(maxsize=None)
+def bundled_image_bytes(name):
+    data = compile_and_link(behaviors.load_script(name)).encode()
+    BytecodeImage.decode(data)  # the unmutated image verifies
+    return data
+
+
+def host_crash(data):
+    """Load `data` and run it for 3 steps; describe any escape, else None."""
+    stage = "decode"
+    try:
+        img = BytecodeImage.decode(data)
+        stage = "Vm"
+        vm = Vm(img, 0, print_sink=lambda s: None)
+        stage = "step"
+        for _ in range(3):
+            vm.step([])  # a script error faults this VM and returns
+    except ImageError:
+        if stage != "decode":
+            return f"ImageError in {stage}"
+    except Exception as exc:
+        return f"{type(exc).__name__} in {stage}"
+    return None
+
+
+def test_mutated_images_never_crash_the_host():
+    # seed 7: 3,000 copies per bundled script, 1-4 random bytes overwritten
+    escapes = {}
+    for name in SCRIPTS:
+        data = bundled_image_bytes(name)
+        rng = random.Random(7)
+        for _ in range(3000):
+            bad = bytearray(data)
+            for _ in range(rng.randint(1, 4)):
+                bad[rng.randrange(len(bad))] = rng.randrange(256)
+            crash = host_crash(bytes(bad))
+            if crash:
+                key = f"{name}: {crash}"
+                escapes[key] = escapes.get(key, 0) + 1
+    assert escapes == {}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(SCRIPTS),
+       st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                          st.integers(0, 255)), min_size=1, max_size=6))
+def test_any_mutated_image_loads_cleanly_or_faults_one_robot(name, edits):
+    bad = bytearray(bundled_image_bytes(name))
+    for where, byte in edits:
+        bad[int(where * len(bad))] = byte
+    assert host_crash(bytes(bad)) is None
+
+
+def test_one_decode_serves_every_vm_on_an_image(monkeypatch):
+    calls = []
+    real = image_mod.decode_instructions
+
+    def counting(code):
+        calls.append(len(code))
+        return real(code)
+
+    for module in (image_mod, vm_mod):  # every module binding the name
+        if hasattr(module, "decode_instructions"):
+            monkeypatch.setattr(module, "decode_instructions", counting)
+    img = BytecodeImage.decode(compile_and_link(SAMPLE).encode())
+    Vm(img, 0)
+    Vm(img, 1)
+    assert len(calls) == 1
+
+
+# --- one test per verifier rule (docs/bytecode.md, "Verification")
+
+# offsets: MKCLOSURE @0, CALL @5, POP @10, DONE @11, then a FUNC at @12
+# whose body starts at @21
+BOOT = (("MKCLOSURE", 12), ("CALL", 0), ("POP",), ("DONE",))
+
+
+def verify(*instrs, strings=(), consts=(), functions=(), debug=()):
+    """The Program of an image whose code is (name, *operands) tuples."""
+    code = b"".join(encode_instruction(op.BY_NAME[name], args)
+                    for name, *args in instrs)
+    return BytecodeImage(strings=list(strings), consts=list(consts),
+                         functions=list(functions), debug=list(debug),
+                         code=code).program
+
+
+def rejected(match, *instrs, **pools):
+    with pytest.raises(ImageError, match=match):
+        verify(*instrs, **pools)
+
+
+def test_verifier_accepts_a_minimal_image():
+    program = verify(*BOOT, ("FUNC", 0, 1), ("RETN",))
+    assert program.offsets == [0, 5, 10, 11, 12, 21]
+    assert program.instrs[0] == (op.MKCLOSURE, (5, 0, 1))
+
+
+def test_verifier_rejects_unknown_opcode():
+    with pytest.raises(ImageError, match="unknown opcode 99"):
+        BytecodeImage(code=bytes([99])).program
+
+
+def test_verifier_rejects_truncated_instruction():
+    with pytest.raises(ImageError, match="truncated instruction"):
+        BytecodeImage(code=bytes([op.PUSHI, 0, 0])).program
+
+
+def test_verifier_rejects_empty_code():
+    rejected("empty code")
+
+
+def test_verifier_rejects_function_header_at_offset_0():
+    rejected("offset 0", ("FUNC", 0, 1), ("RETN",))
+
+
+def test_verifier_rejects_string_index_out_of_range():
+    rejected("string index 1", ("PUSHS", 1), ("POP",), ("DONE",),
+             strings=["a"])
+
+
+def test_verifier_rejects_constant_index_out_of_range():
+    rejected("constant index 0", ("PUSHC", 0), ("POP",), ("DONE",))
+
+
+def test_verifier_rejects_table_indices_out_of_range():
+    rejected("function name index 5", *BOOT, ("FUNC", 0, 1), ("RETN",),
+             functions=[(5, 12)])
+    rejected("debug origin index 3", *BOOT, ("FUNC", 0, 1), ("RETN",),
+             debug=[(0, 1, 1, 3)])
+
+
+def test_verifier_rejects_function_table_offset_off_a_header():
+    rejected("function table offset 21", *BOOT, ("FUNC", 0, 1), ("RETN",),
+             strings=["f"], functions=[(0, 21)])
+
+
+def test_verifier_rejects_jump_target_off_a_boundary():
+    rejected("target 3 is not an instruction boundary",
+             ("JUMP", 3), ("DONE",))
+
+
+def test_verifier_rejects_jump_into_another_function():
+    rejected("jump target 0 is outside", *BOOT, ("FUNC", 0, 1), ("JUMP", 0))
+
+
+def test_verifier_rejects_jump_to_a_function_header():
+    rejected("jump target 12 is outside", *BOOT, ("FUNC", 0, 1),
+             ("JUMP", 12))
+
+
+def test_verifier_rejects_closure_target_off_a_header():
+    rejected("closure target 6 is not a function header",
+             ("MKCLOSURE", 6), ("POP",), ("DONE",))
+
+
+def test_verifier_rejects_fall_through_into_a_function_header():
+    # MKCLOSURE @0, POP @5, FUNC @6: the bootstrap runs into the header
+    rejected("falls through into a function header",
+             ("MKCLOSURE", 6), ("POP",), ("FUNC", 0, 1), ("RETN",))
+
+
+def test_verifier_rejects_falling_off_the_end():
+    rejected("falls off the end", ("PUSHNIL",))
+    rejected("falls off the end", *BOOT, ("FUNC", 0, 1), ("PUSHNIL",))
+
+
+def test_verifier_rejects_done_outside_the_bootstrap():
+    rejected("DONE outside the bootstrap", *BOOT, ("FUNC", 0, 1), ("DONE",))
+
+
+def test_verifier_rejects_local_slot_out_of_range():
+    verify(("LLOAD", 0), ("POP",), ("DONE",))  # the bootstrap's one slot
+    rejected("local slot 1", ("LLOAD", 1), ("POP",), ("DONE",))
+    rejected("local slot 2", *BOOT, ("FUNC", 0, 2), ("PUSHNIL",),
+             ("LSTORE", 2), ("RETN",))
+
+
+def test_verifier_rejects_more_than_max_locals():
+    verify(*BOOT, ("FUNC", 0, MAX_LOCALS), ("RETN",))
+    rejected(f"more than {MAX_LOCALS}", *BOOT,
+             ("FUNC", 0, MAX_LOCALS + 1), ("RETN",))
+
+
+def test_compiler_refuses_more_than_max_locals():
+    def script(n):
+        return "".join(f"var v{i} = {i}\n" for i in range(n))
+    img = BytecodeImage.decode(compile_and_link(script(MAX_LOCALS - 1))
+                               .encode())  # self takes slot 0
+    assert img.program
+    with pytest.raises(CompileError, match=f"more than {MAX_LOCALS}"):
+        compile_and_link(script(MAX_LOCALS))
+    params = ", ".join(f"p{i}" for i in range(MAX_LOCALS))
+    with pytest.raises(CompileError, match="locals"):
+        compile_and_link(f"function f({params}) {{ }}")
+
+
+def test_verifier_checks_upvalues_against_the_closure_chain():
+    # the function is created in the bootstrap, whose frame has one slot
+    verify(*BOOT, ("FUNC", 0, 1), ("ULOAD", 1, 0), ("RET",))
+    for depth, slot in ((1, 1), (2, 0), (0, 0)):
+        rejected(f"upvalue {depth} {slot}", *BOOT, ("FUNC", 0, 1),
+                 ("PUSHNIL",), ("USTORE", depth, slot), ("RETN",))
+
+
+def test_verifier_checks_nested_upvalues():
+    # f @12 (3 slots) creates g @27, whose depth-1 frame is f's
+    img = compile_and_link("function f(a, b) {\n"
+                           "  return function() { return a + b } }")
+    assert img.program
+    f = (("FUNC", 2, 3), ("MKCLOSURE", 27), ("RET",))
+    assert verify(*BOOT, *f, ("FUNC", 0, 1), ("ULOAD", 1, 2), ("RET",))
+    rejected("upvalue 1 3", *BOOT, *f, ("FUNC", 0, 1), ("ULOAD", 1, 3),
+             ("RET",))
+    rejected("upvalue 3 0", *BOOT, *f, ("FUNC", 0, 1), ("ULOAD", 3, 0),
+             ("RET",))
+
+
+def test_verifier_rejects_a_function_with_two_closure_sites():
+    # MKCLOSURE @0, POP @5, MKCLOSURE @6, POP @11, DONE @12, FUNC @13
+    rejected("second MKCLOSURE site", ("MKCLOSURE", 13), ("POP",),
+             ("MKCLOSURE", 13), ("POP",), ("DONE",), ("FUNC", 0, 1),
+             ("RETN",))
+
+
+def test_verifier_rejects_a_function_never_created():
+    rejected("no MKCLOSURE site", ("DONE",), ("FUNC", 0, 1), ("RETN",))
+
+
+def test_verifier_rejects_closure_sites_outside_the_bootstrap_tree():
+    # DONE @0; FUNC @1 creates FUNC @16, which creates FUNC @1
+    rejected("cycle", ("DONE",),
+             ("FUNC", 0, 1), ("MKCLOSURE", 16), ("RET",),
+             ("FUNC", 0, 1), ("MKCLOSURE", 1), ("RET",))
+    rejected("cycle", ("DONE",), ("FUNC", 0, 1), ("MKCLOSURE", 1), ("RET",))
+
+
+def test_verifier_rejects_stack_underflow():
+    rejected("stack underflow", ("POP",), ("DONE",))
+    rejected("stack underflow", *BOOT, ("FUNC", 0, 1), ("RET",))
+
+
+def test_verifier_counts_call_operands():
+    # CALL n pops the callee and n arguments, CALLM also the receiver
+    verify(("PUSHNIL",), ("PUSHNIL",), ("CALL", 1), ("POP",), ("DONE",))
+    rejected("stack underflow", ("PUSHNIL",), ("CALL", 1), ("POP",),
+             ("DONE",))
+    verify(("PUSHNIL",), ("PUSHNIL",), ("PUSHNIL",), ("CALLM", 1),
+           ("POP",), ("DONE",))
+    rejected("stack underflow", ("PUSHNIL",), ("PUSHNIL",), ("CALLM", 1),
+             ("POP",), ("DONE",))
+
+
+@pytest.mark.parametrize("keep", ["JFKEEP", "JTKEEP"])
+def test_verifier_keeps_the_value_only_on_the_jump(keep):
+    # PUSHNIL @0, KEEP @1, PUSHNIL @6, POP @7, DONE @8: both paths reach
+    # @7 with one value, the jump keeping it and the fall-through
+    # popping it before the second PUSHNIL
+    verify(("PUSHNIL",), (keep, 7), ("PUSHNIL",), ("POP",), ("DONE",))
+    rejected("stack depths", ("PUSHNIL",), (keep, 6), ("POP",), ("DONE",))
+    rejected("stack underflow", (keep, 5), ("DONE",))
+
+
+def test_verifier_rejects_two_stack_depths_at_one_instruction():
+    # PUSHI @0, JUMPF @5 -> DONE @11 with 0 values, PUSHNIL @10 -> 1 value
+    rejected("stack depths", ("PUSHI", 1), ("JUMPF", 11), ("PUSHNIL",),
+             ("DONE",))
+
+
+def test_verifier_ignores_unreachable_code():
+    # the POP @1 never runs, so its underflow is harmless
+    verify(("JUMP", 6), ("POP",), ("DONE",))
