@@ -1,14 +1,16 @@
 """Textual disassembly of a bytecode image, and its inverse.
 
 The listing is lossless: `assemble(disassemble(img))` reproduces the
-image byte for byte.  Everything after `;` on a line is a comment and is
-ignored by the assembler.
+image byte for byte.  Lines end at `\n` only, `.string` operands use the
+language's string-literal syntax, and everything after `;` on a line
+(outside a literal) is a comment, ignored by the assembler.
 """
 
 from . import opcodes as op
-from .errors import AsmError, ImageError
+from .errors import AsmError, ImageError, LexError
 from .image import (VERSION, BytecodeImage, decode_instructions,
                     encode_instruction)
+from .lexer import STRING_ESCAPES, tokenize
 
 
 def disassemble(img):
@@ -60,7 +62,8 @@ def assemble(text):
     code_len = None
     instrs = []  # (offset, opcode, args)
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(): a string may hold \r, \x0b, \x85, \u2028, ...
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = _strip_comment(raw).strip()
         if not line:
             continue
@@ -166,7 +169,7 @@ def _offset(token, lineno):
     return int(token[1:])
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+_ESCAPES = {value: "\\" + esc for esc, value in STRING_ESCAPES.items()}
 
 
 def _quote(s):
@@ -174,23 +177,11 @@ def _quote(s):
 
 
 def _unquote(token, lineno):
-    if len(token) < 2 or not token.startswith('"') or not token.endswith('"'):
+    # a `.string` operand is a string literal of the language itself
+    try:
+        tokens = tokenize(token)
+    except LexError as exc:
+        raise AsmError(f"bad string literal: {exc.message}", lineno) from None
+    if len(tokens) != 2 or tokens[0].kind != "STRING":
         raise AsmError(f"malformed string literal {token}", lineno)
-    body = token[1:-1]
-    out = []
-    i = 0
-    while i < len(body):
-        c = body[i]
-        if c == "\\":
-            if i + 1 >= len(body):
-                raise AsmError("dangling escape in string", lineno)
-            nxt = body[i + 1]
-            rev = {"\\": "\\", '"': '"', "n": "\n", "t": "\t"}
-            if nxt not in rev:
-                raise AsmError(f"unknown escape \\{nxt}", lineno)
-            out.append(rev[nxt])
-            i += 2
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
+    return tokens[0].value

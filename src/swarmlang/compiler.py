@@ -15,9 +15,9 @@ from . import parser as ast
 from .errors import CompileError
 from .image import MAX_LOCALS
 from .parser import parse
+from .values import INT64_MAX, INT64_MIN
 
 INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
-INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 class Label:
@@ -48,11 +48,13 @@ class LabelMark:
 
 @dataclass
 class ObjectUnit:
-    """Compiled, unlinked code for one script."""
+    """Compiled, unlinked code for one script.
+
+    String operands are the strings themselves and constant operands are
+    ("i"|"f", value) pairs; the linker alone builds the pools.
+    """
 
     origin: str
-    strings: list = field(default_factory=list)   # interned strings
-    consts: list = field(default_factory=list)    # ("i"|"f", value)
     main: list = field(default_factory=list)      # top-level Instr/LabelMark
     funcs: list = field(default_factory=list)     # function body stream
     functions: dict = field(default_factory=dict)  # top-level name -> Label
@@ -94,31 +96,7 @@ class _Scope:
 class Compiler:
     def __init__(self, origin="<script>"):
         self.unit = ObjectUnit(origin)
-        self._string_ids = {}
-        self._const_ids = {}
         self._pending = []  # (FuncExpr/FuncDef, scope, entry label)
-
-    # --- pools ---
-
-    def intern(self, s):
-        idx = self._string_ids.get(s)
-        if idx is None:
-            idx = len(self.unit.strings)
-            self.unit.strings.append(s)
-            self._string_ids[s] = idx
-        return idx
-
-    def const(self, tag, value):
-        if tag == "f":
-            key = (tag, value.hex())  # distinguish -0.0, keep exact bits
-        else:
-            key = (tag, value)
-        idx = self._const_ids.get(key)
-        if idx is None:
-            idx = len(self.unit.consts)
-            self.unit.consts.append((tag, value))
-            self._const_ids[key] = idx
-        return idx
 
     def note_symbol(self, name, kind):
         table = {"global": self.unit.global_names,
@@ -241,7 +219,7 @@ class Compiler:
             self.compile_store_name(target.name, target, scope, out)
         elif isinstance(target, ast.Member):
             self.compile_expr(target.obj, scope, out)
-            self.emit(out, op.PUSHS, self.intern(target.name), node=target)
+            self.emit(out, op.PUSHS, target.name, node=target)
             self.compile_expr(stmt.value, scope, out)
             self.emit(out, op.TSET, node=stmt)
         elif isinstance(target, ast.Index):
@@ -258,7 +236,7 @@ class Compiler:
         found = scope.resolve(name)
         if found is None:
             self.note_symbol(name, "global")
-            self.emit(out, op.GSTORE, self.intern(name), node=node)
+            self.emit(out, op.GSTORE, name, node=node)
             return
         depth, slot, _ = found
         if depth == 0:
@@ -276,14 +254,14 @@ class Compiler:
             if INT32_MIN <= v <= INT32_MAX:
                 self.emit(out, op.PUSHI, v, node=node)
             elif INT64_MIN <= v <= INT64_MAX:
-                self.emit(out, op.PUSHC, self.const("i", v), node=node)
+                self.emit(out, op.PUSHC, ("i", v), node=node)
             else:
                 self.error("integer literal out of 64-bit range", node)
         elif isinstance(node, ast.FloatLit):
-            self.emit(out, op.PUSHC, self.const("f", node.value), node=node)
+            self.emit(out, op.PUSHC, ("f", node.value), node=node)
         elif isinstance(node, ast.StrLit):
             self.note_symbol(node.value, "string-const")
-            self.emit(out, op.PUSHS, self.intern(node.value), node=node)
+            self.emit(out, op.PUSHS, node.value, node=node)
         elif isinstance(node, ast.Name):
             self.compile_load_name(node, scope, out)
         elif isinstance(node, ast.BinOp):
@@ -293,7 +271,7 @@ class Compiler:
             self.emit(out, op.NEG if node.op == "-" else op.NOT, node=node)
         elif isinstance(node, ast.Member):
             self.compile_expr(node.obj, scope, out)
-            self.emit(out, op.PUSHS, self.intern(node.name), node=node)
+            self.emit(out, op.PUSHS, node.name, node=node)
             self.emit(out, op.TGET, node=node)
         elif isinstance(node, ast.Index):
             self.compile_expr(node.obj, scope, out)
@@ -316,7 +294,7 @@ class Compiler:
             self.emit(out, op.MKTABLE, node=node)
             for name, value in node.pairs:
                 self.emit(out, op.DUP, node=node)
-                self.emit(out, op.PUSHS, self.intern(name), node=node)
+                self.emit(out, op.PUSHS, name, node=node)
                 self.compile_expr(value, scope, out)
                 self.emit(out, op.TSET, node=node)
         elif isinstance(node, ast.FuncExpr):
@@ -334,7 +312,7 @@ class Compiler:
         found = scope.resolve(name)
         if found is None:
             self.note_symbol(name, "global")
-            self.emit(out, op.GLOAD, self.intern(name), node=node)
+            self.emit(out, op.GLOAD, name, node=node)
             return
         depth, slot, _ = found
         if depth == 0:

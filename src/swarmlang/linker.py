@@ -4,7 +4,9 @@ Each unit's top-level code becomes a zero-argument chunk; a bootstrap
 sequence at offset 0 invokes the chunks in link order and then halts, so
 top-level `var` slots of different units never collide.  Function bodies
 follow the chunks.  Labels resolve to absolute byte offsets here; an
-unresolved or duplicated symbol aborts the link.
+unresolved or duplicated symbol aborts the link.  Object units carry
+strings and constants by value, so the pools are built here alone, in
+first-use order over the linked stream.
 """
 
 from . import opcodes as op
@@ -29,7 +31,8 @@ def link(units):
             strings.append(s)
         return string_ids[s]
 
-    def remap_const(tag, value):
+    def const(tag, value):
+        # hex() keeps -0.0 apart from 0.0 and every float's exact bits
         key = (tag, value.hex()) if tag == "f" else (tag, value)
         if key not in const_ids:
             const_ids[key] = len(consts)
@@ -70,7 +73,7 @@ def link(units):
         else:
             pos += op.size_of(ins.op)
 
-    # second pass: resolve operands, remap pools, emit
+    # second pass: resolve operands, build the pools, emit
     code = bytearray()
     debug = []
     for ins, unit in stream:
@@ -83,9 +86,9 @@ def link(units):
                     raise LinkError(f"unresolved label {arg!r}")
                 args.append(offsets[arg])
             elif kind == "s":
-                args.append(intern(unit.strings[arg]))
+                args.append(intern(arg))
             elif kind == "c":
-                args.append(remap_const(*unit.consts[arg]))
+                args.append(const(*arg))
             else:
                 args.append(arg)
         if ins.line:

@@ -141,7 +141,20 @@ class Block(Node):
     stmts: list
 
 
-CMP_OPS = {"==", "!=", "<", "<=", ">", ">="}
+# Operator precedence, loosest first: (token kind, operators) per level.
+# Each level is a left-associative binary operator over the next one,
+# except NOT_LEVEL, where `not` is a prefix operator.  Unary minus and the
+# right-associative `^` bind tighter than every level (parse_unary).
+BINARY_LEVELS = (
+    ("KEYWORD", {"or"}),
+    ("KEYWORD", {"and"}),
+    ("KEYWORD", {"not"}),
+    ("OP", {"==", "!=", "<", "<=", ">", ">="}),
+    ("OP", {"+", "-"}),
+    ("OP", {"*", "/", "%"}),
+)
+NOT_LEVEL = 2
+N_BINARY_LEVELS = len(BINARY_LEVELS)
 
 
 class Parser:
@@ -334,54 +347,28 @@ class Parser:
     def parse_expr(self, skip_newlines=False):
         if skip_newlines:
             self.skip_newlines()
-        return self.parse_or()
+        return self.parse_binary(0)
 
-    def parse_or(self):
-        left = self.parse_and()
-        while self.at("KEYWORD", "or"):
-            tok = self.advance()
-            right = self.parse_and()
-            left = BinOp("or", left, right, line=tok.line, col=tok.col)
-        return left
-
-    def parse_and(self):
-        left = self.parse_not()
-        while self.at("KEYWORD", "and"):
-            tok = self.advance()
-            right = self.parse_not()
-            left = BinOp("and", left, right, line=tok.line, col=tok.col)
-        return left
-
-    def parse_not(self):
-        self.skip_newlines()  # operand position: newlines never end it
-        if self.at("KEYWORD", "not"):
-            tok = self.advance()
-            operand = self.parse_not()
-            return UnOp("not", operand, line=tok.line, col=tok.col)
-        return self.parse_cmp()
-
-    def parse_cmp(self):
-        left = self.parse_add()
-        while self.at("OP") and self.peek().value in CMP_OPS:
-            tok = self.advance()
-            right = self.parse_add()
+    def parse_binary(self, level):
+        # one precedence level of BINARY_LEVELS, then the levels below it
+        if level == N_BINARY_LEVELS:
+            return self.parse_unary()
+        kind, ops = BINARY_LEVELS[level]
+        if level == NOT_LEVEL:
+            self.skip_newlines()  # operand position: newlines never end it
+            tok = self.peek()
+            if tok.kind == kind and tok.value in ops:
+                self.advance()
+                operand = self.parse_binary(level)
+                return UnOp(tok.value, operand, line=tok.line, col=tok.col)
+            return self.parse_binary(level + 1)
+        left = self.parse_binary(level + 1)
+        tok = self.peek()
+        while tok.kind == kind and tok.value in ops:  # left-associative
+            self.advance()
+            right = self.parse_binary(level + 1)
             left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
-        return left
-
-    def parse_add(self):
-        left = self.parse_mul()
-        while self.at("OP") and self.peek().value in ("+", "-"):
-            tok = self.advance()
-            right = self.parse_mul()
-            left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
-        return left
-
-    def parse_mul(self):
-        left = self.parse_unary()
-        while self.at("OP") and self.peek().value in ("*", "/", "%"):
-            tok = self.advance()
-            right = self.parse_unary()
-            left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
+            tok = self.peek()
         return left
 
     def parse_unary(self):

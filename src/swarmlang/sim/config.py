@@ -23,7 +23,6 @@ class SimulationConfig:
     comm_range: float = 1.0           # meters
     seed: int = 0
     max_steps: int = 100
-    step_duration: float = 0.1        # seconds per step, reporting only
 
     def __post_init__(self):
         if self.n_robots < 1:

@@ -3,9 +3,11 @@
 nil is Python None; integers and floats are the native types; strings are
 native str.  Tables wrap a dict and may carry a method map consulted on
 string-key misses (used for the neighbor structure and factory objects).
-Truthiness: nil and integer 0 are false, everything else (including 0.0)
-is true.  Comparisons return integer 1/0; `and`/`or` return operand
-values (they are compiled to short-circuit jumps, not handled here).
+Integers are int64, like the constant pool and the wire: a result
+outside [-2^63, 2^63) raises "integer overflow".  Truthiness: nil and
+integer 0 are false, everything else (including 0.0) is true.
+Comparisons return integer 1/0; `and`/`or` return operand values (they
+are compiled to short-circuit jumps, not handled here).
 """
 
 import math
@@ -13,6 +15,7 @@ import math
 from .errors import VmRuntimeError
 
 MAX_DEPTH = 16  # deepest table nesting a value may carry, on the wire or off
+INT64_MIN, INT64_MAX = -(2 ** 63), 2 ** 63 - 1
 
 
 class Table:
@@ -192,19 +195,26 @@ def _check_arith(a, b, opname):
             f"cannot apply '{opname}' to {type_name(a)} and {type_name(b)}")
 
 
+def check_int64(r):
+    """`r` itself unless it is an integer outside int64."""
+    if type(r) is int and not INT64_MIN <= r <= INT64_MAX:
+        raise VmRuntimeError("integer overflow")
+    return r
+
+
 def arith_add(a, b):
     _check_arith(a, b, "+")
-    return a + b
+    return check_int64(a + b)
 
 
 def arith_sub(a, b):
     _check_arith(a, b, "-")
-    return a - b
+    return check_int64(a - b)
 
 
 def arith_mul(a, b):
     _check_arith(a, b, "*")
-    return a * b
+    return check_int64(a * b)
 
 
 def arith_div(a, b):
@@ -215,7 +225,7 @@ def arith_div(a, b):
         q = a // b
         if q < 0 and q * b != a:
             q += 1  # truncate toward zero
-        return q
+        return check_int64(q)  # INT64_MIN / -1
     return a / b
 
 
@@ -224,27 +234,30 @@ def arith_mod(a, b):
     if b == 0:
         raise VmRuntimeError("modulo by zero")
     if type(a) is int and type(b) is int:
-        return a - arith_div(a, b) * b  # C-style remainder
+        r = abs(a) % abs(b)  # C-style: the sign of the dividend
+        return -r if a < 0 else r
     return math.fmod(a, b)
 
 
 def arith_pow(a, b):
     _check_arith(a, b, "^")
-    if type(a) is int and type(b) is int and b > 2 ** 20:
-        raise VmRuntimeError("integer exponent too large")
+    # |a| ^ b >= 2 ^ (b * (bits(|a|) - 1)): refuse before building it
+    if type(a) is int and type(b) is int and b > 0 and \
+            b * (abs(a).bit_length() - 1) > 63:
+        raise VmRuntimeError("integer overflow")
     try:
         r = a ** b
     except (OverflowError, ZeroDivisionError) as exc:
         raise VmRuntimeError(f"power error: {exc}")
     if isinstance(r, complex):
         raise VmRuntimeError("power of negative base with fractional exponent")
-    return r
+    return check_int64(r)
 
 
 def arith_neg(a):
     if not is_number(a):
         raise VmRuntimeError(f"cannot negate {type_name(a)}")
-    return -a
+    return check_int64(-a)
 
 
 def is_wire_value(v, _depth=0):
@@ -252,7 +265,7 @@ def is_wire_value(v, _depth=0):
     if _depth > MAX_DEPTH:
         return False
     if type(v) is int:
-        return -(2 ** 63) <= v < 2 ** 63
+        return INT64_MIN <= v <= INT64_MAX
     if type(v) is float or type(v) is str:
         return True
     if isinstance(v, Table) and type(v) is Table:

@@ -48,9 +48,9 @@ from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
                      Table, VStigHandle, arith_add, arith_div, arith_mod,
-                     arith_mul, arith_neg, arith_pow, arith_sub, check_key,
-                     coerce, copy_value, is_number, is_truthy, to_display,
-                     type_name, value_eq, value_lt, value_lte)
+                     arith_mul, arith_neg, arith_pow, arith_sub, check_int64,
+                     check_key, coerce, copy_value, is_number, is_truthy,
+                     to_display, type_name, value_eq, value_lt, value_lte)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -62,7 +62,6 @@ class VmConfig:
     payload_budget: int = 200        # bytes sent per step
     max_frames: int = 200
     instruction_budget: int = 5_000_000  # per step; guards runaway loops
-    optimize_vstig_queue: bool = True    # off only for equivalence testing
 
 
 @dataclass
@@ -96,7 +95,8 @@ _MATH_METHODS = {
     "cos": HostClosure("cos", lambda vm, s, a: _math.cos(_num(a, 0, "cos"))),
     "min": HostClosure("min", lambda vm, s, a: min(_num(a, 0, "min"),
                                                    _num(a, 1, "min"))),
-    "abs": HostClosure("abs", lambda vm, s, a: abs(_num(a, 0, "abs"))),
+    "abs": HostClosure("abs", lambda vm, s, a: check_int64(
+        abs(_num(a, 0, "abs")))),
     "sqrt": HostClosure("sqrt", lambda vm, s, a: _sqrt(_num(a, 0, "sqrt"))),
 }
 
@@ -240,12 +240,6 @@ class Vm:
             self._vstigs[vstig_id] = VStigMap(vstig_id)
         return self._vstigs[vstig_id]
 
-    def enqueue_vstig(self, msg):
-        if self.config.optimize_vstig_queue:
-            enqueue_vstig_message(self.out_queue, msg)
-        else:
-            self.out_queue[("vstig", object())] = msg  # a slot of its own
-
     def enqueue_broadcast(self, msg):
         # one queued message per key; the most recent wins and goes last
         slot = ("bcast", msg.key)
@@ -287,7 +281,7 @@ class Vm:
         # exact wire types; an ANNOUNCE carries nothing more, and a message
         # of any other type is ignored
         vstigs = self._vstigs
-        enqueue_vstig = self.enqueue_vstig
+        queue = self.out_queue
         for sender_id, _, _, _, msg in inbox:
             kind = type(msg)
             if kind is Announce:
@@ -296,12 +290,12 @@ class Vm:
                 vstig = vstigs.get(msg.vstig_id)
                 if vstig is not None:
                     for out in vstig.on_put(msg, self):
-                        enqueue_vstig(out)
+                        enqueue_vstig_message(queue, out)
             elif kind is VstigGet:
                 vstig = vstigs.get(msg.vstig_id)
                 if vstig is not None:
                     for out in vstig.on_get(msg, self):
-                        enqueue_vstig(out)
+                        enqueue_vstig_message(queue, out)
             elif kind is Broadcast:
                 listener = self.listeners.get(msg.key)
                 if listener is not None:

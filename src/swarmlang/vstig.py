@@ -160,7 +160,8 @@ def _m_put(vm, handle, args):
     _check_wire(key, "key")
     _check_wire(value, "value")
     vstig = vm.vstig_map(handle.vstig_id)
-    vm.enqueue_vstig(vstig.local_put(key, value, vm.robot_id))
+    enqueue_vstig_message(vm.out_queue,
+                          vstig.local_put(key, value, vm.robot_id))
 
 
 def _m_get(vm, handle, args):
@@ -169,7 +170,7 @@ def _m_get(vm, handle, args):
     _check_wire(args[0], "key")
     vstig = vm.vstig_map(handle.vstig_id)
     value, msg = vstig.local_get(args[0])
-    vm.enqueue_vstig(msg)
+    enqueue_vstig_message(vm.out_queue, msg)
     return value
 
 

@@ -52,6 +52,33 @@ def test_round_trip_with_tricky_strings():
     assert assemble(listing).encode() == img.encode()
 
 
+LINE_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("ch", LINE_BREAKS,
+                         ids=[hex(ord(c)) for c in LINE_BREAKS])
+def test_round_trip_with_line_break_characters_in_strings(ch):
+    # str.splitlines() breaks at each of these; a listing line ends at \n
+    img = compile_and_link(f'x = "a{ch}b"\ny = "{ch}"')
+    assert assemble(disassemble(img)).encode() == img.encode()
+
+
+def test_crlf_listing_assembles():
+    img = compile_and_link(SAMPLE)
+    listing = disassemble(img).replace("\n", "\r\n")
+    assert assemble(listing).encode() == img.encode()
+
+
+@pytest.mark.parametrize("literal",
+                         ['"a\\q"', '"abc', '"a" "b"', "abc", "'a'"])
+def test_assembler_rejects_bad_string_literals(literal):
+    listing = f".image 1\n.string 0 {literal}\n.code 0\n"
+    with pytest.raises(AsmError) as info:
+        assemble(listing)
+    assert info.value.line == 2
+
+
 def test_disassembly_of_simple_store():
     # golden: pushing 1 and storing the global `a`
     img = compile_and_link("a = 1")

@@ -1,6 +1,8 @@
 """Golden tests: each language-reference listing compiles and produces the
 documented result when executed on the VM."""
 
+import time
+
 import pytest
 
 from swarmlang.errors import CompileError, VmRuntimeError
@@ -157,6 +159,18 @@ def test_integer_division_truncates_toward_zero(run_script):
     assert g(vm, "d") == -1
 
 
+def test_float_modulo_keeps_the_dividend_sign(run_script):
+    vm = run_script("a = 7.5 % 2\nb = (0 - 7.5) % 2\nc = 7 % 2.5")
+    assert (g(vm, "a"), g(vm, "b"), g(vm, "c")) == (1.5, -1.5, 2.0)
+
+
+def test_literals_beyond_int32_come_from_the_constant_pool(run_script):
+    vm = run_script("a = 3000000000\nb = -3000000000\n"
+                    "c = 9223372036854775807")
+    assert (g(vm, "a"), g(vm, "b"), g(vm, "c")) == \
+        (3000000000, -3000000000, 2 ** 63 - 1)
+
+
 def test_float_promotion(run_script):
     vm = run_script("a = 7 / 2.\nb = 1 + 0.5")
     assert g(vm, "a") == 3.5
@@ -189,10 +203,14 @@ def test_and_or_return_operands(run_script):
 
 
 def test_comparisons_yield_ints(run_script):
-    vm = run_script("a = 1 < 2\nb = 2 < 1\nc = 1 == 1.0")
+    vm = run_script("a = 1 < 2\nb = 2 < 1\nc = 1 == 1.0\n"
+                    "d = 2 <= 2\ne = 3 <= 2\nf = 1.5 <= 2")
     assert g(vm, "a") == 1
     assert g(vm, "b") == 0
     assert g(vm, "c") == 1
+    assert g(vm, "d") == 1
+    assert g(vm, "e") == 0
+    assert g(vm, "f") == 1
 
 
 def test_reading_absent_key_yields_nil(run_script):
@@ -235,6 +253,57 @@ def test_string_arithmetic_faults(run_script):
 def test_division_by_zero_faults(run_script):
     vm = run_script("x = 1 / 0")
     assert isinstance(vm.faulted, VmRuntimeError)
+
+
+@pytest.mark.parametrize("src", ["x = 1 % 0", "x = 1.5 % 0.0"],
+                         ids=["int", "float"])
+def test_modulo_by_zero_faults(run_script, src):
+    vm = run_script(src)
+    assert vm.faulted.message == "modulo by zero"
+
+
+INT64_MIN = "(-9223372036854775807 - 1)"
+OVERFLOW = "integer overflow"
+
+
+# Pairs of one result past an int64 bound and one at it (for `3 ^ n`,
+# the largest power inside it); `INT64_MIN % -1` never overflows.
+@pytest.mark.parametrize("expr, expected", [
+    ("9223372036854775807 + 1", OVERFLOW),
+    ("9223372036854775806 + 1", 2 ** 63 - 1),
+    ("-9223372036854775807 - 2", OVERFLOW),
+    ("-9223372036854775807 - 1", -2 ** 63),
+    ("4294967296 * 2147483648", OVERFLOW),
+    ("-4294967296 * 2147483648", -2 ** 63),
+    (f"{INT64_MIN} / -1", OVERFLOW),
+    ("-9223372036854775807 / -1", 2 ** 63 - 1),
+    (f"{INT64_MIN} % -1", 0),
+    (f"-{INT64_MIN}", OVERFLOW),
+    (f"-({INT64_MIN} + 1)", 2 ** 63 - 1),
+    ("2 ^ 63", OVERFLOW),
+    ("2 ^ 62", 2 ** 62),
+    ("(-2) ^ 64", OVERFLOW),
+    ("(-2) ^ 63", -2 ** 63),
+    ("3 ^ 1000000", OVERFLOW),
+    ("3 ^ 39", 3 ** 39),
+    (f"math.abs({INT64_MIN})", OVERFLOW),
+    ("math.abs(-9223372036854775807)", 2 ** 63 - 1),
+])
+def test_integer_results_stay_inside_int64(run_script, expr, expected):
+    vm = run_script(f"x = {expr}")
+    if expected == OVERFLOW:
+        assert vm.faulted.message == OVERFLOW
+    else:
+        assert vm.faulted is None
+        assert type(g(vm, "x")) is int and g(vm, "x") == expected
+
+
+def test_repeated_squaring_faults_at_once(run_script):
+    start = time.perf_counter()
+    vm = run_script("x = 3\nwhile (1) { x = x * x }")
+    assert time.perf_counter() - start < 1.0
+    assert vm.faulted.message == OVERFLOW
+    assert vm.get_global("x") == 3 ** 32  # the last square inside int64
 
 
 def test_print_concatenates(run_script):

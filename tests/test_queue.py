@@ -13,6 +13,7 @@ from swarmlang.linker import compile_and_link
 from swarmlang.swarms import enqueue_swarm_message
 from swarmlang.values import Table, copy_value, value_eq
 from swarmlang.vm import Vm, VmConfig
+from swarmlang.vstig import enqueue_vstig_message
 from swarmlang.wire import (Announce, Broadcast, SwarmJoin, SwarmLeave,
                             SwarmList, VstigGet, VstigPut, encode_message)
 
@@ -124,7 +125,7 @@ def _enqueue(vm, msg):
     elif isinstance(msg, SWARM):
         enqueue_swarm_message(vm.out_queue, msg)
     else:
-        vm.enqueue_vstig(msg)
+        enqueue_vstig_message(vm.out_queue, msg)
 
 
 def _signature(messages):

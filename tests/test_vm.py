@@ -147,6 +147,14 @@ def test_host_call_non_closure_errors():
         vm.call_function("target", [1])
 
 
+def test_host_call_on_a_faulted_vm_errors():
+    vm = build_vm("function f() { return 1 }\nx = 1 / 0")
+    vm.step([])
+    assert vm.faulted is not None
+    with pytest.raises(VmError, match="faulted"):
+        vm.call_function("f")
+
+
 def test_actuator_calls_recorded_in_snapshot():
     vm = build_vm("function step() { goto(3.0, 4.0) }")
     vm.register_function("goto", lambda _vm, args: None, actuator=True)

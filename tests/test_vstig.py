@@ -262,16 +262,19 @@ def test_lamport_dominance_over_random_message_stream():
             last_ts[k] = entry.timestamp
 
 
-def test_queue_optimization_does_not_change_protocol_fixpoint():
+def test_queue_optimization_does_not_change_protocol_fixpoint(monkeypatch):
     """Concurrent writes plus random drop schedules: the optimized and the
     unoptimized outbound queue converge to the identical resolver-maximal
-    entry everywhere.
+    entry everywhere.  The unoptimized queue gives every stigmergy message
+    a slot of its own, so each one is sent in enqueue order.
 
     Arbitrary message soups are not a valid handler-level comparison (a
     real queue only holds snapshots of the sender's monotonically-winning
     local entry), so equivalence is asserted over whole protocol runs
     whose fixpoint is schedule-insensitive by construction.
     """
+    from swarmlang import vm as vm_mod
+    from swarmlang import vstig as vstig_mod
     from swarmlang.linker import compile_and_link
     from swarmlang.sim import SimulationConfig, Topology
     from swarmlang.sim.config import rng_for
@@ -288,13 +291,22 @@ function step() { observed = vs.get("k") }
     n = 6
     poses = [(0.25 * (i % 3), 0.25 * (i // 3)) for i in range(n)]
 
+    def one_slot_per_message(queue, msg):
+        queue[("vstig", object())] = msg
+
     def final_entries(optimize, drop_prob, seed):
+        with monkeypatch.context() as patch:
+            if not optimize:
+                for module in (vm_mod, vstig_mod):
+                    patch.setattr(module, "enqueue_vstig_message",
+                                  one_slot_per_message)
+            return run(drop_prob, seed)
+
+    def run(drop_prob, seed):
         cfg = SimulationConfig(n_robots=n, arena_side=1.4, comm_range=1.0,
                                drop_prob=drop_prob, seed=seed, max_steps=50)
         topo = Topology.build(cfg, poses)
-        vms = [Vm(image, rid,
-                  VmConfig(payload_budget=4096,
-                           optimize_vstig_queue=optimize),
+        vms = [Vm(image, rid, VmConfig(payload_budget=4096),
                   print_sink=lambda s: None)
                for rid in range(n)]
         rng = rng_for(cfg, 2)
