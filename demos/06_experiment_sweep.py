@@ -1,7 +1,8 @@
 """Grid experiment: convergence step across robot counts and drop rates.
 
 Writes the dataset and the median/min/max summary CSV next to it, like
-the `swarmlang sweep` subcommand.
+the `swarmlang sweep` subcommand, into a temporary directory that it
+removes again.
 Run:  python3 demos/06_experiment_sweep.py
 """
 
@@ -19,8 +20,10 @@ for s in summary:
     print(f"{s['N']:>4} {s['P']:>5} {s['median']:>7} {s['min']:>4} "
           f"{s['max']:>4}")
 
-out = Path(tempfile.mkdtemp()) / "consensus.csv"
-paths = write_outputs(rows, summary, str(out), gnuplot=True)
-print("\nwrote:")
-for p in paths:
-    print(" ", p)
+with tempfile.TemporaryDirectory() as tmp:
+    paths = write_outputs(rows, summary, str(Path(tmp) / "consensus.csv"),
+                          gnuplot=True)
+    print("\nwrote (into a temporary directory, removed on exit):")
+    for p in paths:
+        print(f"  {Path(p).name}: {len(Path(p).read_text().splitlines())} "
+              "lines")

@@ -13,6 +13,7 @@ from .asm import disassemble
 from .errors import (ImageError, SourceError, SwarmlangError, VmError,
                      VmRuntimeError)
 from .image import BytecodeImage
+from .lexer import read_source
 from .linker import compile_and_link
 from .values import to_display
 from .vm import Vm
@@ -101,9 +102,7 @@ def build_parser():
 
 
 def cmd_compile(args):
-    with open(args.source, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    image = compile_and_link(text, origin=args.source)
+    image = compile_and_link(read_source(args.source), origin=args.source)
     with open(args.output, "wb") as fh:
         fh.write(image.encode())
     return EXIT_OK
@@ -175,6 +174,8 @@ def cmd_sim(args):
                                max_steps=args.max_steps,
                                density=args.density,
                                comm_range=args.comm_range)
+    except SourceError:
+        raise  # a diagnostic in the script, not in the command line
     except (SwarmlangError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -207,6 +208,8 @@ def cmd_sweep(args):
         if any(not 0 <= p <= 1 for p in p_grid):
             raise SwarmlangError("drop probabilities must be within [0, 1]")
         experiment_for(args.script, args.readout, args.convergence)
+    except SourceError:
+        raise  # a diagnostic in the script, not in the command line
     except SwarmlangError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,7 +7,7 @@ where they may be skipped.  `#` starts a comment running to end of line.
 
 from dataclasses import dataclass
 
-from .errors import LexError
+from .errors import LexError, SourceError
 
 KEYWORDS = {"function", "return", "if", "else", "while", "var", "nil",
             "and", "or", "not"}
@@ -28,6 +28,17 @@ class Token:
 
     def __repr__(self):
         return f"Token({self.kind}, {self.value!r}, {self.line}:{self.col})"
+
+
+def read_source(path):
+    """The text of the source file at `path`, newlines translated as by
+    `open`.  Bytes that are not UTF-8 raise SourceError, OSError passes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise SourceError(f"source is not valid UTF-8: {exc.reason}",
+                          origin=path) from None
 
 
 def tokenize(text, origin="<script>"):
@@ -112,10 +123,12 @@ def tokenize(text, origin="<script>"):
                 while j < n and text[j].isdigit():
                     j += 1
             lexeme = text[i:j]
-            if is_float:
-                tokens.append(Token("FLOAT", float(lexeme), start_line, start_col))
-            else:
-                tokens.append(Token("INT", int(lexeme), start_line, start_col))
+            try:
+                value = float(lexeme) if is_float else int(lexeme)
+            except ValueError:  # past int()'s digit limit, or a digit like ²
+                error("malformed number", start_line, start_col)
+            tokens.append(Token("FLOAT" if is_float else "INT", value,
+                                start_line, start_col))
             col += j - i
             i = j
             continue

@@ -156,6 +156,12 @@ BINARY_LEVELS = (
 NOT_LEVEL = 2
 N_BINARY_LEVELS = len(BINARY_LEVELS)
 
+# Deepest nesting a program may have.  A statement, an operand, a prefix
+# operator and each link of a chain (the `+` of `a + b + c`, the `(1)` of
+# `f(1)(1)`) is one level, which bounds the recursion of this parser and of
+# the compiler walking the tree it builds below Python's own limit.
+MAX_NESTING = 50
+
 
 class Parser:
     def __init__(self, tokens, origin="<script>"):
@@ -163,6 +169,7 @@ class Parser:
         self.pos = 0
         self.origin = origin
         self.paren_depth = 0
+        self.depth = 0  # nesting levels open; see MAX_NESTING
 
     # --- token helpers ---
 
@@ -198,6 +205,13 @@ class Parser:
         tok = tok or self.peek()
         raise ParseError(msg, tok.line, tok.col, self.origin, hint)
 
+    def nest(self, tok):
+        """Open one nesting level at `tok`; the caller closes it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            self.error("nesting too deep", tok,
+                       f"at most {MAX_NESTING} levels")
+
     # --- statements ---
 
     def parse_program(self):
@@ -227,6 +241,12 @@ class Parser:
                        hint="newline or ';'")
 
     def parse_statement(self):
+        self.nest(self.peek())
+        stmt = self._parse_statement()
+        self.depth -= 1
+        return stmt
+
+    def _parse_statement(self):
         tok = self.peek()
         if tok.kind == "KEYWORD":
             if tok.value == "if":
@@ -359,25 +379,33 @@ class Parser:
             tok = self.peek()
             if tok.kind == kind and tok.value in ops:
                 self.advance()
+                self.nest(tok)
                 operand = self.parse_binary(level)
+                self.depth -= 1
                 return UnOp(tok.value, operand, line=tok.line, col=tok.col)
             return self.parse_binary(level + 1)
         left = self.parse_binary(level + 1)
+        depth = self.depth
         tok = self.peek()
         while tok.kind == kind and tok.value in ops:  # left-associative
             self.advance()
+            self.nest(tok)  # the tree deepens by one level per operator
             right = self.parse_binary(level + 1)
             left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
             tok = self.peek()
+        self.depth = depth
         return left
 
     def parse_unary(self):
         self.skip_newlines()  # operand position
+        self.nest(self.peek())
         if self.at("OP", "-"):
             tok = self.advance()
-            operand = self.parse_unary()
-            return UnOp("-", operand, line=tok.line, col=tok.col)
-        return self.parse_pow()
+            expr = UnOp("-", self.parse_unary(), line=tok.line, col=tok.col)
+        else:
+            expr = self.parse_pow()
+        self.depth -= 1
+        return expr
 
     def parse_pow(self):
         base = self.parse_postfix()
@@ -390,8 +418,14 @@ class Parser:
 
     def parse_postfix(self):
         expr = self.parse_primary()
+        depth = self.depth
         while True:
-            if self.at("OP", "."):
+            tok = self.peek()
+            if tok.kind != "OP" or tok.value not in (".", "[", "("):
+                self.depth = depth
+                return expr
+            self.nest(tok)  # the tree deepens by one level per link
+            if tok.value == ".":
                 self.advance()
                 name = self.expect("IDENT", hint="member name")
                 if self.at("OP", "("):
@@ -402,8 +436,8 @@ class Parser:
                 else:
                     expr = Member(expr, name.value, line=name.line,
                                   col=name.col)
-            elif self.at("OP", "["):
-                tok = self.advance()
+            elif tok.value == "[":
+                self.advance()
                 self.paren_depth += 1
                 key = self.parse_expr()
                 self.paren_depth -= 1
@@ -414,12 +448,9 @@ class Parser:
                                       col=tok.col)
                 else:
                     expr = Index(expr, key, line=tok.line, col=tok.col)
-            elif self.at("OP", "("):
-                tok = self.peek()
+            else:
                 args = self.parse_args()
                 expr = Call(expr, args, line=tok.line, col=tok.col)
-            else:
-                return expr
 
     def parse_args(self):
         self.expect("OP", "(")

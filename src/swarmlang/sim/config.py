@@ -74,47 +74,36 @@ def place_robots(cfg, rng=None, max_tries_per_robot=1000):
     return poses
 
 
-def distance_cm(poses, i, j):
-    """Pairwise distance in centimeters; shared by delivery and oracles."""
-    (xi, yi), (xj, yj) = poses[i], poses[j]
-    return math.hypot(xi - xj, yi - yj) * 100.0
-
-
 @dataclass
 class Topology:
     """Static situated-communication graph for one placement."""
 
     poses: list
-    comm_range: float
-    # per sender i: [(receiver j, distance_cm, azimuth at j toward i)]
+    # per sender i: [(receiver j, distance_cm, azimuth at j toward i)];
+    # symmetric, so it also lists i's neighbors for the oracles
     out_links: list = field(default_factory=list)
-    # per robot i: [(neighbor j, distance_cm)] undirected, for oracles
-    neighbors: list = field(default_factory=list)
 
     @classmethod
     def build(cls, cfg, poses):
         n = len(poses)
-        topo = cls(poses, cfg.comm_range)
+        topo = cls(poses)
         topo.out_links = [[] for _ in range(n)]
-        topo.neighbors = [[] for _ in range(n)]
         range_cm = cfg.comm_range * 100.0
         for i in range(n):
             xi, yi = poses[i]
             for j in range(i + 1, n):
-                d = distance_cm(poses, i, j)
+                xj, yj = poses[j]
+                d = math.hypot(xi - xj, yi - yj) * 100.0
                 if d > range_cm:
                     continue
-                xj, yj = poses[j]
                 az_at_j = math.atan2(yi - yj, xi - xj)  # j senses i there
                 az_at_i = math.atan2(yj - yi, xj - xi)
                 topo.out_links[i].append((j, d, az_at_j))
                 topo.out_links[j].append((i, d, az_at_i))
-                topo.neighbors[i].append((j, d))
-                topo.neighbors[j].append((i, d))
         return topo
 
     def degree_stats(self):
-        degs = [len(nbrs) for nbrs in self.neighbors]
+        degs = [len(links) for links in self.out_links]
         return min(degs), sum(degs) / len(degs), max(degs)
 
     def hop_counts(self, source):
@@ -128,7 +117,7 @@ class Topology:
             d += 1
             nxt = []
             for i in frontier:
-                for j, _ in self.neighbors[i]:
+                for j, _, _ in self.out_links[i]:
                     if hops[j] is None:
                         hops[j] = d
                         nxt.append(j)

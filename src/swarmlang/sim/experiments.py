@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from .. import behaviors
 from ..compiler import compile_source
 from ..errors import SwarmlangError
+from ..lexer import read_source
 from ..linker import link
 from ..values import Table
 
@@ -83,7 +84,7 @@ def gradient_fixpoint(topology, source=0, inf=GRADIENT_INF):
         changed = False
         for i in range(n):
             best = dist[i]
-            for j, w in topology.neighbors[i]:
+            for j, w, _ in topology.out_links[i]:
                 cand = w + dist[j]
                 if cand < best:
                     best = cand
@@ -229,11 +230,9 @@ def build_target_select(targets=((0.0, 0.0, COLOR_RED),),
 
 def build_custom(script_path, readout, convergence="none"):
     """A user script, named after its path as given."""
-    with open(script_path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     return Experiment(
         name=script_path,
-        sources=[(script_path, text)],
+        sources=[(script_path, read_source(script_path))],
         readout=readout,
         convergence=convergence,
         bindings=("goto",),
@@ -253,7 +252,8 @@ def experiment_for(script, readout=None, convergence="none"):
     A key of BUILDERS gives that built-in experiment; `readout` and
     `convergence` are then ignored.  Anything else is a script path run
     by `build_custom`, which needs the global to sample as `readout`
-    (SwarmlangError without it) and raises OSError for an unreadable file.
+    (SwarmlangError without it), raises OSError for an unreadable file and
+    SourceError for one that is not UTF-8.
     """
     if script in BUILDERS:
         return BUILDERS[script]()

@@ -134,7 +134,6 @@ class Vm:
         self.swarm_registry = SwarmRegistry()
         self._swarm_handles = {}
         self._vstigs = {}
-        self._vstig_handles = {}
         self.neighbor_view = make_view({})
 
         self.globals["id"] = robot_id
@@ -230,10 +229,7 @@ class Vm:
     def vstig_create(self, vstig_id):
         if not 0 <= vstig_id < 2 ** 16:
             raise VmRuntimeError(f"stigmergy id {vstig_id} out of range")
-        if vstig_id not in self._vstigs:
-            self._vstigs[vstig_id] = VStigMap(vstig_id)
-            self._vstig_handles[vstig_id] = VStigHandle(vstig_id)
-        return self._vstig_handles[vstig_id]
+        return self.vstig_map(vstig_id).handle
 
     def vstig_map(self, vstig_id):
         if vstig_id not in self._vstigs:
@@ -286,15 +282,11 @@ class Vm:
             kind = type(msg)
             if kind is Announce:
                 continue
-            if kind is VstigPut:
+            if kind is VstigPut or kind is VstigGet:
                 vstig = vstigs.get(msg.vstig_id)
                 if vstig is not None:
-                    for out in vstig.on_put(msg, self):
-                        enqueue_vstig_message(queue, out)
-            elif kind is VstigGet:
-                vstig = vstigs.get(msg.vstig_id)
-                if vstig is not None:
-                    for out in vstig.on_get(msg, self):
+                    out = vstig.merge(msg, self)
+                    if out is not None:
                         enqueue_vstig_message(queue, out)
             elif kind is Broadcast:
                 listener = self.listeners.get(msg.key)

@@ -29,6 +29,7 @@ class VStigEntry:
 class VStigMap:
     def __init__(self, vstig_id):
         self.vstig_id = vstig_id
+        self.handle = VStigHandle(vstig_id)  # what the script holds
         self.entries = {}         # key -> VStigEntry
         self.onconflict = None    # script closure (k, local, remote) -> entry
         self.onconflictlost = None
@@ -53,46 +54,37 @@ class VStigMap:
         return entry.value, VstigGet(self.vstig_id, key, entry.value,
                                      entry.timestamp, entry.robot_id)
 
-    # --- protocol handlers (phase 2) ---
+    # --- protocol handler (phase 2) ---
 
-    def on_put(self, msg, vm):
-        """Returns messages to queue (propagation)."""
+    def merge(self, msg, vm):
+        """Apply an incoming PUT or GET; returns the PUT to queue or None.
+
+        The newer clock wins and is re-propagated, and a PUT for an absent
+        key is adopted whatever its clock.  A GET older than the local
+        entry is answered with that entry; an older PUT is dropped.  Equal
+        clocks from different writers go to the conflict resolver (for a
+        GET too, or a reader stuck on a stale entry could starve forever).
+        """
         key = msg.key
         local = self.entries.get(key)
-        if local is None or msg.timestamp > local.timestamp:
+        local_ts = local.timestamp if local is not None else 0
+        is_put = type(msg) is VstigPut
+        if msg.timestamp > local_ts or (local is None and is_put):
             self.entries[key] = VStigEntry(copy_value(msg.value),
                                            msg.timestamp, msg.robot_id)
-            return [msg]
-        if msg.timestamp < local.timestamp:
-            return []
-        if msg.robot_id == local.robot_id:
-            return []  # same provenance, nothing to do
-        winner = self._resolve(key, local, msg, vm)
-        return [VstigPut(self.vstig_id, key, winner.value, winner.timestamp,
-                         winner.robot_id)]
-
-    def on_get(self, msg, vm):
-        """Returns messages to queue (correction or re-broadcast)."""
-        key = msg.key
-        local = self.entries.get(key)
-        local_ts = local.timestamp if local else 0
-        if local_ts > msg.timestamp:
-            return [VstigPut(self.vstig_id, key, local.value, local.timestamp,
-                             local.robot_id)]
-        if local_ts < msg.timestamp:
-            self.entries[key] = VStigEntry(copy_value(msg.value),
-                                           msg.timestamp, msg.robot_id)
-            return [VstigPut(self.vstig_id, key, msg.value, msg.timestamp,
-                             msg.robot_id)]
-        if local is None:
-            return []  # both sides lack the key
-        if msg.robot_id == local.robot_id:
-            return []  # identical entries
-        # equal clocks, different writers: resolve exactly like a PUT race,
-        # otherwise a reader stuck on a stale entry could starve forever
-        winner = self._resolve(key, local, msg, vm)
-        return [VstigPut(self.vstig_id, key, winner.value, winner.timestamp,
-                         winner.robot_id)]
+            if is_put:
+                return msg
+            entry = msg
+        elif msg.timestamp < local_ts:
+            if is_put:
+                return None
+            entry = local
+        elif local is None or msg.robot_id == local.robot_id:
+            return None  # both sides lack the key, or the same writer
+        else:
+            entry = self._resolve(key, local, msg, vm)
+        return VstigPut(self.vstig_id, key, entry.value, entry.timestamp,
+                        entry.robot_id)
 
     def _resolve(self, key, local, remote_msg, vm):
         """Run the conflict resolver; store the winner; fire the lost hook."""

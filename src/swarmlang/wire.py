@@ -184,8 +184,8 @@ def encode_message(sender_id, msg):
         mtype = MSG_VSTIG_PUT if isinstance(msg, VstigPut) else MSG_VSTIG_GET
         if not 0 <= msg.vstig_id < 2 ** 16:
             raise WireError(f"stigmergy id {msg.vstig_id} out of range")
-        if not 0 <= msg.timestamp < 2 ** 32:
-            raise WireError("timestamp out of u32 range")
+        _check_u32(msg.timestamp, "timestamp")
+        _check_u32(msg.robot_id, "robot id")
         body = struct.pack("<H", msg.vstig_id)
         body += encode_value(msg.key)
         body += encode_value(msg.value)
@@ -198,7 +198,13 @@ def encode_message(sender_id, msg):
         mtype = MSG_BCAST
     else:
         raise WireError(f"cannot encode message {type(msg).__name__}")
+    _check_u32(sender_id, "sender id")
     return struct.pack("<IB", sender_id, mtype) + body
+
+
+def _check_u32(n, what):
+    if not 0 <= n < 2 ** 32:
+        raise WireError(f"{what} {n} out of u32 range")
 
 
 def _pack_swarm_id(sid):

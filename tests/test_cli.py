@@ -270,6 +270,40 @@ def test_missing_user_script_exits_3(workspace, capsys, monkeypatch,
     assert "io error" in err
 
 
+@pytest.mark.parametrize("command,extra", [
+    ("compile", ["-o", "x.bo"]),
+    ("sim", ["--readout", "x", "--robots", "3"]),
+    ("sweep", ["--readout", "x", "--robots", "3", "--reps", "1",
+               "--out", "x.csv"]),
+], ids=["compile", "sim", "sweep"])
+def test_non_utf8_script_exits_1(workspace, capsys, monkeypatch, command,
+                                 extra):
+    tmp, _ = workspace
+    monkeypatch.chdir(tmp)
+    (tmp / "latin1.swl").write_bytes("x = \"caf\u00e9\"\n".encode("latin-1"))
+    script = ["latin1.swl"] if command == "compile" else \
+        ["--script", "latin1.swl"]
+    code, _, err = invoke([command] + script + extra, capsys)
+    assert code == 1
+    assert err.startswith("latin1.swl: source is not valid UTF-8")
+    assert not (tmp / "x.bo").exists() and not (tmp / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "x = " + "9" * 5000,
+    "x = " + "(" * 10_000 + "1" + ")" * 10_000,
+    "x = f" + "(1)" * 10_000,
+], ids=["5000-digit-literal", "deep-parentheses", "long-call-chain"])
+def test_compile_hostile_source_exits_1(workspace, capsys, text):
+    tmp, _ = workspace
+    src = tmp / "hostile.swl"
+    src.write_text(text)
+    code, _, err = invoke(["compile", str(src), "-o", str(tmp / "x.bo")],
+                          capsys)
+    assert code == 1
+    assert err.startswith(f"{src}:1:") and "Traceback" not in err
+
+
 def test_env_var_worker_cap_does_not_change_user_script_csv(tmp_path):
     script = tmp_path / "consensus_copy.swl"
     script.write_text(behaviors.load_script("consensus"))

@@ -1,7 +1,8 @@
 """Every script under demos/ runs to completion and prints something.
 
 Each demo runs in its own interpreter with `PYTHONPATH=src`, a temporary
-directory as working and temp directory, and a timeout.
+working directory, a temp directory that must be empty again when it
+exits, and a timeout.
 """
 
 import os
@@ -21,9 +22,11 @@ def test_demos_are_found():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
-               TMPDIR=str(tmp_path))
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), TMPDIR=str(tmpdir))
     done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    assert list(tmpdir.iterdir()) == []  # temporary files are cleaned up

@@ -65,6 +65,17 @@ def test_unknown_escape():
         tokenize(r'"\q"')
 
 
+@pytest.mark.parametrize("text", ["x = " + "9" * 5000, "x = 1\u00b2",
+                                  "x = 1.5\u00b2", "x = 1e\u00b2"],
+                         ids=["5000-digits", "int-superscript",
+                              "float-superscript", "exponent-superscript"])
+def test_numbers_python_cannot_convert_are_lex_errors(text):
+    # 5000 digits pass int()'s limit; ² is a digit to str.isdigit only
+    with pytest.raises(LexError, match="malformed number") as err:
+        tokenize(text)
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
 def test_positions_track_lines():
     toks = tokenize("a = 1\n  b = 2")
     b = next(t for t in toks if t.value == "b")

@@ -2,7 +2,8 @@ import pytest
 
 from swarmlang import parser as ast
 from swarmlang.errors import ParseError
-from swarmlang.parser import parse
+from swarmlang.linker import compile_and_link
+from swarmlang.parser import MAX_NESTING, parse
 
 
 def test_if_with_comparison():
@@ -139,3 +140,38 @@ def test_nil_literal_and_unary_minus():
     assert isinstance(s1.value, ast.NilLit)
     assert isinstance(s2.value, ast.BinOp) and s2.value.op == "/"
     assert isinstance(s2.value.left, ast.UnOp)
+
+
+# shape: (source nested n deep, levels per step, levels around the nest)
+NESTING = {
+    "parentheses": (lambda n: "x = " + "(" * n + "1" + ")" * n, 1, 2),
+    "tables": (lambda n: "x = " + "{a=" * n + "1" + "}" * n, 1, 2),
+    "ifs": (lambda n: "if(1) " * n + "x = 1", 1, 2),
+    "whiles": (lambda n: "while(0) " * n + "x = 1", 1, 2),
+    "blocks": (lambda n: "{" * n + "x = 1" + "}" * n, 1, 2),
+    "unary-minus": (lambda n: "x = " + "-" * n + "1", 1, 2),
+    "not": (lambda n: "x = " + "not " * n + "1", 1, 2),
+    "power": (lambda n: "x = 1" + "^1" * n, 1, 2),
+    "sum": (lambda n: "x = 1" + " + 1" * n, 1, 2),
+    "call-links": (lambda n: "x = f" + "(1)" * n, 1, 3),
+    "member-links": (lambda n: "x = t" + ".a" * n, 1, 2),
+    "index-links": (lambda n: "x = t" + "[1]" * n, 1, 3),
+    "functions": (lambda n: "f = " + "function() { return " * n + "1"
+                  + " }" * n, 2, 2),
+}
+
+
+@pytest.mark.parametrize("shape", NESTING)
+def test_nesting_at_the_bound_compiles(shape):
+    source, per_level, around = NESTING[shape]
+    n = (MAX_NESTING - around) // per_level
+    assert n * per_level + around == MAX_NESTING
+    compile_and_link(source(n))  # the compiler's recursion fits as well
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse(source(n + 1))
+
+
+@pytest.mark.parametrize("shape", NESTING)
+def test_nesting_far_past_the_bound_is_a_parse_error(shape):
+    with pytest.raises(ParseError, match="nesting too deep"):
+        parse(NESTING[shape][0](10_000))

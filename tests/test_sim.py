@@ -346,7 +346,7 @@ function step() { tick = (tick or 0) + 1 }
     assert result.faults == {}
     topo = Topology.build(cfg, place_robots(cfg))
     for rid, vm in enumerate(result.vms):
-        for nbr, _ in topo.neighbors[rid]:
+        for nbr, _, _ in topo.out_links[rid]:
             expected = {1} if nbr % 2 == 0 else set()
             assert vm.swarm_registry.swarms_of(nbr) == expected
 

@@ -385,8 +385,7 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
     vm.step([])
     applied = []
     store = vm.vstig_map(1)
-    store.on_put = lambda msg, _vm: applied.append(msg) or []
-    store.on_get = lambda msg, _vm: applied.append(msg) or []
+    store.merge = lambda msg, _vm: applied.append(msg)
     vm.swarm_registry.handle_message = \
         lambda sender, msg: applied.append(msg)
     vm.listeners["k"] = HostClosure(

@@ -3,8 +3,11 @@ import random
 import pytest
 
 from swarmlang.errors import VmRuntimeError
-from swarmlang.vstig import VStigMap, enqueue_vstig_message
-from swarmlang.wire import Broadcast, VstigGet, VstigPut
+from swarmlang.linker import compile_and_link
+from swarmlang.values import copy_value
+from swarmlang.vstig import VStigEntry, VStigMap, enqueue_vstig_message
+from swarmlang.vm import Vm
+from swarmlang.wire import Broadcast, Situated, VstigGet, VstigPut
 
 class StubVm:
     """call_value stand-in for handler-level tests without a full VM."""
@@ -76,40 +79,40 @@ def test_get_queues_probe_with_timestamp_zero_when_absent():
     assert msg.timestamp == 0 and msg.value is None
 
 
-# --- PUT handler ----------------------------------------------------------------
+# --- merge: PUT ----------------------------------------------------------------
 
 def test_put_higher_timestamp_adopted_and_propagated():
     store = VStigMap(1)
     store.local_put("k", 1, robot_id=2)  # ts 1
     incoming = VstigPut(1, "k", 9, 5, 3)
-    out = store.on_put(incoming, StubVm())
+    out = store.merge(incoming, StubVm())
     assert store.entries["k"].value == 9
-    assert out == [incoming]
+    assert out == incoming
 
 
 def test_put_lower_timestamp_ignored():
     store = VStigMap(1)
     for _ in range(5):
         store.local_put("k", 1, robot_id=2)  # ts 5
-    out = store.on_put(VstigPut(1, "k", 9, 3, 3), StubVm())
-    assert out == []
+    out = store.merge(VstigPut(1, "k", 9, 3, 3), StubVm())
+    assert out is None
     assert store.entries["k"].value == 1
 
 
 def test_put_equal_timestamp_default_resolver_highest_robot_wins():
     store = VStigMap(1)
     store.local_put("k", 30, robot_id=3)  # ts 1
-    out = store.on_put(VstigPut(1, "k", 70, 1, 7), StubVm())
+    out = store.merge(VstigPut(1, "k", 70, 1, 7), StubVm())
     assert store.entries["k"].robot_id == 7
     assert store.entries["k"].value == 70
-    assert len(out) == 1 and out[0].robot_id == 7
+    assert out is not None and out.robot_id == 7
 
 
 def test_put_equal_timestamp_same_robot_silent():
     store = VStigMap(1)
     store.local_put("k", 5, robot_id=3)
-    out = store.on_put(VstigPut(1, "k", 5, 1, 3), StubVm())
-    assert out == []
+    out = store.merge(VstigPut(1, "k", 5, 1, 3), StubVm())
+    assert out is None
 
 
 def test_custom_resolver_keeps_local_on_smaller_remote():
@@ -122,10 +125,10 @@ def test_custom_resolver_keeps_local_on_smaller_remote():
         return remote
 
     store.onconflict = resolver
-    out = store.on_put(VstigPut(1, "k", 4, 1, 7), StubVm())
+    out = store.merge(VstigPut(1, "k", 4, 1, 7), StubVm())
     assert store.entries["k"].value == 9
     assert store.entries["k"].robot_id == 3
-    assert len(out) == 1  # the winner is still re-propagated
+    assert out is not None  # the winner is still re-propagated
 
 
 def test_onconflictlost_fires_for_losing_local():
@@ -134,7 +137,7 @@ def test_onconflictlost_fires_for_losing_local():
     lost = []
     store.onconflictlost = lambda key, entry: lost.append(
         (key, entry.get("data"), entry.get("robot")))
-    store.on_put(VstigPut(1, "k", 9, 1, 7), StubVm())
+    store.merge(VstigPut(1, "k", 9, 1, 7), StubVm())
     assert lost == [("k", 3, 3)]
 
 
@@ -143,10 +146,10 @@ def test_resolver_returning_non_entry_raises():
     store.local_put("k", 1, robot_id=1)
     store.onconflict = lambda key, local, remote: None
     with pytest.raises(VmRuntimeError):
-        store.on_put(VstigPut(1, "k", 2, 1, 2), StubVm())
+        store.merge(VstigPut(1, "k", 2, 1, 2), StubVm())
 
 
-# --- GET handler ----------------------------------------------------------------
+# --- merge: GET ----------------------------------------------------------------
 
 def make_store_ts(ts, value=1, robot=2):
     store = VStigMap(1)
@@ -157,39 +160,38 @@ def make_store_ts(ts, value=1, robot=2):
 
 def test_get_with_newer_local_replies_put():
     store = make_store_ts(7)
-    out = store.on_get(VstigGet(1, "k", 0, 4, 9), StubVm())
-    assert len(out) == 1
-    assert isinstance(out[0], VstigPut)
-    assert out[0].timestamp == 7
+    out = store.merge(VstigGet(1, "k", 0, 4, 9), StubVm())
+    assert isinstance(out, VstigPut)
+    assert out.timestamp == 7
 
 
 def test_get_with_older_local_adopts_and_rebroadcasts():
     store = make_store_ts(2)
-    out = store.on_get(VstigGet(1, "k", 42, 4, 9), StubVm())
+    out = store.merge(VstigGet(1, "k", 42, 4, 9), StubVm())
     assert store.entries["k"].value == 42
     assert store.entries["k"].timestamp == 4
-    assert len(out) == 1 and out[0].value == 42
+    assert out is not None and out.value == 42
 
 
 def test_get_with_identical_entry_is_silent():
     store = make_store_ts(3, value=5, robot=2)
-    out = store.on_get(VstigGet(1, "k", 5, 3, 2), StubVm())
-    assert out == []
+    out = store.merge(VstigGet(1, "k", 5, 3, 2), StubVm())
+    assert out is None
 
 
 def test_get_equal_timestamp_different_robot_resolves_conflict():
     # a stale reader polling forever must eventually be corrected even
     # when clocks tie, otherwise one lost PUT volley can wedge a robot
     store = make_store_ts(1, value=9, robot=9)
-    out = store.on_get(VstigGet(1, "k", 2, 1, 2), StubVm())
-    assert len(out) == 1
-    assert out[0].value == 9 and out[0].robot_id == 9
+    out = store.merge(VstigGet(1, "k", 2, 1, 2), StubVm())
+    assert out is not None
+    assert out.value == 9 and out.robot_id == 9
 
 
 def test_get_absent_on_both_sides_is_silent():
     store = VStigMap(1)
-    out = store.on_get(VstigGet(1, "k", None, 0, 0), StubVm())
-    assert out == []
+    out = store.merge(VstigGet(1, "k", None, 0, 0), StubVm())
+    assert out is None
 
 
 # --- outbound queue optimization --------------------------------------------------
@@ -250,16 +252,104 @@ def test_lamport_dominance_over_random_message_stream():
         if rng.random() < 0.3:
             store.local_put(key, rng.randrange(100), robot_id=5)
         elif rng.random() < 0.5:
-            store.on_put(VstigPut(1, key, rng.randrange(100),
-                                  rng.randrange(1, 8), rng.randrange(8)),
-                         stub)
+            store.merge(VstigPut(1, key, rng.randrange(100),
+                                 rng.randrange(1, 8), rng.randrange(8)),
+                        stub)
         else:
-            store.on_get(VstigGet(1, key, rng.randrange(100),
-                                  rng.randrange(0, 8), rng.randrange(8)),
-                         stub)
+            store.merge(VstigGet(1, key, rng.randrange(100),
+                                 rng.randrange(0, 8), rng.randrange(8)),
+                        stub)
         for k, entry in store.entries.items():
             assert entry.timestamp >= last_ts.get(k, 0)
             last_ts[k] = entry.timestamp
+
+
+# The two handlers `merge` replaced, kept verbatim as its reference model.
+
+def _reference_on_put(self, msg, vm):
+    key = msg.key
+    local = self.entries.get(key)
+    if local is None or msg.timestamp > local.timestamp:
+        self.entries[key] = VStigEntry(copy_value(msg.value),
+                                       msg.timestamp, msg.robot_id)
+        return [msg]
+    if msg.timestamp < local.timestamp:
+        return []
+    if msg.robot_id == local.robot_id:
+        return []  # same provenance, nothing to do
+    winner = self._resolve(key, local, msg, vm)
+    return [VstigPut(self.vstig_id, key, winner.value, winner.timestamp,
+                     winner.robot_id)]
+
+
+def _reference_on_get(self, msg, vm):
+    key = msg.key
+    local = self.entries.get(key)
+    local_ts = local.timestamp if local else 0
+    if local_ts > msg.timestamp:
+        return [VstigPut(self.vstig_id, key, local.value, local.timestamp,
+                         local.robot_id)]
+    if local_ts < msg.timestamp:
+        self.entries[key] = VStigEntry(copy_value(msg.value),
+                                       msg.timestamp, msg.robot_id)
+        return [VstigPut(self.vstig_id, key, msg.value, msg.timestamp,
+                         msg.robot_id)]
+    if local is None:
+        return []  # both sides lack the key
+    if msg.robot_id == local.robot_id:
+        return []  # identical entries
+    winner = self._resolve(key, local, msg, vm)
+    return [VstigPut(self.vstig_id, key, winner.value, winner.timestamp,
+                     winner.robot_id)]
+
+
+RESOLVER_SCRIPT = """
+lost = 0
+v = stigmergy.create(1)
+v.onconflict(function(key, local, remote) {
+  if(remote.data > local.data) return remote
+  return local
+})
+v.onconflictlost(function(key, local) { lost = lost + 1 })
+"""
+
+
+@pytest.mark.parametrize("script", ["v = stigmergy.create(1)",
+                                    RESOLVER_SCRIPT],
+                         ids=["default-resolver", "script-resolver"])
+def test_merge_matches_the_put_and_get_handlers_it_replaced(run_script,
+                                                            script):
+    rng = random.Random(0x5eed)
+    vm, ref_vm = run_script(script), run_script(script)
+    store, ref = vm.vstig_map(1), ref_vm.vstig_map(1)
+    cases = set()
+    for _ in range(2000):
+        key = rng.choice(["a", "b", "c", 4])
+        if rng.random() < 0.05:
+            value, robot = rng.randrange(50), rng.randrange(6)
+            store.local_put(key, value, robot)
+            ref.local_put(key, value, robot)
+            continue
+        # clocks near the local one, so ties and both orders are common
+        local = store.entries.get(key)
+        local_ts = local.timestamp if local is not None else 0
+        cls = rng.choice([VstigPut, VstigGet])
+        msg = cls(1, key, rng.randrange(50),
+                  max(0, local_ts + rng.choice([-1, 0, 0, 1])),
+                  rng.randrange(6))
+        cases.add((cls, "absent" if local is None else
+                   "newer" if msg.timestamp > local_ts else
+                   "older" if msg.timestamp < local_ts else
+                   "same" if msg.robot_id == local.robot_id else "tie"))
+        expected = (_reference_on_put if cls is VstigPut
+                    else _reference_on_get)(ref, msg, ref_vm)
+        assert len(expected) <= 1
+        got = store.merge(msg, vm)
+        assert got == (expected[0] if expected else None)
+        assert store.entries == ref.entries
+        assert vm.get_global("lost") == ref_vm.get_global("lost")
+    assert vm.faulted is None and ref_vm.faulted is None
+    assert len(cases) == 10  # every case, for both message kinds
 
 
 def test_queue_optimization_does_not_change_protocol_fixpoint(monkeypatch):
@@ -326,6 +416,32 @@ function step() { observed = vs.get("k") }
         for drop_prob in (0.0, 0.5):
             assert final_entries(True, drop_prob, seed) == expected
             assert final_entries(False, drop_prob, seed) == expected
+
+
+def test_resolver_with_an_unencodable_robot_faults_only_its_robot():
+    image = compile_and_link("""
+function init() {
+  v = stigmergy.create(1)
+  if(id == 1) v.onconflict(function(key, local, remote) {
+    remote.robot = -1
+    return remote
+  })
+  v.put("k", id)
+}
+""")
+    vms = [Vm(image, rid) for rid in (1, 2)]
+    inboxes = [[], []]
+    for _ in range(4):
+        outboxes = [vm.step(inbox)[0] for vm, inbox in zip(vms, inboxes)]
+        # each robot hears the other
+        inboxes = [[Situated(sender, 10.0, 0.0, 0.0, sent.message)
+                    for sent in outbox]
+                   for sender, outbox in zip((2, 1), reversed(outboxes))]
+    bad, good = vms
+    assert isinstance(bad.faulted, VmRuntimeError)
+    assert "u32" in str(bad.faulted)
+    assert good.faulted is None and good.step_count == 4
+    assert good.vstig_map(1).entries["k"].robot_id == 2
 
 
 def test_size_counts_distinct_keys(run_script):

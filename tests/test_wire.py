@@ -105,6 +105,27 @@ def test_swarm_id_range_checked():
         encode_message(1, SwarmJoin(70_000))
 
 
+@pytest.mark.parametrize("sender, msg", [
+    (-1, Announce()),
+    (2 ** 32, Broadcast("k", 1)),
+    (1, VstigPut(1, "k", 1, 1, -1)),
+    (1, VstigGet(1, "k", 1, 1, 2 ** 32)),
+    (1, VstigPut(1, "k", 1, -1, 1)),
+    (1, VstigGet(1, "k", 1, 2 ** 32, 1)),
+], ids=["sender-negative", "sender-too-big", "robot-negative",
+        "robot-too-big", "timestamp-negative", "timestamp-too-big"])
+def test_u32_fields_range_checked(sender, msg):
+    with pytest.raises(WireError, match="out of u32 range"):
+        encode_message(sender, msg)
+
+
+def test_u32_fields_at_their_bounds_round_trip():
+    msg = VstigPut(1, "k", 1, 2 ** 32 - 1, 2 ** 32 - 1)
+    assert round_trip(2 ** 32 - 1, msg) == msg
+    assert round_trip(0, VstigGet(1, "k", None, 0, 0)) == \
+        VstigGet(1, "k", None, 0, 0)
+
+
 # --- hostile bytes: decoding raises WireError and nothing else -------------
 
 def _bcast_bytes(key, value_bytes):
