@@ -4,12 +4,14 @@ consensus: every robot's stored value must equal the highest robot id.
   At P=0 the exact convergence step is eccentricity(max-id robot) + 1
   hops of synchronous flooding (the oracle below).
 gradient: every robot's estimate must equal the relaxation fixpoint of
-  shortest path sums over the comm graph (Bellman-Ford to fixpoint,
-  summing in the same w + d order the script uses, so equality is exact).
+  shortest path sums over the comm graph (Dijkstra, summing in the same
+  w + d order the script uses, so equality is exact).
 barrier: every robot must observe the quorum; at P=0 robot i passes at
   step h_T(i) + 1 where h_T(i) is the T-th smallest hop distance from i.
 """
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -33,14 +35,10 @@ class Experiment:
     globals_setup: dict = field(default_factory=dict)
     bindings: tuple = ()               # host function names to mock
     sense: object = None               # callable(vm, rid, ctx, step) or None
-    _image: object = field(default=None, repr=False)
 
     def image(self):
-        if self._image is None:
-            units = [compile_source(text, origin)
-                     for origin, text in self.sources]
-            self._image = link(units)
-        return self._image
+        """The linked image of `sources`, shared by equal sources."""
+        return _linked(tuple(map(tuple, self.sources)))
 
     def setup_vm(self, vm, rid, ctx):
         for name in self.bindings:
@@ -54,6 +52,12 @@ class Experiment:
 
     def converged(self, ctx, readouts):
         return ctx.extra["converged"](readouts)
+
+
+@functools.lru_cache(maxsize=16)
+def _linked(sources):
+    """Compile and link once per process; the VMs only read the image."""
+    return link([compile_source(text, origin) for origin, text in sources])
 
 
 def _mock_binding(name):
@@ -75,21 +79,24 @@ def consensus_expected_step(topology, max_rid):
 
 
 def gradient_fixpoint(topology, source=0, inf=GRADIENT_INF):
-    """Relaxation fixpoint of w + d over the comm graph (Bellman-Ford)."""
-    n = len(topology.poses)
-    dist = [inf] * n
+    """Relaxation fixpoint of w + d over the comm graph (Dijkstra).
+
+    Link weights are distances, never negative, and float addition is
+    monotone, so the label a robot is settled with is the least w + d sum
+    over all paths, capped at `inf`: the fixpoint the script relaxes to.
+    """
+    dist = [inf] * len(topology.poses)
     dist[source] = 0.0
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            best = dist[i]
-            for j, w, _ in topology.out_links[i]:
-                cand = w + dist[j]
-                if cand < best:
-                    best = cand
-                    changed = True
-            dist[i] = best
+    heap = [(0.0, source)]
+    while heap:
+        d, i = heapq.heappop(heap)
+        if d > dist[i]:
+            continue  # a stale entry: i was settled with a smaller sum
+        for j, w, _ in topology.out_links[i]:
+            cand = w + d
+            if cand < dist[j]:
+                dist[j] = cand
+                heapq.heappush(heap, (cand, j))
     return dist
 
 

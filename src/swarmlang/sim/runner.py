@@ -53,8 +53,9 @@ def run(cfg, experiment, poses=None, keep_vms=False):
     """Run one seeded simulation of `experiment` under `cfg`.
 
     `poses` overrides the seeded placement (fixed scenarios in tests);
-    its length must match cfg.n_robots.  With keep_vms=True the result
-    carries the VMs for post-run inspection.
+    its length must match cfg.n_robots and its coordinates be finite, or
+    ValueError is raised.  With keep_vms=True the result carries the VMs
+    for post-run inspection.
     """
     if poses is None:
         poses = place_robots(cfg)

@@ -1,14 +1,19 @@
+import heapq
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swarmlang.sim import (SimulationConfig, Topology, build_barrier,
                            build_consensus, build_gradient,
                            barrier_pass_steps, consensus_expected_step,
                            deliver, experiment_sweep, gradient_fixpoint,
                            place_robots, run)
-from swarmlang.sim.config import rng_for, _STREAM_NETWORK
+from swarmlang.sim import experiments
+from swarmlang.sim.config import (_STREAM_NETWORK, _STREAM_PLACEMENT,
+                                  _cell_side, rng_for)
 from swarmlang.sim.experiments import Experiment
 from swarmlang.sim.sweep import rows_to_csv, DATA_FIELDS
 from swarmlang.vm import SentMessage
@@ -390,3 +395,222 @@ def test_goto_recorded_as_noop_actuator():
                            drop_prob=0.0, seed=8, max_steps=3)
     result = run(cfg, formation)
     assert result.faults == {}
+
+
+# --- set-up: the cell grid against the all-pairs scans it replaced --------
+
+def _all_pairs_place_robots(cfg, max_tries_per_robot=1000):
+    """Model: each draw tested against every pose placed so far."""
+    rng = rng_for(cfg, _STREAM_PLACEMENT)
+    half = cfg.side / 2.0
+    min_sep = 2.0 * cfg.robot_radius
+    poses = []
+    budget = max_tries_per_robot * cfg.n_robots
+    while len(poses) < cfg.n_robots:
+        if budget <= 0:
+            raise RuntimeError("density too high")
+        budget -= 1
+        x = float(rng.uniform(-half, half))
+        y = float(rng.uniform(-half, half))
+        if all(math.hypot(x - px, y - py) > min_sep for px, py in poses):
+            poses.append((x, y))
+    return poses
+
+
+def _all_pairs_links(cfg, poses):
+    """Model: out_links from a scan over every pair i < j."""
+    n = len(poses)
+    out_links = [[] for _ in range(n)]
+    range_cm = cfg.comm_range * 100.0
+    for i in range(n):
+        xi, yi = poses[i]
+        for j in range(i + 1, n):
+            xj, yj = poses[j]
+            d = math.hypot(xi - xj, yi - yj) * 100.0
+            if d > range_cm:
+                continue
+            out_links[i].append((j, d, math.atan2(yi - yj, xi - xj)))
+            out_links[j].append((i, d, math.atan2(yj - yi, xj - xi)))
+    return out_links
+
+
+def _bellman_ford_gradient(topology, source=0, inf=50000.0):
+    """Model: relax w + d over every link until nothing changes."""
+    n = len(topology.poses)
+    dist = [inf] * n
+    dist[source] = 0.0
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n):
+            best = dist[i]
+            for j, w, _ in topology.out_links[i]:
+                cand = w + dist[j]
+                if cand < best:
+                    best = cand
+                    changed = True
+            dist[i] = best
+    return dist
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 100, 1000])
+@pytest.mark.parametrize("density", [0.1, 0.3])
+@pytest.mark.parametrize("comm_range", [0.1, 1.0, 3.0])
+def test_grid_setup_matches_all_pairs_scans(n, density, comm_range):
+    cfg = SimulationConfig(n_robots=n, density=density,
+                           comm_range=comm_range, seed=n + 11)
+    poses = place_robots(cfg)
+    assert poses == _all_pairs_place_robots(cfg)
+    topo = Topology.build(cfg, poses)
+    assert topo.out_links == _all_pairs_links(cfg, poses)
+    assert all([j for j, _, _ in links] == sorted(j for j, _, _ in links)
+               for links in topo.out_links)
+    assert gradient_fixpoint(topo) == _bellman_ford_gradient(topo)
+
+
+def test_grid_links_on_cell_boundaries_and_at_the_exact_range():
+    cfg = SimulationConfig(n_robots=1, arena_side=10.0, comm_range=0.5)
+    # a lattice of spacing comm_range = 0.5 m around the origin, so that
+    # axis neighbours are exactly 50 cm apart and the diagonals are not
+    poses = [(0.5 * i, 0.5 * j) for i in range(-3, 3) for j in range(-2, 3)]
+    topo = Topology.build(cfg, poses)
+    assert topo.out_links == _all_pairs_links(cfg, poses)
+    assert (1, 50.0, math.atan2(-0.5, 0.0)) in topo.out_links[0]
+    assert all(d == 50.0 for links in topo.out_links for _, d, _ in links)
+    # poses on the edges of the grid's own cells, counted from the lowest
+    # coordinate as the grid bins them
+    side = _cell_side(cfg.comm_range, 0.0, 1)
+    edges = [(-3.0 + k * side, -3.0 + (k % 3) * side) for k in range(7)]
+    edges += [(x, y + cfg.comm_range) for x, y in edges[:4]]
+    topo = Topology.build(cfg, edges)
+    assert topo.out_links == _all_pairs_links(cfg, edges)
+    assert any(d == 50.0 for links in topo.out_links for _, d, _ in links)
+
+
+def test_grid_cell_side_exceeds_the_cutoff():
+    for cutoff in (0.0, 5e-324, 1e-320, 0.17, 1.0, 3.0, 1e300):
+        assert _cell_side(cutoff, 1.0, 10) > cutoff
+    assert _cell_side(0.0, 0.0, 1) > 0.0
+    assert _cell_side(math.inf, 1.0, 10) == math.inf
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=40),
+       st.floats(1e-3, 1e6), st.floats(0.0, 1e3))
+def test_grid_links_match_all_pairs_on_any_finite_poses(poses, scale,
+                                                        comm_range):
+    cfg = SimulationConfig(n_robots=1, comm_range=comm_range)
+    xs = [x for x, _ in poses]
+    ys = [y for _, y in poses]
+    if not (math.isfinite(max(xs) - min(xs))
+            and math.isfinite(max(ys) - min(ys))):
+        with pytest.raises(ValueError):
+            Topology.build(cfg, poses)
+        return
+    # folded into [0, scale) as well, where more pairs fall in range
+    for pts in (poses, [(x % scale, y % scale) for x, y in poses]):
+        assert Topology.build(cfg, pts).out_links == _all_pairs_links(cfg,
+                                                                       pts)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 60), st.integers(0, 2 ** 32), st.floats(0.0, 0.3),
+       st.floats(0.05, 3.0))
+def test_grid_placement_matches_all_pairs_on_any_seed(n, seed, radius,
+                                                      arena_side):
+    cfg = SimulationConfig(n_robots=n, seed=seed, robot_radius=radius,
+                           arena_side=arena_side)
+    try:
+        want = _all_pairs_place_robots(cfg, max_tries_per_robot=20)
+    except RuntimeError:
+        with pytest.raises(RuntimeError):
+            place_robots(cfg, max_tries_per_robot=20)
+        return
+    assert place_robots(cfg, max_tries_per_robot=20) == want
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_run_rejects_non_finite_poses(bad):
+    cfg = SimulationConfig(n_robots=3, arena_side=2.0, max_steps=2)
+    for k in range(2):
+        poses = [(0.0, 0.0), (0.5, 0.0), (1.0, 0.0)]
+        poses[1] = (bad, 0.0) if k == 0 else (0.5, bad)
+        with pytest.raises(ValueError):
+            run(cfg, build_consensus(), poses=poses)
+
+
+def test_config_rejects_nan_ranges_and_non_finite_arena():
+    for kw in (dict(comm_range=math.nan), dict(robot_radius=math.nan),
+               dict(arena_side=math.nan), dict(arena_side=math.inf)):
+        with pytest.raises(ValueError):
+            SimulationConfig(n_robots=3, **kw)
+
+
+@pytest.mark.parametrize("kw, degree", [
+    (dict(comm_range=0.0), 0),
+    (dict(robot_radius=0.0, arena_side=2.0), None),
+    (dict(comm_range=1e-9, arena_side=1e6), 0),
+    (dict(comm_range=100.0), 19),  # wider than the arena: one cell
+])
+def test_grid_setup_at_edge_settings(kw, degree):
+    cfg = SimulationConfig(n_robots=20, seed=3, max_steps=3, **kw)
+    poses = place_robots(cfg)
+    assert poses == _all_pairs_place_robots(cfg)
+    topo = Topology.build(cfg, poses)
+    assert topo.out_links == _all_pairs_links(cfg, poses)
+    if degree is not None:
+        assert {len(links) for links in topo.out_links} == {degree}
+    assert len(run(cfg, build_consensus()).metrics) >= 1
+
+
+def test_coincident_poses_link_at_zero_range():
+    cfg = SimulationConfig(n_robots=3, comm_range=0.0)
+    poses = [(1.0, 1.0), (1.0, 1.0), (1.0, 1.0)]
+    topo = Topology.build(cfg, poses)
+    assert topo.out_links == _all_pairs_links(cfg, poses)
+    assert [len(links) for links in topo.out_links] == [2, 2, 2]
+
+
+@pytest.mark.parametrize("n", [10, 30, 100, 1000])
+def test_dijkstra_gradient_matches_bellman_ford(n):
+    for seed in range(5 if n == 1000 else 40):
+        cfg = SimulationConfig(n_robots=n, seed=seed)
+        topo = Topology.build(cfg, place_robots(cfg))
+        assert gradient_fixpoint(topo) == _bellman_ford_gradient(topo)
+    far = Topology.build(cfg, [(0.0, 0.0), (0.5, 0.0), (9.0, 9.0)])
+    assert gradient_fixpoint(far) == [0.0, 50.0, 50000.0]
+
+
+# --- one linked image per script and process
+
+def test_sweep_compiles_its_script_once(monkeypatch):
+    calls = []
+    real = experiments.compile_source
+
+    def counting(text, origin):
+        calls.append(origin)
+        return real(text, origin)
+
+    monkeypatch.setattr(experiments, "compile_source", counting)
+    experiments._linked.cache_clear()
+    rows, _ = experiment_sweep("consensus", [10, 30],
+                               [0.0, 0.25, 0.5, 0.75], reps=5,
+                               master_seed=1, max_steps=3, workers=1)
+    assert len(rows) == 40
+    assert calls == ["consensus.swl"]
+
+
+def test_equal_sources_share_one_image():
+    a, b = build_gradient(), build_gradient()
+    assert a is not b and a.image() is b.image()
+    as_lists = Experiment(name="g", sources=[list(a.sources[0])],
+                          readout="mydist", convergence="none")
+    assert as_lists.image() is a.image()
+    assert build_consensus().image() is not a.image()
+    other = Experiment(name="gradient", sources=[("gradient.swl",
+                                                  "x = 1\n")],
+                       readout="x", convergence="none")
+    assert other.image() is not a.image()
