@@ -1,11 +1,12 @@
 """Single-pass compiler from AST to a relocatable object unit.
 
 Name resolution: `var` declares a slot in the enclosing function (or the
-top-level frame); parameters and `self` are slots too.  Anything else is a
-global: loads of unknown names yield nil at run time, stores create the
-global.  Nested functions reach enclosing slots through (depth, slot)
-upvalue instructions; frames are shared by reference, so captured locals
-alias the originals.
+top-level frame); parameters and `self` are slots too, so neither a
+parameter nor a `var` may be named `self` and no parameter may be named
+twice.  Anything else is a global: loads of unknown names yield nil at run
+time, stores create the global.  Nested functions reach enclosing slots
+through (depth, slot) upvalue instructions; frames are shared by reference,
+so captured locals alias the originals.
 """
 
 from dataclasses import dataclass, field
@@ -143,6 +144,9 @@ class Compiler:
         out = self.unit.funcs
         scope = _Scope(defscope)
         for p in node.params:
+            if p in scope.slots:  # `self` holds slot 0 already
+                self.error("'self' cannot be a parameter" if p == "self"
+                           else f"duplicate parameter '{p}'", node)
             self.declare(scope, p, node)
         nparams = len(node.params)
         self.mark(out, entry)
@@ -161,6 +165,8 @@ class Compiler:
         if isinstance(stmt, ast.Assign):
             self.compile_assign(stmt, scope, out)
         elif isinstance(stmt, ast.VarDecl):
+            if stmt.name == "self":
+                self.error("cannot declare 'self'", stmt)
             slot = self.declare(scope, stmt.name, stmt)
             if stmt.value is not None:
                 self.compile_expr(stmt.value, scope, out)

@@ -1,5 +1,11 @@
 """Recursive descent parser producing a plain dataclass AST.
 
+Statements are parsed by recursive descent, expressions by precedence
+climbing: one table, OPERATORS, lists every operator with its level and
+form, and `Parser.parse_expr` reads an operand and then each operator
+after it that binds at least as tightly as its caller allows, recursing
+once per operand rather than once per precedence level.
+
 Statement separators are newlines or `;`.  Newlines are transparent inside
 parentheses, brackets and table constructors, after a binary operator, and
 before an `if`/`while` body or `else` clause; everywhere else they end the
@@ -141,26 +147,41 @@ class Block(Node):
     stmts: list
 
 
-# Operator precedence, loosest first: (token kind, operators) per level.
-# Each level is a left-associative binary operator over the next one,
-# except NOT_LEVEL, where `not` is a prefix operator.  Unary minus and the
-# right-associative `^` bind tighter than every level (parse_unary).
-BINARY_LEVELS = (
-    ("KEYWORD", {"or"}),
-    ("KEYWORD", {"and"}),
-    ("KEYWORD", {"not"}),
-    ("OP", {"==", "!=", "<", "<=", ">", ">="}),
-    ("OP", {"+", "-"}),
-    ("OP", {"*", "/", "%"}),
+# Every operator, loosest level first: (form, token kind, operators).  A
+# "left" or "right" level is a binary operator of that associativity; a
+# right one reads its right operand one level up, so `2^-3` is `2^(-3)`.
+# A "prefix" operator's operand holds only its own level and tighter ones:
+# `not a == b` is `not (a == b)`, `-2^2` is `-(2^2)`, `a == not b` is an
+# error.
+OPERATORS = (
+    ("left", "KEYWORD", {"or"}),
+    ("left", "KEYWORD", {"and"}),
+    ("prefix", "KEYWORD", {"not"}),
+    ("left", "OP", {"==", "!=", "<", "<=", ">", ">="}),
+    ("left", "OP", {"+", "-"}),
+    ("left", "OP", {"*", "/", "%"}),
+    ("prefix", "OP", {"-"}),
+    ("right", "OP", {"^"}),
 )
-NOT_LEVEL = 2
-N_BINARY_LEVELS = len(BINARY_LEVELS)
+PREFIX = {(kind, o): level
+          for level, (form, kind, ops) in enumerate(OPERATORS)
+          for o in ops if form == "prefix"}
+# a binary operator -> (its level, the level its right operand is read at)
+BINARY = {(kind, o): (level, level + 1 if form == "left" else level - 1)
+          for level, (form, kind, ops) in enumerate(OPERATORS)
+          for o in ops if form != "prefix"}
 
 # Deepest nesting a program may have.  A statement, an operand, a prefix
 # operator and each link of a chain (the `+` of `a + b + c`, the `(1)` of
-# `f(1)(1)`) is one level, which bounds the recursion of this parser and of
-# the compiler walking the tree it builds below Python's own limit.
-MAX_NESTING = 50
+# `f(1)(1)`) is one level.  The levels of one program may cost parsing and
+# compiling FRAME_BUDGET Python frames, which leaves the rest of CPython's
+# default recursion limit of 1000 to the frames below them and to the
+# caller's own stack.  The dearest level costs FRAMES_PER_LEVEL frames (a
+# table constructor, an `if` or `while` body, half a function literal);
+# `python tests/test_parser.py` measures each shape.
+FRAME_BUDGET = 600
+FRAMES_PER_LEVEL = 4
+MAX_NESTING = FRAME_BUDGET // FRAMES_PER_LEVEL
 
 
 class Parser:
@@ -214,10 +235,6 @@ class Parser:
 
     # --- statements ---
 
-    def parse_program(self):
-        stmts = self.parse_statements(until_eof=True)
-        return stmts
-
     def parse_statements(self, until_eof=False):
         stmts = []
         while True:
@@ -228,8 +245,6 @@ class Parser:
             if not until_eof and self.at("OP", "}"):
                 return stmts
             if self.at("EOF"):
-                if until_eof:
-                    return stmts
                 self.error("unexpected end of input", hint="'}'")
             stmts.append(self.parse_statement())
             # a statement must be followed by a separator, '}' or EOF
@@ -271,7 +286,7 @@ class Parser:
             if not isinstance(expr, (Name, Member, Index)):
                 self.error("invalid assignment target")
             self.advance()
-            value = self.parse_expr(skip_newlines=True)
+            value = self.parse_expr()
             return Assign(expr, value, line=expr.line, col=expr.col)
         return ExprStat(expr, line=expr.line, col=expr.col)
 
@@ -319,7 +334,7 @@ class Parser:
         value = None
         if self.at("OP", "="):
             self.advance()
-            value = self.parse_expr(skip_newlines=True)
+            value = self.parse_expr()
         return VarDecl(name.value, value, line=tok.line, col=tok.col)
 
     def parse_return(self):
@@ -364,57 +379,33 @@ class Parser:
 
     # --- expressions ---
 
-    def parse_expr(self, skip_newlines=False):
-        if skip_newlines:
-            self.skip_newlines()
-        return self.parse_binary(0)
-
-    def parse_binary(self, level):
-        # one precedence level of BINARY_LEVELS, then the levels below it
-        if level == N_BINARY_LEVELS:
-            return self.parse_unary()
-        kind, ops = BINARY_LEVELS[level]
-        if level == NOT_LEVEL:
-            self.skip_newlines()  # operand position: newlines never end it
-            tok = self.peek()
-            if tok.kind == kind and tok.value in ops:
-                self.advance()
-                self.nest(tok)
-                operand = self.parse_binary(level)
-                self.depth -= 1
-                return UnOp(tok.value, operand, line=tok.line, col=tok.col)
-            return self.parse_binary(level + 1)
-        left = self.parse_binary(level + 1)
-        depth = self.depth
+    def parse_expr(self, level=0):
+        """An operand and each operator after it of `level` or tighter:
+        precedence climbing over OPERATORS, one Python frame per operand."""
+        self.skip_newlines()  # operand position: newlines never end it
         tok = self.peek()
-        while tok.kind == kind and tok.value in ops:  # left-associative
+        depth = self.depth
+        self.nest(tok)  # the operand, or its prefix operator
+        prefix = PREFIX.get((tok.kind, tok.value), -1)
+        if prefix >= level:
             self.advance()
-            self.nest(tok)  # the tree deepens by one level per operator
-            right = self.parse_binary(level + 1)
-            left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
-            tok = self.peek()
-        self.depth = depth
-        return left
-
-    def parse_unary(self):
-        self.skip_newlines()  # operand position
-        self.nest(self.peek())
-        if self.at("OP", "-"):
-            tok = self.advance()
-            expr = UnOp("-", self.parse_unary(), line=tok.line, col=tok.col)
+            left = UnOp(tok.value, self.parse_expr(prefix), line=tok.line,
+                        col=tok.col)
         else:
-            expr = self.parse_pow()
-        self.depth -= 1
-        return expr
-
-    def parse_pow(self):
-        base = self.parse_postfix()
-        if self.at("OP", "^"):
-            tok = self.advance()
-            # right-associative; exponent may itself be unary (2^-3)
-            exponent = self.parse_unary()
-            return BinOp("^", base, exponent, line=tok.line, col=tok.col)
-        return base
+            left = self.parse_postfix()
+        chain = None  # the level whose operators' nesting levels are open
+        while True:
+            tok = self.peek()
+            op_level, right_level = BINARY.get((tok.kind, tok.value), (-1, 0))
+            if op_level < level:
+                self.depth = depth
+                return left
+            self.advance()
+            if chain != op_level:  # close the operand's or a tighter chain's
+                chain, self.depth = op_level, depth
+            self.nest(tok)  # the tree deepens by one level per operator
+            right = self.parse_expr(right_level)
+            left = BinOp(tok.value, left, right, line=tok.line, col=tok.col)
 
     def parse_postfix(self):
         expr = self.parse_primary()
@@ -468,7 +459,6 @@ class Parser:
         return args
 
     def parse_primary(self):
-        self.skip_newlines()  # operand position
         tok = self.peek()
         if tok.kind == "INT":
             self.advance()
@@ -524,4 +514,5 @@ class Parser:
 
 def parse(text, origin="<script>"):
     """Parse source text into a list of statements."""
-    return Parser(tokenize(text, origin), origin).parse_program()
+    parser = Parser(tokenize(text, origin), origin)
+    return parser.parse_statements(until_eof=True)

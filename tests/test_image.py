@@ -12,7 +12,8 @@ from swarmlang import opcodes as op
 from swarmlang import vm as vm_mod
 from swarmlang.asm import assemble, disassemble
 from swarmlang.compiler import compile_source
-from swarmlang.errors import AsmError, CompileError, ImageError, LinkError
+from swarmlang.errors import (AsmError, CompileError, ImageError, LinkError,
+                             SwarmlangError)
 from swarmlang.image import (MAGIC, MAX_LOCALS, BytecodeImage,
                              encode_instruction)
 from swarmlang.linker import compile_and_link, link
@@ -271,6 +272,42 @@ def test_mutated_images_never_crash_the_host():
                 key = f"{name}: {crash}"
                 escapes[key] = escapes.get(key, 0) + 1
     assert escapes == {}
+
+
+def splice(text, rng):
+    """`text` with 1-4 spans of up to 8 characters each replaced by a span
+    of up to 8 characters copied from elsewhere in it."""
+    for _ in range(rng.randint(1, 4)):
+        at, src = rng.randrange(len(text) + 1), rng.randrange(len(text) + 1)
+        text = (text[:at] + text[src:src + rng.randint(0, 8)]
+                + text[at + rng.randint(0, 8):])
+    return text
+
+
+def test_mutated_sources_never_crash_the_host():
+    # seed 7: 350 spliced copies per bundled script go through compile,
+    # link, Vm(...) and 3 steps; only swarmlang.errors may come out
+    escapes, ran = {}, 0
+    for name in SCRIPTS:
+        source = behaviors.load_script(name)
+        rng = random.Random(7)
+        for _ in range(350):
+            stage = "compile"
+            try:
+                img = compile_and_link(splice(source, rng))
+                stage = "Vm"
+                vm = Vm(img, 0, print_sink=lambda s: None)
+                stage = "step"
+                for _ in range(3):
+                    vm.step([])  # a script error faults this VM and returns
+                ran += 1
+            except SwarmlangError:
+                pass
+            except Exception as exc:
+                key = f"{name}: {type(exc).__name__} in {stage}"
+                escapes[key] = escapes.get(key, 0) + 1
+    assert escapes == {}
+    assert ran > 500  # many mutants still compile, load and run
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)

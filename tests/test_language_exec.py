@@ -234,6 +234,21 @@ def test_self_outside_method_position_is_compile_error():
         compile_and_link("x = self")
 
 
+@pytest.mark.parametrize("src, message", [
+    ("function f(self, b) { return b }\nx = f(5, 6)",
+     "'self' cannot be a parameter"),
+    ("function f(self) { return self }", "'self' cannot be a parameter"),
+    ("g = function(a, self) { return a }", "'self' cannot be a parameter"),
+    ("function f(a, b, a) { return a }", "duplicate parameter 'a'"),
+    ("function f() { var self = 9\nreturn self }", "cannot declare 'self'"),
+    ("var self = 9", "cannot declare 'self'"),
+])
+def test_self_and_duplicate_names_are_compile_errors(src, message):
+    with pytest.raises(CompileError, match=message) as err:
+        compile_and_link(src)
+    assert err.value.line == 1
+
+
 def test_self_in_plain_call_is_nil(run_script):
     vm = run_script("f = function() { return self }\nx = f()\n"
                     "if(x == nil) ok = 1")

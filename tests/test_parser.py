@@ -1,9 +1,13 @@
+import math
+import sys
+
 import pytest
 
 from swarmlang import parser as ast
 from swarmlang.errors import ParseError
 from swarmlang.linker import compile_and_link
-from swarmlang.parser import MAX_NESTING, parse
+from swarmlang.parser import (FRAME_BUDGET, FRAMES_PER_LEVEL, MAX_NESTING,
+                              parse)
 
 
 def test_if_with_comparison():
@@ -175,3 +179,55 @@ def test_nesting_at_the_bound_compiles(shape):
 def test_nesting_far_past_the_bound_is_a_parse_error(shape):
     with pytest.raises(ParseError, match="nesting too deep"):
         parse(NESTING[shape][0](10_000))
+
+
+def deepest_frame(source):
+    """How many Python frames deep compile_and_link(source) goes."""
+    depth = deepest = 0
+
+    def profile(frame, event, arg):
+        nonlocal depth, deepest
+        if event == "call":
+            depth += 1
+            deepest = max(deepest, depth)
+        elif event == "return":
+            depth -= 1
+
+    sys.setprofile(profile)
+    try:
+        compile_and_link(source)
+    finally:
+        sys.setprofile(None)
+    return deepest
+
+
+def nesting_frames(shape):
+    """Frames of parse + compile for `shape` at the bound: (deepest frame,
+    frames the nesting adds to the flattest program of the shape, frames
+    the last level costs)."""
+    source, per_level, around = NESTING[shape]
+    n = (MAX_NESTING - around) // per_level
+    deepest = deepest_frame(source(n))
+    last = (deepest - deepest_frame(source(n - 1))) / per_level
+    return deepest, deepest - deepest_frame(source(0)), last
+
+
+@pytest.mark.parametrize("shape", NESTING)
+def test_nesting_at_the_bound_stays_inside_the_frame_budget(shape):
+    _, nested, per_level = nesting_frames(shape)
+    assert per_level <= FRAMES_PER_LEVEL
+    assert nested <= FRAME_BUDGET
+
+
+if __name__ == "__main__":
+    # frames per nesting level of each shape, from which MAX_NESTING is set
+    print(f"MAX_NESTING = {MAX_NESTING} = FRAME_BUDGET {FRAME_BUDGET} // "
+          f"FRAMES_PER_LEVEL {FRAMES_PER_LEVEL}")
+    print(f"{'shape':14} {'deepest':>7} {'nested':>7} {'per level':>9}")
+    worst = 0
+    for shape in NESTING:
+        deepest, nested, per_level = nesting_frames(shape)
+        worst = max(worst, per_level)
+        print(f"{shape:14} {deepest:7} {nested:7} {per_level:9g}")
+    print(f"worst {worst:g} frames per level: MAX_NESTING would be "
+          f"{FRAME_BUDGET // math.ceil(worst)}")
