@@ -8,13 +8,19 @@ consumed in a fixed order (sender ascending, message order, receiver
 ascending) so a run is reproducible regardless of host parallelism.
 
 One step takes all its draws at once and turns them into a survivor
-mask, a list of booleans in that same order; each surviving pair becomes
-one `Situated` tuple in the receiver's inbox, which holds the decoded
-message itself (decoded once per sent message, shared by its receivers).
+mask, a list of booleans in that same order.  A receiver's inbox holds
+one `Situated` record per heard link, sender ascending, whose `msgs` is
+the tuple of that sender's surviving messages in send order; a link with
+no survivor adds no record.  Each envelope is decoded once.  When all of
+a sender's draws survive (always at P=0) its receivers share one tuple;
+otherwise the sender's block of the mask, one row per message, is
+transposed into one column per link, and a link whose column keeps every
+message still gets the shared tuple.
 """
 
 from itertools import compress
 
+from ..errors import WireError
 from ..wire import Situated, decode_message
 
 
@@ -31,14 +37,34 @@ def deliver(drop_prob, topology, outboxes, rng):
     situated = tuple.__new__  # a Situated without the __new__ call
     k = 0
     for outbox, links in zip(outboxes, out_links):
-        if not links:
-            continue  # no draws taken, no decode
         m = len(links)
-        for sent in outbox:
-            # decode once per message: every receiver gets the same object
-            sender_id, msg = decode_message(sent.raw)
-            for j, dist_cm, azimuth in compress(links, keep[k:k + m]):
+        if not m or not outbox:
+            continue  # no draws taken, no decode
+        sender_ids, msgs = zip(*[decode_message(sent.raw) for sent in outbox])
+        sender_id = sender_ids[0]
+        if sender_ids.count(sender_id) != len(sender_ids):
+            raise WireError("one outbox carries two sender ids")
+        n = len(msgs)
+        end = k + n * m
+        block = keep[k:end]
+        if False not in block:
+            for j, dist_cm, azimuth in links:
                 inboxes[j].append(situated(
-                    Situated, (sender_id, dist_cm, azimuth, 0.0, msg)))
-            k += m
+                    Situated, (sender_id, dist_cm, azimuth, 0.0, msgs)))
+        elif True in block:
+            rows = [block[i:i + m] for i in range(0, len(block), m)]
+            for (j, dist_cm, azimuth), col in zip(links, zip(*rows)):
+                got = col.count(True)
+                if got == n:
+                    heard = msgs
+                elif got == 1:  # a slice is cheaper than compress
+                    a = col.index(True)
+                    heard = msgs[a:a + 1]
+                elif got:
+                    heard = tuple(compress(msgs, col))
+                else:
+                    continue
+                inboxes[j].append(situated(
+                    Situated, (sender_id, dist_cm, azimuth, 0.0, heard)))
+        k = end
     return inboxes

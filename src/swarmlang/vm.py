@@ -265,10 +265,9 @@ class Vm:
     def _ingest(self, inbox):
         # phase 2: rebuild the neighbor view from every sender heard this
         # step, then apply messages to the subsystems in arrival order
-        last = {sm[0]: sm for sm in inbox}  # first-heard order, last record
         self.neighbor_view = make_view({
             rid: record_table(distance, azimuth, elevation)
-            for rid, (_, distance, azimuth, elevation, _) in last.items()})
+            for rid, distance, azimuth, elevation, _ in inbox})
         self.globals["neighbors"] = self.neighbor_view
 
         for msg in self.swarm_registry.on_step(self.step_count):
@@ -278,24 +277,26 @@ class Vm:
         # of any other type is ignored
         vstigs = self._vstigs
         queue = self.out_queue
-        for sender_id, _, _, _, msg in inbox:
-            kind = type(msg)
-            if kind is Announce:
-                continue
-            if kind is VstigPut or kind is VstigGet:
-                vstig = vstigs.get(msg.vstig_id)
-                if vstig is not None:
-                    out = vstig.merge(msg, self)
-                    if out is not None:
-                        enqueue_vstig_message(queue, out)
-            elif kind is Broadcast:
-                listener = self.listeners.get(msg.key)
-                if listener is not None:
-                    self.call_value(listener, [msg.key,
-                                               copy_value(msg.value),
-                                               sender_id])
-            elif kind is SwarmJoin or kind is SwarmLeave or kind is SwarmList:
-                self.swarm_registry.handle_message(sender_id, msg)
+        for sender_id, _, _, _, msgs in inbox:
+            for msg in msgs:
+                kind = type(msg)
+                if kind is Announce:
+                    continue
+                if kind is VstigPut or kind is VstigGet:
+                    vstig = vstigs.get(msg.vstig_id)
+                    if vstig is not None:
+                        out = vstig.merge(msg, self)
+                        if out is not None:
+                            enqueue_vstig_message(queue, out)
+                elif kind is Broadcast:
+                    listener = self.listeners.get(msg.key)
+                    if listener is not None:
+                        self.call_value(listener, [msg.key,
+                                                   copy_value(msg.value),
+                                                   sender_id])
+                elif (kind is SwarmJoin or kind is SwarmLeave
+                      or kind is SwarmList):
+                    self.swarm_registry.handle_message(sender_id, msg)
 
     def _execute(self):
         # phase 3

@@ -73,16 +73,24 @@ class Broadcast:
 
 
 class Situated(NamedTuple):
-    """An inbox message plus the sensed relative position of its sender.
+    """One heard link: a sender's sensed relative position and the tuple
+    of its messages that reached this receiver, in send order.
 
-    A tuple, so delivery can build one per (message, receiver) pair
+    A tuple, so delivery can build one per (sender, receiver) link
     cheaply: `tuple.__new__(Situated, fields)` skips even `__new__`.
     """
     sender_id: int
     distance: float   # centimeters
     azimuth: float    # radians
     elevation: float  # radians
-    message: object
+    msgs: tuple
+
+
+_VSTIG_HEAD = struct.Struct("<IBH")  # sender id, type, stigmergy id
+_VSTIG_TAIL = struct.Struct("<II")   # timestamp, robot id
+_INT = struct.Struct("<q")
+_FLOAT = struct.Struct("<d")
+_U32 = struct.Struct("<I")
 
 
 def encode_value(v, depth=0):
@@ -113,26 +121,31 @@ def decode_value(data, pos, depth=0):
     """(value, position after it); malformed bytes raise only WireError."""
     if depth > MAX_DEPTH:
         raise WireError("value nesting too deep to decode")
-    if pos >= len(data):
+    end = len(data)
+    if pos >= end:
         raise WireError("truncated value")
     tag = data[pos]
     pos += 1
+    if tag == TAG_INT:
+        if pos + 8 > end:
+            raise WireError("truncated value")
+        return _INT.unpack_from(data, pos)[0], pos + 8
+    if tag == TAG_STRING:
+        if pos + 4 > end:
+            raise WireError("truncated value")
+        stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+        if stop > end:
+            raise WireError("truncated value")
+        return _utf8(data[pos + 4:stop]), stop
     if tag == TAG_NIL:
         return None, pos
-    if tag == TAG_INT:
-        _need(data, pos, 8)
-        return struct.unpack_from("<q", data, pos)[0], pos + 8
     if tag == TAG_FLOAT:
-        _need(data, pos, 8)
-        return struct.unpack_from("<d", data, pos)[0], pos + 8
-    if tag == TAG_STRING:
-        _need(data, pos, 4)
-        n = struct.unpack_from("<I", data, pos)[0]
-        _need(data, pos + 4, n)
-        return _utf8(data[pos + 4:pos + 4 + n]), pos + 4 + n
+        if pos + 8 > end:
+            raise WireError("truncated value")
+        return _FLOAT.unpack_from(data, pos)[0], pos + 8
     if tag == TAG_TABLE:
         _need(data, pos, 4)
-        n = struct.unpack_from("<I", data, pos)[0]
+        n = _U32.unpack_from(data, pos)[0]
         pos += 4
         t = Table()
         for _ in range(n):
@@ -215,9 +228,24 @@ def _pack_swarm_id(sid):
 
 def decode_message(data):
     """Decode one envelope; returns (sender_id, message)."""
-    if len(data) < 5:
+    end = len(data)
+    if end < 5:
         raise WireError("truncated envelope")
-    sender_id, mtype = struct.unpack_from("<IB", data, 0)
+    mtype = data[4]
+    if mtype == MSG_VSTIG_PUT or mtype == MSG_VSTIG_GET:
+        if end < 7:
+            raise WireError("truncated value")
+        sender_id, _, vid = _VSTIG_HEAD.unpack_from(data)
+        key, pos = decode_value(data, 7)
+        value, pos = decode_value(data, pos)
+        if pos + 8 > end:
+            raise WireError("truncated value")
+        ts, rid = _VSTIG_TAIL.unpack_from(data, pos)
+        if pos + 8 != end:
+            raise WireError("trailing bytes after message body")
+        cls = VstigPut if mtype == MSG_VSTIG_PUT else VstigGet
+        return sender_id, cls(vid, key, value, ts, rid)
+    sender_id = _U32.unpack_from(data)[0]
     pos = 5
     if mtype == MSG_ANNOUNCE:
         msg = Announce()
@@ -235,17 +263,6 @@ def decode_message(data):
             else []
         pos += 2 * count
         msg = SwarmList(ids)
-    elif mtype in (MSG_VSTIG_PUT, MSG_VSTIG_GET):
-        _need(data, pos, 2)
-        vid = struct.unpack_from("<H", data, pos)[0]
-        pos += 2
-        key, pos = decode_value(data, pos)
-        value, pos = decode_value(data, pos)
-        _need(data, pos, 8)
-        ts, rid = struct.unpack_from("<II", data, pos)
-        pos += 8
-        cls = VstigPut if mtype == MSG_VSTIG_PUT else VstigGet
-        msg = cls(vid, key, value, ts, rid)
     elif mtype == MSG_BCAST:
         _need(data, pos, 2)
         n = struct.unpack_from("<H", data, pos)[0]
@@ -256,6 +273,6 @@ def decode_message(data):
         msg = Broadcast(key, value)
     else:
         raise WireError(f"unknown message type {mtype}")
-    if pos != len(data):
+    if pos != end:
         raise WireError("trailing bytes after message body")
     return sender_id, msg

@@ -380,7 +380,7 @@ def test_criterion_virtual_force_oracle():
         records = {rid: (rng.uniform(20.0, 200.0),
                          rng.uniform(-math.pi, math.pi))
                    for rid in range(1, rng.randrange(2, 9))}
-        inbox = [Situated(rid, d, az, 0.0, Announce())
+        inbox = [Situated(rid, d, az, 0.0, (Announce(),))
                  for rid, (d, az) in sorted(records.items())]
         vm.step(inbox)
         got = vm.call_function("direction")

@@ -52,7 +52,7 @@ def test_direction_empty_view_zero_vector():
 # --- script vs oracle agreement --------------------------------------------------
 
 def _announces(records):
-    return [Situated(rid, dist, az, 0.0, Announce())
+    return [Situated(rid, dist, az, 0.0, (Announce(),))
             for rid, (dist, az) in sorted(records.items())]
 
 
@@ -102,10 +102,10 @@ def _segregation_inbox(records, membership):
     inbox = []
     for rid in sorted(records):
         dist, az = records[rid]
-        inbox.append(Situated(rid, dist, az, 0.0, Announce()))
+        inbox.append(Situated(rid, dist, az, 0.0, (Announce(),)))
         if rid in membership:
             inbox.append(Situated(rid, dist, az, 0.0,
-                                  SwarmList(membership[rid])))
+                                  (SwarmList(membership[rid]),)))
     return inbox
 
 

@@ -9,7 +9,7 @@ from conftest import build_vm
 
 
 def announce(rid, dist, az=0.0, el=0.0):
-    return Situated(rid, dist, az, el, Announce())
+    return Situated(rid, dist, az, el, (Announce(),))
 
 
 def stepped(script, inbox, robot_id=0):
@@ -40,7 +40,7 @@ def test_duplicate_announcement_last_wins():
 
 def test_one_record_per_sender_last_message_first_order():
     inbox = [announce(5, 10.0), announce(2, 20.0),
-             Situated(5, 99.0, 0.5, 0.0, Broadcast("k", 1))]
+             Situated(5, 99.0, 0.5, 0.0, (Broadcast("k", 1),))]
     vm = stepped("", inbox)
     records = vm.neighbor_view.data
     assert list(records) == [5, 2]
@@ -175,8 +175,8 @@ function step() {
     # rid 1 shares swarm 7, rid 2 known not to, rid 3 unknown membership
     from swarmlang.wire import SwarmList
     inbox = [
-        announce(1, 10.0), Situated(1, 10.0, 0.0, 0.0, SwarmList([7])),
-        announce(2, 10.0), Situated(2, 10.0, 0.0, 0.0, SwarmList([4])),
+        announce(1, 10.0), Situated(1, 10.0, 0.0, 0.0, (SwarmList([7]),)),
+        announce(2, 10.0), Situated(2, 10.0, 0.0, 0.0, (SwarmList([4]),)),
         announce(3, 10.0),
     ]
     vm.step(inbox)
@@ -213,7 +213,7 @@ function init() {
 }
 """)
     vm.step([])
-    vm.step([Situated(4, 1.0, 0.0, 0.0, Broadcast("k", 5))])
+    vm.step([Situated(4, 1.0, 0.0, 0.0, (Broadcast("k", 5),))])
     assert vm.get_global("heard") is None
 
 
@@ -229,7 +229,7 @@ function init() {
 }
 """)
     vm.step([])
-    vm.step([Situated(6, 120.0, 0.5, 0.0, Broadcast("dist", 30.0))])
+    vm.step([Situated(6, 120.0, 0.5, 0.0, (Broadcast("dist", 30.0),))])
     assert vm.faulted is None
     assert vm.get_global("key") == "dist"
     assert vm.get_global("sender") == 6
@@ -256,5 +256,6 @@ function init() {
 }
 """)
     vm.step([])
-    vm.step([Situated(2, 70.0, 0.0, 0.0, Broadcast("dist_to_source", 10.0))])
+    vm.step([Situated(2, 70.0, 0.0, 0.0,
+                      (Broadcast("dist_to_source", 10.0),))])
     assert vm.get_global("mydist") == 80.0

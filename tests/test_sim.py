@@ -2,23 +2,26 @@ import heapq
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from swarmlang.errors import WireError
 from swarmlang.sim import (SimulationConfig, Topology, build_barrier,
                            build_consensus, build_gradient,
                            barrier_pass_steps, consensus_expected_step,
                            deliver, experiment_sweep, gradient_fixpoint,
                            place_robots, run)
-from swarmlang.sim import experiments
+from swarmlang.sim import experiments, runner
 from swarmlang.sim.config import (_STREAM_NETWORK, _STREAM_PLACEMENT,
                                   _cell_side, rng_for)
 from swarmlang.sim.experiments import Experiment
 from swarmlang.sim.sweep import rows_to_csv, DATA_FIELDS
 from swarmlang.vm import SentMessage
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
-                            VstigPut, decode_message, encode_message)
+                            SwarmLeave, SwarmList, VstigGet, VstigPut,
+                            decode_message, encode_message)
 
 
 def test_arena_side_formula():
@@ -121,17 +124,54 @@ def _per_pair_deliver(drop_prob, topology, outboxes, rng):
     return inboxes
 
 
-def _random_outboxes(rng, n):
-    """0-3 messages per robot, of several wire types."""
-    kinds = [lambda rid: Announce(), lambda rid: Broadcast("d", rid * 0.5),
-             lambda rid: VstigPut(1, rid, "x" * rid, rid + 1, rid),
-             lambda rid: SwarmJoin(rid)]
+WIRE_KINDS = [lambda rid: Announce(), lambda rid: Broadcast("d", rid * 0.5),
+              lambda rid: VstigPut(1, rid, "x" * rid, rid + 1, rid),
+              lambda rid: VstigGet(2, "k", None, 0, rid),
+              lambda rid: SwarmJoin(rid), lambda rid: SwarmLeave(rid),
+              lambda rid: SwarmList([rid % 7, 9])]
+
+
+def _outboxes(kinds):
+    """Robot rid sends a WIRE_KINDS[i] message for each i in kinds[rid]."""
     outboxes = []
-    for rid in range(n):
-        msgs = [rng.choice(kinds)(rid) for _ in range(rng.randint(0, 3))]
+    for rid, picks in enumerate(kinds):
+        msgs = [WIRE_KINDS[i](rid) for i in picks]
         outboxes.append([SentMessage(m, encode_message(rid, m))
                          for m in msgs])
     return outboxes
+
+
+def _random_outboxes(rng, n):
+    """0-3 messages per robot, of several wire types."""
+    return _outboxes([[rng.randrange(len(WIRE_KINDS))
+                       for _ in range(rng.randint(0, 3))]
+                      for _ in range(n)])
+
+
+def _check_against_per_pair_model(drop_prob, topo, outboxes, rng, model_rng):
+    """One step of `deliver` flattened equals the per-pair model's step."""
+    got = deliver(drop_prob, topo, outboxes, rng)
+    want = _per_pair_deliver(drop_prob, topo, outboxes, model_rng)
+    assert [[(sender_id, distance, azimuth, elevation, msg)
+             for sender_id, distance, azimuth, elevation, msgs in inbox
+             for msg in msgs]
+            for inbox in got] == want
+    assert rng.bit_generator.state == model_rng.bit_generator.state
+    assert all(type(sm) is Situated and type(sm.msgs) is tuple and sm.msgs
+               for inbox in got for sm in inbox)
+    for inbox in got:
+        senders = [sm.sender_id for sm in inbox]
+        assert senders == sorted(set(senders))  # one record per heard link
+    # every receiver that got all of a sender's messages (at P=0 every
+    # receiver) holds the one decoded tuple
+    shared = {}
+    for inbox in got:
+        for sm in inbox:
+            if len(sm.msgs) == len(outboxes[sm.sender_id]):
+                assert shared.setdefault(sm.sender_id, sm.msgs) is sm.msgs
+            else:
+                assert drop_prob > 0.0
+    return got
 
 
 @pytest.mark.parametrize("n", [1, 7, 60])
@@ -150,11 +190,79 @@ def test_deliver_matches_per_pair_model(n, drop_prob):
     for step in range(4):
         outboxes = ([[] for _ in range(n)] if step == 0
                     else _random_outboxes(pick, n))
-        got = deliver(drop_prob, topo, outboxes, rng)
-        want = _per_pair_deliver(drop_prob, topo, outboxes, model_rng)
-        assert [[tuple(sm) for sm in inbox] for inbox in got] == want
-        assert all(type(sm) is Situated for inbox in got for sm in inbox)
-        assert rng.bit_generator.state == model_rng.bit_generator.state
+        _check_against_per_pair_model(drop_prob, topo, outboxes, rng,
+                                      model_rng)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([0.0, 0.3, 0.75, 1.0]),
+       st.integers(0, 2 ** 16))
+def test_deliver_matches_per_pair_model_on_any_outboxes(data, drop_prob,
+                                                        seed):
+    kinds = data.draw(st.lists(
+        st.lists(st.integers(0, len(WIRE_KINDS) - 1), max_size=4),
+        min_size=1, max_size=14))
+    cfg = SimulationConfig(n_robots=len(kinds), drop_prob=drop_prob,
+                           seed=seed)
+    topo = Topology.build(cfg, place_robots(cfg))
+    rng, model_rng = rng_for(cfg, _STREAM_NETWORK), \
+        rng_for(cfg, _STREAM_NETWORK)
+    _check_against_per_pair_model(drop_prob, topo, _outboxes(kinds), rng,
+                                  model_rng)
+
+
+def test_a_record_carries_each_surviving_message_of_its_link():
+    # two receivers of robot 0; its three messages survive on different
+    # links, and the link that loses all three adds no record
+    cfg = SimulationConfig(n_robots=3, arena_side=1.0, comm_range=5.0)
+    topo = Topology.build(cfg, [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)])
+    outboxes = _outboxes([[0, 1, 4], [], []])
+
+    class Draws:
+        def random(self, total):
+            # message-major: (msg 0 to 1, 2), (msg 1 ...), (msg 2 ...)
+            assert total == 6
+            return np.array([0.9, 0.1, 0.1, 0.1, 0.9, 0.1])
+
+    inboxes = deliver(0.5, topo, outboxes, Draws())
+    sent = tuple(s.message for s in outboxes[0])
+    assert [sm.msgs for sm in inboxes[1]] == [(sent[0], sent[2])]
+    assert inboxes[2] == []
+
+
+def test_deliver_rejects_an_outbox_with_two_sender_ids():
+    # a record names one sender for all its messages
+    cfg = SimulationConfig(n_robots=2, arena_side=1.0, comm_range=5.0)
+    topo = Topology.build(cfg, [(0.0, 0.0), (0.1, 0.0)])
+    mixed = [SentMessage(m, encode_message(rid, m))
+             for rid, m in ((0, Announce()), (1, SwarmJoin(3)))]
+    with pytest.raises(WireError, match="two sender ids"):
+        deliver(0.0, topo, [mixed, []], rng_for(cfg, _STREAM_NETWORK))
+
+
+@pytest.mark.parametrize("build, n, drop_prob, messages, records", [
+    (build_barrier, 50, 0.0, 29_676, 2_964),
+    (build_gradient, 100, 0.25, 13_792, 8_619),
+])
+def test_message_level_delivery_counts_are_pinned(monkeypatch, build, n,
+                                                  drop_prob, messages,
+                                                  records):
+    # `messages` is what one record per (message, receiver) pair gave on
+    # these seeded runs: the same messages reach the same robots
+    counts = {"messages": 0, "records": 0}
+
+    def counting(*args):
+        inboxes = deliver(*args)
+        for inbox in inboxes:
+            counts["records"] += len(inbox)
+            counts["messages"] += sum(len(r.msgs) for r in inbox)
+        return inboxes
+
+    monkeypatch.setattr(runner, "deliver", counting)
+    cfg = SimulationConfig(n_robots=n, drop_prob=drop_prob, seed=5,
+                           max_steps=100 if drop_prob == 0.0 else 20)
+    run(cfg, build())
+    assert counts == {"messages": messages, "records": records}
 
 
 def test_range_cutoff():

@@ -174,7 +174,7 @@ function step() { neighbors.broadcast("ping", id) }
     out_a, _ = a.step([])
     out_b, _ = b.step([])
     assert b.get_global("got") is None  # step 1: nothing delivered yet
-    inbox_b = [Situated(1, 100.0, 0.0, 0.0, m.message) for m in out_a
+    inbox_b = [Situated(1, 100.0, 0.0, 0.0, (m.message,)) for m in out_a
                if isinstance(m.message, Broadcast)]
     b.step(inbox_b)
     assert b.get_global("got") == 1
@@ -275,9 +275,9 @@ function init() {
 function step() { }
 """
 
-NEIGHBORS = [Situated(rid, 10.0 * rid, 0.0, 0.0, Announce())
+NEIGHBORS = [Situated(rid, 10.0 * rid, 0.0, 0.0, (Announce(),))
              for rid in (1, 2, 3)]
-PING = [Situated(3, 100.0, 0.0, 0.0, Broadcast("k", 5))]
+PING = [Situated(3, 100.0, 0.0, 0.0, (Broadcast("k", 5),))]
 
 
 def _second_step(src, inbox, budget=None):
@@ -397,9 +397,16 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
     foreign = object()
     messages = [Announce(), protocol[0], protocol[1], foreign, protocol[2],
                 Announce(), protocol[3], protocol[4], protocol[5]]
-    vm.step([Situated(sender, 10.0, 0.0, 0.0, msg)
+    vm.step([Situated(sender, 10.0, 0.0, 0.0, (msg,))
              for sender, msg in enumerate(messages, start=1)])
     assert vm.faulted is None
     assert applied == protocol
     # every sender is heard, whatever it sent
     assert sorted(vm.neighbor_view.data) == list(range(1, 10))
+    # one record carries all that its sender got through, in send order
+    applied.clear()
+    vm.step([Situated(1, 10.0, 0.0, 0.0, tuple(messages)),
+             Situated(2, 20.0, 0.0, 0.0, (Announce(), protocol[2]))])
+    assert vm.faulted is None
+    assert applied == protocol + [protocol[2]]
+    assert sorted(vm.neighbor_view.data) == [1, 2]

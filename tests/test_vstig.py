@@ -434,7 +434,7 @@ function init() {
     for _ in range(4):
         outboxes = [vm.step(inbox)[0] for vm, inbox in zip(vms, inboxes)]
         # each robot hears the other
-        inboxes = [[Situated(sender, 10.0, 0.0, 0.0, sent.message)
+        inboxes = [[Situated(sender, 10.0, 0.0, 0.0, (sent.message,))
                     for sent in outbox]
                    for sender, outbox in zip((2, 1), reversed(outboxes))]
     bad, good = vms

@@ -6,10 +6,11 @@ import pytest
 import swarmlang
 from swarmlang.errors import WireError
 from swarmlang.values import MAX_DEPTH, Table
-from swarmlang.wire import (MSG_BCAST, TAG_INT, TAG_NIL, TAG_STRING,
-                            TAG_TABLE, Announce, Broadcast, Situated,
-                            SwarmJoin, SwarmLeave, SwarmList, VstigGet,
-                            VstigPut, decode_message, encode_message)
+from swarmlang.wire import (MSG_BCAST, MSG_VSTIG_PUT, TAG_FLOAT, TAG_INT,
+                            TAG_NIL, TAG_STRING, TAG_TABLE, Announce,
+                            Broadcast, Situated, SwarmJoin, SwarmLeave,
+                            SwarmList, VstigGet, VstigPut, decode_message,
+                            encode_message)
 
 
 def round_trip(sender, msg):
@@ -201,6 +202,109 @@ def test_mutated_messages_raise_only_wire_errors():
             pytest.fail(f"{type(exc).__name__} on {data.hex()}: {exc}")
 
 
+def _reference_value(data, pos, depth=0):
+    """A tagged value read with one `struct` format string per field."""
+    def need(n):
+        if pos + n > len(data):
+            raise WireError("truncated value")
+
+    if depth > MAX_DEPTH:
+        raise WireError("value nesting too deep to decode")
+    if pos >= len(data):
+        raise WireError("truncated value")
+    tag = data[pos]
+    pos += 1
+    if tag == TAG_NIL:
+        return None, pos
+    if tag in (TAG_INT, TAG_FLOAT):
+        need(8)
+        fmt = "<q" if tag == TAG_INT else "<d"
+        return struct.unpack_from(fmt, data, pos)[0], pos + 8
+    if tag in (TAG_STRING, TAG_TABLE):
+        need(4)
+        n = struct.unpack_from("<I", data, pos)[0]
+        pos += 4
+        if tag == TAG_STRING:
+            need(n)
+            try:
+                return data[pos:pos + n].decode("utf-8"), pos + n
+            except UnicodeDecodeError:
+                raise WireError("string is not valid UTF-8") from None
+        t = Table()
+        for _ in range(n):
+            key, pos = _reference_value(data, pos, depth + 1)
+            if key is None or type(key) is Table:
+                raise WireError("table key must be an int, float or string")
+            val, pos = _reference_value(data, pos, depth + 1)
+            t.set(key, val)
+        return t, pos
+    raise WireError(f"unknown value tag {tag}")
+
+
+def _generic_decode(data):
+    """A VSTIG_PUT/GET or BCAST envelope read field by field."""
+    if len(data) < 5:
+        raise WireError("truncated envelope")
+    sender_id, mtype = struct.unpack_from("<IB", data)
+    if len(data) < 7:
+        raise WireError("truncated value")
+    if mtype == MSG_BCAST:
+        n = struct.unpack_from("<H", data, 5)[0]
+        if 7 + n > len(data):
+            raise WireError("truncated value")
+        try:
+            key = data[7:7 + n].decode("utf-8")
+        except UnicodeDecodeError:
+            raise WireError("string is not valid UTF-8") from None
+        value, pos = _reference_value(data, 7 + n)
+        if pos != len(data):
+            raise WireError("trailing bytes after message body")
+        return sender_id, Broadcast(key, value)
+    vid = struct.unpack_from("<H", data, 5)[0]
+    key, pos = _reference_value(data, 7)
+    value, pos = _reference_value(data, pos)
+    if pos + 8 > len(data):
+        raise WireError("truncated value")
+    ts, rid = struct.unpack_from("<II", data, pos)
+    if pos + 8 != len(data):
+        raise WireError("trailing bytes after message body")
+    cls = VstigPut if mtype == MSG_VSTIG_PUT else VstigGet
+    return sender_id, cls(vid, key, value, ts, rid)
+
+
+def _outcome(decode, data):
+    """The re-encoded envelope, or the WireError text."""
+    try:
+        return encode_message(*decode(data))
+    except WireError as exc:
+        return str(exc)
+
+
+def test_value_decode_matches_the_reference_reader():
+    values = [0, -1, 2 ** 63 - 1, -2 ** 63, 1.5, -0.0, float("inf"), None,
+              "", "clé", "x" * 300, Table({1: "a", "b": Table({2.5: None})})]
+    corpus = [encode_message(7, cls(3, k, v, 9, 4))
+              for cls in (VstigPut, VstigGet) for k in values for v in values]
+    corpus += [encode_message(7, Broadcast(k, v))
+               for k in ("", "dïst") for v in values]
+    bad_utf8 = bytes([TAG_STRING]) + struct.pack("<I", 2) + b"\xc3\x28"
+    corpus.append(corpus[0][:7] + bad_utf8 + corpus[0][16:])
+    cases = []
+    for data in corpus:
+        cases += [data[:cut] for cut in range(len(data))]
+        cases += [data + b"\x00", data + data[5:]]
+    rng = random.Random(12)
+    for _ in range(20_000):
+        data = bytearray(rng.choice(corpus))
+        for _ in range(rng.randint(1, 3)):
+            data[rng.randrange(5, len(data))] = rng.choice(
+                [0, 1, 2, 3, 4, 5, 8, 255, rng.randrange(256)])
+        cases.append(bytes(data))
+    for data in cases:
+        assert _outcome(decode_message, data) == \
+            _outcome(_generic_decode, data), data.hex()
+
+
 @pytest.mark.parametrize("msg", [
     Broadcast("k", "\udc80"),
     Broadcast("\ud800k", 1),
@@ -215,19 +319,19 @@ def test_lone_surrogate_is_a_wire_error(msg):
 
 
 def test_situated_keeps_its_record_contract():
-    msg = Broadcast("k", 1)
-    by_position = Situated(3, 10.0, 0.5, 0.0, msg)
+    msgs = (Broadcast("k", 1),)
+    by_position = Situated(3, 10.0, 0.5, 0.0, msgs)
     by_keyword = Situated(sender_id=3, distance=10.0, azimuth=0.5,
-                          elevation=0.0, message=msg)
+                          elevation=0.0, msgs=msgs)
     assert by_position == by_keyword
     assert (by_position.sender_id, by_position.distance, by_position.azimuth,
-            by_position.elevation, by_position.message) == \
-        (3, 10.0, 0.5, 0.0, msg)
-    assert tuple(by_position) == (3, 10.0, 0.5, 0.0, msg)  # field order
+            by_position.elevation, by_position.msgs) == \
+        (3, 10.0, 0.5, 0.0, msgs)
+    assert tuple(by_position) == (3, 10.0, 0.5, 0.0, msgs)  # field order
     # the record delivery builds without calling Situated(...)
-    fast = tuple.__new__(Situated, (3, 10.0, 0.5, 0.0, msg))
+    fast = tuple.__new__(Situated, (3, 10.0, 0.5, 0.0, msgs))
     assert type(fast) is Situated and fast == by_position
-    assert fast.message is msg
+    assert fast.msgs is msgs
     with pytest.raises(AttributeError):
         by_position.distance = 1.0
     with pytest.raises(TypeError):
