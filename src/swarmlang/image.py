@@ -21,6 +21,7 @@ from .errors import ImageError
 from .opcodes import (CALL, CALLM, DONE, FUNC, JFKEEP, JTKEEP, JUMP, JUMPF,
                       LLOAD, LSTORE, MKCLOSURE, OPERANDS, RET, RETN, STACK,
                       ULOAD, USTORE)
+from .translate import translate
 
 MAGIC = b"SWBC"
 VERSION = 1
@@ -36,16 +37,18 @@ class Program(NamedTuple):
     `instrs[i]` is the (opcode, operand) pair of the i-th instruction and
     `offsets[i]` its code offset.  Jump operands are instruction indices,
     string/const operands are the pooled values, and MKCLOSURE operands
-    are (entry, nparams, nlocals) prototypes, so the dispatch loop never
-    touches the pools.  An instruction without operands carries None, one
-    with a single operand carries it bare, and ULOAD/USTORE carry
-    (depth - 1, slot), the index of the captured frame in the closure's env.
-    It holds no reference back to its image, so the pair is freed by
-    reference counting, not the cycle collector.
+    are (entry, nparams, nlocals) prototypes.  An instruction without
+    operands carries None, one with a single operand carries it bare, and
+    ULOAD/USTORE carry (depth - 1, slot), the index of the captured frame
+    in the closure's env.  `main` is the bootstrap translated to Python
+    (translate.py); the functions it creates hold their own translations.
+    It holds no reference back to its image, so it is freed by reference
+    counting, not the cycle collector.
     """
 
     instrs: list
     offsets: list
+    main: object
 
 
 @dataclass
@@ -206,11 +209,13 @@ _KEEPS = frozenset((JFKEEP, JTKEEP))  # keep the value on the jump
 
 
 def _verify(img):
-    """Decode and verify an image's code section into its Program.
+    """Decode, verify and translate an image's code section.
 
     One pass over the instructions resolves operands and checks the
     per-instruction rules; the closure tree and a stack-depth worklist
-    follow (docs/bytecode.md, "Verification").  Raises only ImageError.
+    follow (docs/bytecode.md, "Verification"), then the translation of
+    every function (docs/bytecode.md, "Execution").  Raises only
+    ImageError.
     """
     strings, consts = img.strings, img.consts
     for idx, _ in img.functions:
@@ -346,7 +351,7 @@ def _verify(img):
                   here if opcode in _KEEPS else after)
         if opcode not in _NO_FALL_THROUGH:
             _flow(depths, work, offsets, i + 1, after)
-    return Program(instrs, offsets)
+    return Program(instrs, offsets, translate(instrs, offsets, depths))
 
 
 def _flow(depths, work, offsets, i, depth):

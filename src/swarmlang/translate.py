@@ -1,0 +1,332 @@
+"""Translation of a verified code section into Python functions.
+
+Each region of the code section (the bootstrap and every function body)
+becomes one Python function, generated as source text, built with
+`compile()` once per image and shared by every VM on the image:
+
+    def fn(vm, env, l0=None, l1=None, ..., l<nparams>=None, *_)
+
+`env` is the closure's tuple of captured locals lists (innermost
+first), `l0` is `self` and l1..l<nparams> are the arguments: a missing
+argument is nil and extra ones are dropped.  The invariants the VM
+relies on are listed in vm.py and docs/bytecode.md, "Execution".  Here:
+
+- Stack slot d is the local `s<d>`, local slot k is `l<k>`, or `L[k]`
+  in a function that creates closures, and upvalue `depth slot` is
+  `env[depth - 1][slot]`.
+- Basic blocks are numbered by their first instruction; block k runs
+  while `b <= k`, so falling through needs no assignment, a forward jump
+  sets `b` and a backward one also continues the `while True` around
+  the blocks.
+- Every instruction, its fuel check first, has lines of its own, and
+  the line table maps each to (code offset, is a script call) for
+  `_unwind`.
+- The source holds no value from the image.  Strings, constants, the
+  functions MKCLOSURE creates and the line table reach the code only as
+  `K`, the constants tuple of its factory, so the text depends on the
+  shape of the code alone and one compiled factory serves every region
+  of the same shape.
+"""
+
+import functools
+
+from .errors import VmRuntimeError
+from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, FUNC, GLOAD,
+                      GSTORE, GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD,
+                      LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
+                      NOP, NOT, POP, POW, PUSHC, PUSHI, PUSHNIL, PUSHS, RET,
+                      RETN, SUB, TGET, TSET, ULOAD, USTORE)
+from .values import (HostClosure, NativeClosure, SwarmHandle, Table,
+                     VStigHandle, arith_add, arith_div, arith_mod, arith_mul,
+                     arith_neg, arith_pow, arith_sub, check_key, coerce,
+                     type_name, value_eq, value_lt, value_lte)
+
+
+def call_closure(vm, fn, args, self_val=None):
+    """Call closure value `fn` with the list `args`; returns its result.
+
+    This is `Vm.call_value`, and the CALL of a value that is not exactly
+    a NativeClosure or a HostClosure.
+    """
+    if isinstance(fn, NativeClosure):
+        return fn.code(vm, fn.env, self_val, *args)
+    if isinstance(fn, HostClosure):
+        return coerce(fn.fn(vm, self_val, args))
+    raise VmRuntimeError(f"called a {type_name(fn)} value")
+
+
+def _index(obj, key):
+    """TGET on anything but a table indexed by a string."""
+    if isinstance(obj, Table):
+        check_key(key)
+        return obj.get(key)
+    if isinstance(obj, (SwarmHandle, VStigHandle)):
+        return type(obj).METHODS.get(key) if type(key) is str else None
+    raise VmRuntimeError(f"indexing a {type_name(obj)} value")
+
+
+def _tset(obj, key, value):
+    """TSET off the string-key fast path."""
+    if not isinstance(obj, Table):
+        raise VmRuntimeError(f"cannot write into a {type_name(obj)} value")
+    obj.set(key, value)
+
+
+def _unwind(vm, exc, fuel, lines):
+    """Leave a generated function on error: sync fuel, attach a position.
+
+    `lines` maps a line of the function to (code offset, is a script
+    call).  A script call leaves its callee's exact fuel in `vm._fuel`;
+    anywhere else the function's own count is the one to keep.
+    """
+    offset, script_call = lines.get(exc.__traceback__.tb_lineno,
+                                    (None, False))
+    if not script_call:
+        vm._fuel = fuel
+    if offset is not None and isinstance(exc, VmRuntimeError) \
+            and exc.line is None:
+        pos = vm.image.position_at(offset)
+        if pos:
+            raise VmRuntimeError(exc.message, pos[1], pos[2],
+                                 pos[0]) from None
+
+
+# the names generated code uses besides its own locals and K
+_RUNTIME = {
+    "NativeClosure": NativeClosure, "HostClosure": HostClosure,
+    "Table": Table, "VmRuntimeError": VmRuntimeError,
+    "arith_add": arith_add, "arith_sub": arith_sub, "arith_mul": arith_mul,
+    "arith_div": arith_div, "arith_mod": arith_mod, "arith_pow": arith_pow,
+    "arith_neg": arith_neg, "value_eq": value_eq, "value_lt": value_lt,
+    "value_lte": value_lte, "index": _index, "tset": _tset,
+    "call_closure": call_closure, "unwind": _unwind,
+}
+
+_BRANCHES = (JUMP, JUMPF, JFKEEP, JTKEEP)
+_BUDGET = ("if (fuel := fuel - 1) <= 0: "
+           "raise VmRuntimeError('instruction budget exceeded')")
+
+
+def _float_fast(op, slow):
+    return (f"{{t2}} = {{t2}} {op} {{t1}} if type({{t2}}) is float and "
+            f"type({{t1}}) is float else {slow}({{t2}}, {{t1}})")
+
+
+# The lines of each instruction after its fuel check.  `push` is the slot
+# it pushes to, t1, t2 and t3 the top three slots it finds; `const` is
+# its operand's name in K, `local` and `up` its slot, `go` its jump and
+# `falsy` the test that t1 is nil or integer 0.  CALL and CALLM also get
+# the callee `f`, the receiver `self`, the result slot `out` and the
+# arguments `args`; their first line is the script call.
+_CODE = {
+    NOP: [], POP: [],
+    PUSHNIL: ["{push} = None"],
+    PUSHI: ["{push} = {const}"],
+    PUSHC: ["{push} = {const}"],
+    PUSHS: ["{push} = {const}"],
+    DUP: ["{push} = {t1}"],
+    LLOAD: ["{push} = {local}"],
+    LSTORE: ["{local} = {t1}"],
+    GLOAD: ["{push} = G.get({const})"],
+    GSTORE: ["G[{const}] = {t1}"],
+    ULOAD: ["{push} = {up}"],
+    USTORE: ["{up} = {t1}"],
+    MKTABLE: ["{push} = Table()"],
+    MKCLOSURE: ["{push} = NativeClosure({const}, (L,) + env)"],
+    TGET: ["if type({t2}) is Table and type({t1}) is str:",
+           "    t = {t2}.data.get({t1})",
+           "    {t2} = {t2}.methods.get({t1}) if t is None and "
+           "{t2}.methods is not None else t",
+           "else: {t2} = index({t2}, {t1})"],
+    TSET: ["if type({t3}) is Table and type({t2}) is str and {t1} is not "
+           "None: {t3}.data[{t2}] = {t1}",
+           "else: tset({t3}, {t2}, {t1})"],
+    ADD: [_float_fast("+", "arith_add")],
+    SUB: [_float_fast("-", "arith_sub")],
+    MUL: [_float_fast("*", "arith_mul")],
+    DIV: ["{t2} = {t2} / {t1} if type({t2}) is float and type({t1}) is "
+          "float and {t1} else arith_div({t2}, {t1})"],
+    MOD: ["{t2} = arith_mod({t2}, {t1})"],
+    # a float to an int power is a float, or an ArithmeticError that
+    # arith_pow reports as a power error
+    POW: ["if type({t2}) is float and type({t1}) is int:",
+          "    try: {t2} = {t2} ** {t1}",
+          "    except ArithmeticError: {t2} = arith_pow({t2}, {t1})",
+          "else: {t2} = arith_pow({t2}, {t1})"],
+    NEG: ["{t1} = -{t1} if type({t1}) is float else arith_neg({t1})"],
+    NOT: ["{t1} = 1 if {falsy} else 0"],
+    EQ: ["{t2} = 1 if value_eq({t2}, {t1}) else 0"],
+    NEQ: ["{t2} = 0 if value_eq({t2}, {t1}) else 1"],
+    LT: ["{t2} = 1 if value_lt({t2}, {t1}) else 0"],
+    LTE: ["{t2} = 1 if value_lte({t2}, {t1}) else 0"],
+    GT: ["{t2} = 1 if value_lt({t1}, {t2}) else 0"],
+    GTE: ["{t2} = 1 if value_lte({t1}, {t2}) else 0"],
+    JUMP: ["{go}"],
+    JUMPF: ["if {falsy}: {go}"],
+    JFKEEP: ["if {falsy}: {go}"],
+    JTKEEP: ["if not ({falsy}): {go}"],
+    CALL: ["if type({f}) is NativeClosure: vm._fuel = fuel; "
+           "{out} = {f}.code(vm, {f}.env, {self}{more}); fuel = vm._fuel",
+           "elif type({f}) is HostClosure:",
+           "    vm._fuel = fuel; {out} = {f}.fn(vm, {self}, [{args}]); "
+           "fuel = vm._fuel",
+           "    if {out} is True or {out} is False: {out} = int({out})",
+           "else: vm._fuel = fuel; {out} = call_closure(vm, {f}, [{args}], "
+           "{self}); fuel = vm._fuel"],
+    RET: ["vm.depth = d; vm._fuel = fuel; return {t1}"],
+    RETN: ["vm.depth = d; vm._fuel = fuel; return None"],
+}
+_CODE[CALLM] = _CODE[CALL]
+_CODE[DONE] = _CODE[RETN]
+
+
+class _Child:
+    """Stands in K for the function of the region at `entry`."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+
+def translate(instrs, offsets, depths):
+    """The bootstrap of a verified program as a Python function.
+
+    `instrs` and `offsets` are the Program's, `depths` the verifier's
+    stack depth per instruction (None where unreachable).  A region is
+    built only once the regions it creates are, so each MKCLOSURE finds
+    its function in K.
+    """
+    heads = [i for i, (opcode, _) in enumerate(instrs) if opcode == FUNC]
+    regions = {0: (heads[0] if heads else len(instrs), 0, 1)}
+    for head, end in zip(heads, heads[1:] + [len(instrs)]):
+        nparams, nlocals = instrs[head][1]
+        regions[head + 1] = (end, nparams, nlocals)
+    order, todo = [], [0]
+    while todo:  # creators before the regions they create
+        start = todo.pop()
+        order.append(start)
+        todo.extend(instrs[i][1][0] for i in range(start, regions[start][0])
+                    if instrs[i][0] == MKCLOSURE and depths[i] is not None)
+    built = {}
+    for start in reversed(order):
+        source, consts, lines = _generate(instrs, depths, start,
+                                          *regions[start])
+        consts = [built[c.entry] if type(c) is _Child else c
+                  for c in consts]
+        consts.append({n: (offsets[i], call) for n, (i, call)
+                       in lines.items()})
+        fn = _factory(source)(tuple(consts))
+        fn.__name__ = fn.__qualname__ = f"fn@{offsets[start]}"
+        built[start] = fn
+    return built[0]
+
+
+@functools.lru_cache(maxsize=512)
+def _factory(source):
+    namespace = dict(_RUNTIME)
+    exec(compile(source, "<swarmlang>", "exec"), namespace)
+    return namespace.pop("_mk")
+
+
+def _generate(instrs, depths, start, end, nparams, nlocals):
+    """(source, constants, line table) of the region [start, end).
+
+    A `_Child` constant stands for the function of the region at its
+    entry; the line table maps a source line to (instruction index,
+    is a script call).  The last constant, the line table with offsets,
+    is appended by the caller as k<len(constants)>.
+    """
+    reach = [i for i in range(start, end) if depths[i] is not None]
+    leaders, backward = set(), False
+    for i in reach:
+        opcode, arg = instrs[i]
+        if opcode in _BRANCHES:
+            leaders.add(arg)
+            backward = backward or arg <= i
+            if opcode != JUMP:
+                leaders.add(i + 1)
+    boot = start == 0
+    captures = any(instrs[i][0] == MKCLOSURE for i in reach)
+    nparams = min(nparams, max(nlocals - 1, 0))
+    consts = []
+    lines = []
+    where = {}  # line number -> (instruction index, is a script call)
+
+    def const(value):
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    params = ", ".join(f"l{k}=None" for k in range(nparams + 1))
+    lines += ["def _mk(K):", None, f"    def fn(vm, env, {params}, *_):",
+              "        d = vm.depth"]
+    if not boot:
+        lines.append("        if d >= vm.config.max_frames: "
+                     "raise VmRuntimeError('stack overflow')")
+    lines.append("        fuel = vm._fuel")
+    if any(instrs[i][0] in (GLOAD, GSTORE) for i in reach):
+        lines.append("        G = vm.globals")
+    for depth in sorted({instrs[i][1][0] for i in reach
+                         if instrs[i][0] in (ULOAD, USTORE)}):
+        lines.append(f"        e{depth} = env[{depth}]")
+    if captures:
+        rest = max(nlocals, 1) - nparams - 1
+        first = ", ".join(f"l{k}" for k in range(nparams + 1))
+        lines.append(f"        L = [{first}]"
+                     + (f" + [None] * {rest}" if rest > 0 else ""))
+    else:
+        others = sorted({instrs[i][1] for i in reach
+                         if instrs[i][0] in (LLOAD, LSTORE)
+                         and instrs[i][1] > nparams})
+        if others:
+            lines.append("        " + " = ".join(f"l{k}" for k in others)
+                         + " = None")
+    lines += ["        vm.depth = d + 1", "        try:"]
+    pad = " " * 12
+    if leaders:
+        lines.append(f"{pad}b = {start}")
+        if backward:
+            lines.append(f"{pad}while True:")
+            pad += "    "
+    body = pad
+    for i in reach:
+        if i in leaders or (leaders and i == reach[0]):
+            lines.append(f"{pad}if b <= {i}:")
+            body = pad + "    "
+        opcode, arg = instrs[i]
+        h = depths[i]
+        t1 = f"s{h - 1}"
+        fields = {"push": f"s{h}", "t1": t1, "t2": f"s{h - 2}",
+                  "t3": f"s{h - 3}",
+                  "falsy": f"{t1} is None or type({t1}) is int and {t1} == 0"}
+        if opcode in (PUSHI, PUSHC, PUSHS, GLOAD, GSTORE):
+            fields["const"] = const(arg)
+        elif opcode == MKCLOSURE:
+            fields["const"] = const(_Child(arg[0]))
+        elif opcode == LLOAD or opcode == LSTORE:
+            fields["local"] = f"L[{arg}]" if captures else f"l{arg}"
+        elif opcode == ULOAD or opcode == USTORE:
+            fields["up"] = f"e{arg[0]}[{arg[1]}]"
+        elif opcode in _BRANCHES:
+            fields["go"] = f"b = {arg}" + ("; continue" if arg <= i else "")
+        elif opcode == CALL or opcode == CALLM:
+            at = h - 1 - arg  # the callee's slot; CALLM's receiver below
+            args = ", ".join(f"s{k}" for k in range(at + 1, h))
+            fields.update(f=f"s{at}", args=args, more=", " * bool(args) + args)
+            if opcode == CALLM:
+                fields.update(self=f"s{at - 1}", out=f"s{at - 1}")
+            else:
+                fields.update(self="None", out=f"s{at}")
+        code = [_BUDGET] + [text.format(**fields) for text in _CODE[opcode]]
+        script_call = 1 if opcode == CALL or opcode == CALLM else None
+        for n, text in enumerate(code):
+            lines.append(body + text)
+            where[len(lines)] = (i, n == script_call)
+    lines += ["        except BaseException as exc:",
+              "            vm.depth = d",
+              f"            unwind(vm, exc, fuel, k{len(consts)})",
+              "            raise",
+              "    return fn", ""]
+    lines[1] = f"    {', '.join(f'k{n}' for n in range(len(consts) + 1))}, = K"
+    return "\n".join(lines), consts, where
+

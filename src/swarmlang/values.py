@@ -48,19 +48,20 @@ class Table:
 
 
 class NativeClosure:
-    """Script function: entry instruction index plus captured frames."""
+    """Script function: its translated code plus captured frames.
 
-    __slots__ = ("entry", "nparams", "nlocals", "env", "name")
+    `code(vm, env, self_value, *args)` is the Python function the image
+    built for the function body (see translate.py).
+    """
 
-    def __init__(self, entry, nparams, nlocals, env, name=None):
-        self.entry = entry
-        self.nparams = nparams
-        self.nlocals = nlocals
+    __slots__ = ("code", "env")
+
+    def __init__(self, code, env):
+        self.code = code
         self.env = env  # tuple of enclosing frames' locals lists
-        self.name = name
 
     def __repr__(self):
-        return f"NativeClosure({self.name or self.entry})"
+        return f"NativeClosure({self.code.__name__})"
 
 
 class HostClosure:

@@ -11,46 +11,46 @@ actuator bindings (phase 5).
 Runtime errors fault the VM: the error (with source position recovered
 from the image debug map) is stored and every later step is a no-op.
 
-Dispatch invariants of the interpreter loop (`Vm._run`):
+The script runs as Python: the image translates each function of its
+verified program once into one Python function (`translate.py`), which
+every VM on the image shares.  The invariants of that translation:
 
-- The running frame, its `ip` and its locals list are cached in Python
-  locals.  `frame.ip` is written back only when a call leaves the loop
-  (a script call switches frames, a host call may re-enter), on return,
-  and when an error propagates, so the fault position is the instruction
-  at `ip - 1` of the innermost frame.
+- Stack slot d of a function is the Python local `s<d>`, and a function
+  that creates no closure keeps its local slots as Python locals; one
+  that does keeps them in the list its closures capture.
+- Jumps become a loop over basic blocks.  Unreachable code is not
+  emitted; the verifier's rules (no pop below the frame base, every slot
+  and jump target in range, no FUNC header or unknown opcode reached) are
+  why the generated code checks none of them.
 - Fuel is exact: each source instruction costs one unit, charged and
-  checked before it runs.  The remaining fuel lives in a local and is
-  synced to `self._fuel` around every host call and on exit.
-- Script-to-script calls push their frame inside the loop.  Host code
-  enters the script only through `Vm.call_value` (listeners, `reduce` and
-  the other neighbor methods, swarm and stigmergy callbacks, `init` and
-  `step`), which runs a nested loop down to its own frame.
-- The program is the image's verified decode (`image.program`, built
-  once per `BytecodeImage` and shared by every VM on it).  Verification
-  guarantees that no instruction pops below its frame base, every local
-  and upvalue slot exists, every jump lands inside its own function, and
-  no FUNC header or unknown opcode is ever reached, so the loop checks
-  none of these.
+  checked before it runs.  It lives in a Python local of the running
+  function and is synced through `self._fuel` around every script and
+  host call.
+- `self.depth` counts the script functions running.  A call that would
+  make it exceed `config.max_frames` faults with "stack overflow" at the
+  call site; the counter is back at its old value after every call,
+  returned or raised.
+- A fault reports the source position of the instruction that raised:
+  each instruction has its own lines in the generated source, and the
+  traceback's line number in the innermost generated frame names it.
+- Script-to-script calls call the callee's Python function directly.
+  Host code enters the script only through `Vm.call_value`, which does
+  the same, so a script level costs one Python frame, and a host method
+  that calls back (`reduce`, swarm `exec`) costs FRAMES_PER_LEVEL.
 """
 
 import builtins
 import math as _math
+import sys
 from dataclasses import dataclass
 
-from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD, GSTORE,
-                      GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD, LSTORE, LT,
-                      LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ, NOP, NOT,
-                      POP, POW, PUSHNIL, PUSHS, RET, RETN, SUB, TGET, TSET,
-                      ULOAD, USTORE)
 from .errors import VmError, VmRuntimeError, WireError
 from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
-from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
-                     Table, VStigHandle, arith_add, arith_div, arith_mod,
-                     arith_mul, arith_neg, arith_pow, arith_sub, check_int64,
-                     check_key, coerce, copy_value, is_number, is_truthy,
-                     to_display, type_name, value_eq, value_lt, value_lte)
+from .translate import call_closure
+from .values import (CLOSURES, HostClosure, SwarmHandle, Table, check_int64,
+                     coerce, copy_value, to_display)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -70,14 +70,15 @@ class SentMessage:
     raw: bytes
 
 
-class _Frame:
-    __slots__ = ("ip", "locals", "env", "base")
-
-    def __init__(self, ip, locals_, env, base):
-        self.ip = ip
-        self.locals = locals_
-        self.env = env
-        self.base = base
+# Python frames per script level, at worst: a host method that calls
+# back into the script (`neighbors.reduce`, swarm `exec`) puts itself and
+# `call_value` between two generated functions.  `python tests/test_vm.py`
+# measures each chain.  A VM refuses a max_frames whose levels would
+# leave fewer than HOST_FRAMES of the interpreter's recursion limit to the
+# host's own stack, so a script's recursion ends in "stack overflow", not
+# in RecursionError.
+FRAMES_PER_LEVEL = 3
+HOST_FRAMES = 250
 
 
 def _hc_print(vm, _self, args):
@@ -85,9 +86,11 @@ def _hc_print(vm, _self, args):
 
 
 def _num(args, i, name):
-    if i >= len(args) or not is_number(args[i]):
-        raise VmRuntimeError(f"math.{name} expects numeric arguments")
-    return args[i]
+    if i < len(args):
+        value = args[i]
+        if type(value) is float or type(value) is int:
+            return value
+    raise VmRuntimeError(f"math.{name} expects numeric arguments")
 
 
 _MATH_METHODS = {
@@ -117,11 +120,15 @@ class Vm:
         self._announce = SentMessage(Announce(),
                                      encode_message(robot_id, Announce()))
         self.config = config or VmConfig()
+        levels = (sys.getrecursionlimit() - HOST_FRAMES) // FRAMES_PER_LEVEL
+        if self.config.max_frames > levels:
+            raise VmError(f"max_frames {self.config.max_frames} needs more "
+                          f"Python frames than the recursion limit allows "
+                          f"(at most {levels})")
         self.print_sink = print_sink or builtins.print
 
         self.globals = {}
-        self.frames = []
-        self.stack = []
+        self.depth = 0  # script functions running; see config.max_frames
         self.swarm_stack = []
         self.step_count = 0
         self.faulted = None
@@ -301,7 +308,7 @@ class Vm:
     def _execute(self):
         # phase 3
         if self.step_count == 1:
-            self._run_toplevel()
+            self.program.main(self, ())
             init = self.globals.get("init")
             if isinstance(init, CLOSURES):
                 self.call_value(init, [])
@@ -332,245 +339,10 @@ class Vm:
             del queue[slot]
         return outbox
 
-    # --- interpreter ------------------------------------------------------
+    # --- script calls ----------------------------------------------------
 
-    def _run_toplevel(self):
-        root = _Frame(0, [None], (), len(self.stack))
-        self.frames.append(root)
-        self._run(len(self.frames) - 1)
-
-    def call_value(self, fn, args, self_val=None):
-        """Synchronously call a closure value; returns its result.
-
-        Every entry from host code into the script comes through here.
-        """
-        floor = len(self.frames)
-        stack_floor = len(self.stack)
-        try:
-            if isinstance(fn, NativeClosure):
-                self._push_frame(fn, self_val, args)
-                self._run(floor)
-                return self.stack.pop()
-            if isinstance(fn, HostClosure):
-                return coerce(fn.fn(self, self_val, args))
-            raise VmRuntimeError(f"called a {type_name(fn)} value")
-        except BaseException:
-            del self.frames[floor:]
-            del self.stack[stack_floor:]
-            raise
-
-    def _push_frame(self, fn, self_val, args):
-        # the CALL/CALLM arm of _run builds the same frame in place
-        if len(self.frames) >= self.config.max_frames:
-            raise VmRuntimeError("stack overflow")
-        locals_ = [None] * max(fn.nlocals, len(args) + 1)
-        locals_[0] = self_val
-        take = min(len(args), fn.nparams)
-        locals_[1:take + 1] = args[:take]
-        self.frames.append(_Frame(fn.entry, locals_, fn.env,
-                                  len(self.stack)))
-
-    def _run(self, floor):
-        # Run frames until the one at index `floor` returns.  The running
-        # frame's ip and locals live in Python locals (see the module
-        # docstring); the handler at the end reports errors at ip - 1.
-        frames = self.frames
-        stack = self.stack
-        push = stack.append
-        pop = stack.pop
-        instrs = self.program.instrs
-        globals_ = self.globals
-        max_frames = self.config.max_frames
-        fuel = self._fuel
-        frame = frames[-1]
-        ip = frame.ip
-        locals_ = frame.locals
-        try:
-            while True:
-                opcode, arg = instrs[ip]
-                ip += 1
-                fuel -= 1
-                if fuel <= 0:
-                    raise VmRuntimeError("instruction budget exceeded")
-
-                # arms in measured order of frequency
-                if opcode == LLOAD:
-                    push(locals_[arg])
-                elif PUSHNIL <= opcode <= PUSHS:
-                    push(arg)  # PUSHNIL carries None
-                elif opcode == TGET:
-                    key = pop()
-                    obj = pop()
-                    if type(obj) is Table and type(key) is str:
-                        value = obj.data.get(key)
-                        if value is None and obj.methods is not None:
-                            value = obj.methods.get(key)
-                        push(value)
-                    else:
-                        push(_index(obj, key))
-                elif opcode == GLOAD:
-                    push(globals_.get(arg))
-                elif opcode == DUP:
-                    push(stack[-1])
-                elif opcode == CALL or opcode == CALLM:
-                    if arg:
-                        call_args = stack[-arg:]
-                        del stack[-arg:]
-                    else:
-                        call_args = []
-                    fn = pop()
-                    self_val = pop() if opcode == CALLM else None
-                    if isinstance(fn, NativeClosure):
-                        # the frame _push_frame builds, without the call
-                        if len(frames) >= max_frames:
-                            raise VmRuntimeError("stack overflow")
-                        frame.ip = ip
-                        locals_ = [None] * max(fn.nlocals, arg + 1)
-                        locals_[0] = self_val
-                        take = min(arg, fn.nparams)
-                        locals_[1:take + 1] = call_args[:take]
-                        ip = fn.entry
-                        frame = _Frame(ip, locals_, fn.env, len(stack))
-                        frames.append(frame)
-                    elif isinstance(fn, HostClosure):
-                        # host code may re-enter call_value, which reads
-                        # and leaves the remaining fuel in self._fuel
-                        frame.ip = ip
-                        self._fuel = fuel
-                        result = fn.fn(self, self_val, call_args)
-                        fuel = self._fuel
-                        push(coerce(result))
-                    else:
-                        raise VmRuntimeError(
-                            f"called a {type_name(fn)} value")
-                elif opcode == ADD:
-                    b = pop()
-                    a = stack[-1]
-                    if type(a) is float and type(b) is float:
-                        stack[-1] = a + b
-                    else:
-                        stack[-1] = arith_add(a, b)
-                elif opcode == MUL:
-                    b = pop()
-                    a = stack[-1]
-                    if type(a) is float and type(b) is float:
-                        stack[-1] = a * b
-                    else:
-                        stack[-1] = arith_mul(a, b)
-                elif opcode == DIV:
-                    b = pop()
-                    a = stack[-1]
-                    if type(a) is float and type(b) is float and b:
-                        stack[-1] = a / b  # b == 0 raises on the slow path
-                    else:
-                        stack[-1] = arith_div(a, b)
-                elif opcode == SUB:
-                    b = pop()
-                    a = stack[-1]
-                    if type(a) is float and type(b) is float:
-                        stack[-1] = a - b
-                    else:
-                        stack[-1] = arith_sub(a, b)
-                elif opcode == POW:
-                    b = pop()
-                    stack[-1] = arith_pow(stack[-1], b)
-                elif opcode == NEG:
-                    stack[-1] = arith_neg(stack[-1])
-                elif opcode == RET or opcode == RETN or opcode == DONE:
-                    value = pop() if opcode == RET else None
-                    done = frames.pop()
-                    del stack[done.base:]
-                    if opcode != DONE:
-                        push(value)
-                    if len(frames) <= floor:
-                        break
-                    frame = frames[-1]
-                    ip = frame.ip
-                    locals_ = frame.locals
-                elif opcode == LSTORE:
-                    locals_[arg] = pop()
-                elif opcode == TSET:
-                    value = pop()
-                    key = pop()
-                    obj = pop()
-                    if not isinstance(obj, Table):
-                        raise VmRuntimeError(
-                            f"cannot write into a {type_name(obj)} value")
-                    obj.set(key, value)
-                elif opcode == GSTORE:
-                    globals_[arg] = pop()
-                elif opcode == POP:
-                    pop()
-                elif opcode == JUMPF:
-                    if not is_truthy(pop()):
-                        ip = arg
-                elif opcode == JUMP:
-                    ip = arg
-                elif opcode == MKCLOSURE:
-                    entry, nparams, nlocals = arg
-                    push(NativeClosure(entry, nparams, nlocals,
-                                       (locals_,) + frame.env))
-                elif opcode == EQ:
-                    b = pop()
-                    stack[-1] = 1 if value_eq(stack[-1], b) else 0
-                elif opcode == NEQ:
-                    b = pop()
-                    stack[-1] = 0 if value_eq(stack[-1], b) else 1
-                elif opcode == LT:
-                    b = pop()
-                    stack[-1] = 1 if value_lt(stack[-1], b) else 0
-                elif opcode == LTE:
-                    b = pop()
-                    stack[-1] = 1 if value_lte(stack[-1], b) else 0
-                elif opcode == GT:
-                    b = pop()
-                    stack[-1] = 1 if value_lt(b, stack[-1]) else 0
-                elif opcode == GTE:
-                    b = pop()
-                    stack[-1] = 1 if value_lte(b, stack[-1]) else 0
-                elif opcode == NOT:
-                    stack[-1] = 0 if is_truthy(stack[-1]) else 1
-                elif opcode == MOD:
-                    b = pop()
-                    stack[-1] = arith_mod(stack[-1], b)
-                elif opcode == JFKEEP:
-                    if is_truthy(stack[-1]):
-                        pop()
-                    else:
-                        ip = arg
-                elif opcode == JTKEEP:
-                    if is_truthy(stack[-1]):
-                        ip = arg
-                    else:
-                        pop()
-                elif opcode == ULOAD:
-                    depth, slot = arg
-                    push(frame.env[depth][slot])
-                elif opcode == USTORE:
-                    depth, slot = arg
-                    frame.env[depth][slot] = pop()
-                elif opcode == MKTABLE:
-                    push(Table())
-                elif opcode == NOP:
-                    pass
-        except BaseException as exc:
-            frame.ip = ip
-            self._fuel = fuel
-            if isinstance(exc, VmRuntimeError) and exc.line is None:
-                pos = self.image.position_at(self.program.offsets[ip - 1])
-                if pos:
-                    raise VmRuntimeError(exc.message, pos[1], pos[2],
-                                         pos[0]) from None
-            raise
-        self._fuel = fuel
-
-
-def _index(obj, key):
-    """TGET on anything but a table indexed by a string."""
-    if isinstance(obj, Table):
-        check_key(key)
-        return obj.get(key)
-    if isinstance(obj, (SwarmHandle, VStigHandle)):
-        return type(obj).METHODS.get(key) if type(key) is str else None
-    raise VmRuntimeError(f"indexing a {type_name(obj)} value")
-
+    # Every entry from host code into the script comes through here
+    # (listeners, `reduce` and the other neighbor methods, swarm and
+    # stigmergy callbacks, `init`, `step`, `destroy`); it calls the
+    # closure's translated code with no frame of its own in between.
+    call_value = call_closure

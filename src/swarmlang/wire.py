@@ -48,7 +48,13 @@ class SwarmList:
     swarm_ids: list  # complete membership of the sender
 
 
-@dataclass(frozen=True)
+# Stigmergy messages are not frozen: decoding builds one per message, and
+# a frozen dataclass sets each field through object.__setattr__, about
+# four times the cost of a slots one.  Nothing changes a message after it
+# is built (every receiver of a sender shares the decoded one;
+# tests/test_sim.py pins this).  Equality is by value within one type, so
+# a PUT never equals a GET with the same fields.
+@dataclass(slots=True)
 class VstigPut:
     vstig_id: int
     key: object
@@ -57,7 +63,7 @@ class VstigPut:
     robot_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class VstigGet:
     vstig_id: int
     key: object

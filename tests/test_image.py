@@ -239,8 +239,12 @@ def bundled_image_bytes(name):
     return data
 
 
-def host_crash(data):
-    """Load `data` and run it for 3 steps; describe any escape, else None."""
+def host_crash(data, stepped=None):
+    """Load `data` and run it for 3 steps; describe any escape, else None.
+
+    A mutant that loads runs its steps in the translated code, and is
+    counted in the list `stepped` when one is given.
+    """
     stage = "decode"
     try:
         img = BytecodeImage.decode(data)
@@ -249,6 +253,8 @@ def host_crash(data):
         stage = "step"
         for _ in range(3):
             vm.step([])  # a script error faults this VM and returns
+        if stepped is not None:
+            stepped.append(vm.faulted is None)
     except ImageError:
         if stage != "decode":
             return f"ImageError in {stage}"
@@ -259,7 +265,7 @@ def host_crash(data):
 
 def test_mutated_images_never_crash_the_host():
     # seed 7: 3,000 copies per bundled script, 1-4 random bytes overwritten
-    escapes = {}
+    escapes, stepped = {}, []
     for name in SCRIPTS:
         data = bundled_image_bytes(name)
         rng = random.Random(7)
@@ -267,11 +273,14 @@ def test_mutated_images_never_crash_the_host():
             bad = bytearray(data)
             for _ in range(rng.randint(1, 4)):
                 bad[rng.randrange(len(bad))] = rng.randrange(256)
-            crash = host_crash(bytes(bad))
+            crash = host_crash(bytes(bad), stepped)
             if crash:
                 key = f"{name}: {crash}"
                 escapes[key] = escapes.get(key, 0) + 1
     assert escapes == {}
+    # about a third load and run 3 steps of translated code; most of
+    # those run them without a fault
+    assert len(stepped) > 5000 and sum(stepped) > 2500
 
 
 def splice(text, rng):
@@ -319,6 +328,57 @@ def test_any_mutated_image_loads_cleanly_or_faults_one_robot(name, edits):
     for where, byte in edits:
         bad[int(where * len(bad))] = byte
     assert host_crash(bytes(bad)) is None
+
+
+# Python source, quotes, backslashes, line breaks and NULs, and names the
+# generated code itself uses: each must stay a string
+HOSTILE = ["'); import os; os._exit(3) #", '"""\nraise SystemExit(4)\n"""',
+           "\\' \\\" \\n \\x00", "one\ntwo\r\nthree\x0b",
+           "nul\x00byte\x00", "{__import__('os').getpid()}", "k0", "fuel",
+           "vm", "s0", "G", "env", "__builtins__"]
+
+
+def hostile_image():
+    """An image whose string pool holds HOSTILE as global and function
+    names, string constants and table keys, and their expected globals."""
+    slots = range(len(HOSTILE))
+    source = "".join(f"function fname{i}() {{ return \"value{i}\" }}\n"
+                     f"t[\"key{i}\"] = fname{i}()\n" for i in slots)
+    img = compile_and_link("t = {}\n" + source)
+    swap = {}
+    for i, text in enumerate(HOSTILE):
+        swap.update({f"fname{i}": text, f"value{i}": text + "!",
+                     f"key{i}": "#" + text})
+    assert set(swap) <= set(img.strings)
+    img.strings = [swap.get(s, s) for s in img.strings]
+    return BytecodeImage.decode(img.encode())
+
+
+def test_hostile_strings_stay_data(monkeypatch):
+    sources = []
+    real = image_mod.translate.__globals__["_factory"]
+
+    def spy(source):
+        sources.append(source)
+        return real(source)
+
+    monkeypatch.setitem(image_mod.translate.__globals__, "_factory", spy)
+    img = hostile_image()
+    assert sources  # the image was translated here, not taken from a cache
+    vm = Vm(img, 0)
+    vm.step([])
+    vm.step([])
+    assert vm.faulted is None
+    table = vm.get_global("t").data
+    for text in HOSTILE:
+        assert type(vm.get_global(text)).__name__ == "NativeClosure"
+        assert table["#" + text] == text + "!"
+        assert vm.call_function(text) == text + "!"
+        assert img.function_offsets()[text]
+    assert len(table) == len(HOSTILE)
+    for source in sources:  # constants reach the code only through K
+        assert not any(text in source for text in HOSTILE[:6])
+        assert "value" not in source and "key" not in source
 
 
 def test_one_decode_serves_every_vm_on_an_image(monkeypatch):

@@ -8,6 +8,7 @@ envelope and the order of what stays queued must be identical.
 """
 
 import random
+from dataclasses import fields
 
 from swarmlang.linker import compile_and_link
 from swarmlang.swarms import enqueue_swarm_message
@@ -131,7 +132,8 @@ def _enqueue(vm, msg):
 def _signature(messages):
     # tell 1 from 1.0 and one table from an equal other one
     return [(type(m), [(type(v), id(v) if isinstance(v, Table) else v)
-                       for v in vars(m).values()]) for m in messages]
+                       for v in (getattr(m, f.name) for f in fields(m))])
+            for m in messages]
 
 
 def test_keyed_queue_matches_list_model():

@@ -174,6 +174,32 @@ def _check_against_per_pair_model(drop_prob, topo, outboxes, rng, model_rng):
     return got
 
 
+def test_received_messages_are_shared_and_never_mutated(monkeypatch):
+    # barrier at P=0 floods stigmergy PUTs and GETs over every link
+    delivered = []
+    real = runner.deliver
+
+    def recording(drop_prob, topology, outboxes, rng):
+        inboxes = real(drop_prob, topology, outboxes, rng)
+        shared, sent = {}, {}
+        for inbox in inboxes:
+            for sm in inbox:  # every receiver holds the one decoded tuple
+                assert shared.setdefault(sm.sender_id, sm.msgs) is sm.msgs
+                for msg in sm.msgs:
+                    sent[id(msg)] = (sm.sender_id, msg,
+                                     encode_message(sm.sender_id, msg))
+        delivered.extend(sent.values())
+        return inboxes
+
+    monkeypatch.setattr(runner, "deliver", recording)
+    run(SimulationConfig(n_robots=30, seed=3, max_steps=12), build_barrier())
+    # every receiver has ingested them: each still encodes as it arrived
+    for sender, msg, raw in delivered:
+        assert encode_message(sender, msg) == raw
+    kinds = {type(msg) for _, msg, _ in delivered}
+    assert {VstigPut, VstigGet} <= kinds
+
+
 @pytest.mark.parametrize("n", [1, 7, 60])
 @pytest.mark.parametrize("drop_prob", [0.0, 0.3, 0.75, 1.0])
 def test_deliver_matches_per_pair_model(n, drop_prob):

@@ -1,9 +1,12 @@
+import sys
+import threading
+
 import pytest
 
 from swarmlang.errors import VmError, VmRuntimeError
 from swarmlang.linker import compile_and_link
 from swarmlang.values import HostClosure
-from swarmlang.vm import Vm, VmConfig
+from swarmlang.vm import FRAMES_PER_LEVEL, HOST_FRAMES, Vm, VmConfig
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
                             SwarmLeave, SwarmList, VstigGet, VstigPut,
                             decode_message)
@@ -232,7 +235,7 @@ def test_deep_recursion_faults_as_stack_overflow():
 def test_operand_stack_empty_between_statements():
     vm = build_vm("a = 1\nf = function() { return 2 }\nb = f()\nc = a + b")
     vm.step([])
-    assert vm.stack == []
+    assert vm.depth == 0  # every call returned through its depth count
     assert vm.get_global("c") == 3
 
 
@@ -331,7 +334,7 @@ def test_fault_inside_closure_reports_its_own_line(src, inbox, line, col):
     vm = _second_step(src, inbox)
     assert vm.faulted.message == "cannot apply '+' to int and nil"
     assert (vm.faulted.line, vm.faulted.col) == (line, col)
-    assert vm.frames == [] and vm.stack == []
+    assert vm.depth == 0  # the fault unwound every script level
 
 
 @pytest.mark.parametrize("src, inbox", [
@@ -359,6 +362,115 @@ def test_recursion_overflows_at_exactly_max_frames(src, inbox, max_frames):
     assert vm.faulted.line == 4
     # the step frame plus one frame per level of f fill max_frames
     assert vm.get_global("depth") == max_frames - 1
+
+
+# --- the Python frames a script level costs --------------------------------
+#
+# Each chain recurses until max_frames stops it; `probe()` records how
+# many Python frames are live at each level.  `python tests/test_vm.py`
+# prints the figures FRAMES_PER_LEVEL is set from.
+
+FRAME_CHAINS = {
+    "direct": ("""
+function f(n) {
+  depth = n
+  probe()
+  f(n + 1)
+}
+function step() { f(1) }
+""", []),
+    "reduce": ("""
+function f(rid, data, n) {
+  depth = n
+  probe()
+  return neighbors.reduce(f, n + 1)
+}
+function step() { neighbors.reduce(f, 1) }
+""", NEIGHBORS[:1]),
+    "listener": ("""
+function h(key, value, sender) {
+  depth = value
+  probe()
+  h(key, value + 1, sender)
+}
+function init() { neighbors.listen("k", h) }
+""", [Situated(3, 100.0, 0.0, 0.0, (Broadcast("k", 1),))]),
+}
+
+# the depth global when "stack overflow" stops each chain: the step
+# function is the first level of direct and reduce, the listener itself
+# the first of listener
+OVERFLOW_DEPTH = {"direct": -1, "reduce": -1, "listener": 0}
+
+
+def _python_frames():
+    frame, n = sys._getframe(1), 0
+    while frame is not None:
+        frame, n = frame.f_back, n + 1
+    return n
+
+
+def run_chain(name, max_frames=VmConfig.max_frames):
+    """Drive chain `name` to its overflow: (vm, Python frames per level)."""
+    src, inbox = FRAME_CHAINS[name]
+    frames = []
+    vm = build_vm(src, config=VmConfig(max_frames=max_frames))
+    vm.register_function("probe", lambda _vm, _args: frames.append(
+        _python_frames()))
+    vm.step([])
+    vm.step(inbox)
+    return vm, frames
+
+
+def chain_frames(name):
+    """(Python frames at the deepest level, frames per script level)."""
+    _, frames = run_chain(name)
+    steps = {b - a for a, b in zip(frames, frames[1:])}
+    assert len(steps) == 1  # every level costs the same
+    return frames[-1], steps.pop()
+
+
+@pytest.mark.parametrize("name", FRAME_CHAINS)
+def test_a_script_level_costs_at_most_frames_per_level(name):
+    assert chain_frames(name)[1] <= FRAMES_PER_LEVEL
+
+
+@pytest.mark.parametrize("in_thread", [False, True], ids=["main", "thread"])
+@pytest.mark.parametrize("name", FRAME_CHAINS)
+def test_default_max_frames_overflows_without_recursion_error(name,
+                                                              in_thread):
+    out = {}
+
+    def drive():
+        try:
+            out["vm"] = run_chain(name)[0]
+        except BaseException as exc:  # reported below, not swallowed
+            out["error"] = exc
+
+    if in_thread:
+        worker = threading.Thread(target=drive)
+        worker.start()
+        worker.join()
+    else:
+        drive()
+    assert "error" not in out, repr(out.get("error"))
+    vm = out["vm"]
+    assert isinstance(vm.faulted, VmRuntimeError)
+    assert vm.faulted.message == "stack overflow"
+    assert vm.faulted.line == 5  # the recursive call
+    max_frames = VmConfig.max_frames
+    assert vm.get_global("depth") == max_frames + OVERFLOW_DEPTH[name]
+    assert vm.depth == 0
+
+
+def test_max_frames_beyond_the_recursion_limit_is_refused():
+    levels = (sys.getrecursionlimit() - HOST_FRAMES) // FRAMES_PER_LEVEL
+    image = compile_and_link("x = 1")
+    assert VmConfig.max_frames <= levels
+    for fits in (30, 31, 50, levels):  # the values in use, and the bound
+        Vm(image, 0, VmConfig(max_frames=fits))
+    with pytest.raises(VmError, match="recursion limit"):
+        Vm(image, 0, VmConfig(max_frames=levels + 1))
 
 
 @pytest.mark.parametrize("src", [
@@ -410,3 +522,17 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
     assert vm.faulted is None
     assert applied == protocol + [protocol[2]]
     assert sorted(vm.neighbor_view.data) == [1, 2]
+
+
+if __name__ == "__main__":
+    # Python frames per script level of each chain, from which
+    # FRAMES_PER_LEVEL and the max_frames bound are set
+    limit = sys.getrecursionlimit()
+    print(f"max_frames {VmConfig.max_frames}, FRAMES_PER_LEVEL "
+          f"{FRAMES_PER_LEVEL}, HOST_FRAMES {HOST_FRAMES}, recursion limit "
+          f"{limit}: max_frames may be at most "
+          f"{(limit - HOST_FRAMES) // FRAMES_PER_LEVEL}")
+    print(f"{'chain':10} {'deepest':>7} {'per level':>9}")
+    for name in FRAME_CHAINS:
+        deepest, per_level = chain_frames(name)
+        print(f"{name:10} {deepest:7} {per_level:9}")

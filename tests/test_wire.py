@@ -340,3 +340,26 @@ def test_situated_keeps_its_record_contract():
         Situated(3, 10.0, 0.5, 0.0)  # every field is required
     assert swarmlang.Situated is Situated
     assert "Situated" in swarmlang.__all__
+
+
+VSTIG_FIELDS = (1, "k", 2.5, 7, 3)
+
+
+def test_a_vstig_put_never_equals_a_get_with_the_same_fields():
+    put, get = VstigPut(*VSTIG_FIELDS), VstigGet(*VSTIG_FIELDS)
+    assert put != get and get != put
+    assert not put == get and not get == put
+    assert put != VSTIG_FIELDS and VSTIG_FIELDS != put  # nor a plain tuple
+    assert round_trip(4, put) != round_trip(4, get)
+
+
+@pytest.mark.parametrize("cls", [VstigPut, VstigGet])
+def test_vstig_messages_compare_by_value_within_a_type(cls):
+    msg = cls(*VSTIG_FIELDS)
+    assert msg == cls(*VSTIG_FIELDS) and not msg != cls(*VSTIG_FIELDS)
+    decoded = round_trip(4, msg)
+    assert type(decoded) is cls and decoded == msg
+    for i in range(len(VSTIG_FIELDS)):
+        other = list(VSTIG_FIELDS)
+        other[i] = 9
+        assert msg != cls(*other) and not msg == cls(*other)
