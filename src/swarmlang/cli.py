@@ -17,7 +17,7 @@ from .lexer import read_source
 from .linker import compile_and_link
 from .values import to_display
 from .vm import Vm
-from .sim.config import SimulationConfig
+from .sim.config import PlacementError, SimulationConfig
 from .sim.experiments import BUILDERS, ORACLES, experiment_for
 from .sim.runner import run as run_sim
 from .sim.sweep import experiment_sweep, write_outputs
@@ -43,6 +43,9 @@ def main(argv=None):
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except PlacementError as exc:  # --robots and --density do not fit
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def build_parser():
@@ -203,14 +206,16 @@ def cmd_sweep(args):
         p_grid = _float_list(args.drop_prob)
         if not n_grid or not p_grid:
             raise SwarmlangError("empty N or P grid")
-        if any(n < 1 for n in n_grid):
-            raise SwarmlangError("robot counts must be positive")
-        if any(not 0 <= p <= 1 for p in p_grid):
-            raise SwarmlangError("drop probabilities must be within [0, 1]")
+        for n in n_grid:
+            for p in p_grid:
+                SimulationConfig(n_robots=n, drop_prob=p,
+                                 max_steps=args.max_steps,
+                                 density=args.density,
+                                 comm_range=args.comm_range)
         experiment_for(args.script, args.readout, args.convergence)
     except SourceError:
         raise  # a diagnostic in the script, not in the command line
-    except SwarmlangError as exc:
+    except (SwarmlangError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     rows, summary = experiment_sweep(

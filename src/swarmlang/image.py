@@ -10,6 +10,9 @@ Layout (all integers little-endian; see docs/bytecode.md):
     debug:     u32 count, then per entry u32 offset + u32 line + u32 col
                + u32 origin-string-index
     code:      u32 byte-length + instruction stream
+
+`decode` and `asm.assemble` verify the code section; `BytecodeImage.main`
+translates it (translate.py) when the image's first VM is created.
 """
 
 import struct
@@ -18,7 +21,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ImageError
-from .opcodes import (CALL, CALLM, DONE, FUNC, JFKEEP, JTKEEP, JUMP, JUMPF,
+from .opcodes import (BRANCHES, CALL, CALLM, DONE, FUNC, JFKEEP, JTKEEP, JUMP,
                       LLOAD, LSTORE, MKCLOSURE, OPERANDS, RET, RETN, STACK,
                       ULOAD, USTORE)
 from .translate import translate
@@ -32,23 +35,24 @@ TAG_FLOAT = 1
 
 
 class Program(NamedTuple):
-    """A verified code section in the form the VM runs.
+    """A verified code section: what translate.py builds the VM's code from.
 
-    `instrs[i]` is the (opcode, operand) pair of the i-th instruction and
-    `offsets[i]` its code offset.  Jump operands are instruction indices,
-    string/const operands are the pooled values, and MKCLOSURE operands
-    are (entry, nparams, nlocals) prototypes.  An instruction without
-    operands carries None, one with a single operand carries it bare, and
-    ULOAD/USTORE carry (depth - 1, slot), the index of the captured frame
-    in the closure's env.  `main` is the bootstrap translated to Python
-    (translate.py); the functions it creates hold their own translations.
-    It holds no reference back to its image, so it is freed by reference
-    counting, not the cycle collector.
+    `instrs[i]` is the (opcode, operand) pair of the i-th instruction,
+    `offsets[i]` its code offset and `depths[i]` its stack depth from the
+    frame base, None where unreachable.  Jump operands are instruction
+    indices, string/const operands are the pooled values, and MKCLOSURE
+    operands are (entry, nparams, nlocals) prototypes.  An instruction
+    without operands carries None, one with a single operand carries it
+    bare, and ULOAD/USTORE carry (depth - 1, slot), the index of the
+    captured frame in the closure's env.  `regions` holds one (start, end,
+    nparams, nlocals) per region, the bootstrap at 0 and each function
+    body from its entry, listed after every region it creates.
     """
 
     instrs: list
     offsets: list
-    main: object
+    depths: list
+    regions: list
 
 
 @dataclass
@@ -68,6 +72,15 @@ class BytecodeImage:
         that breaks a rule of docs/bytecode.md, "Verification".
         """
         return _verify(self)
+
+    @cached_property
+    def main(self):
+        """The verified bootstrap as Python, translated by the first VM.
+
+        The functions it creates hold their own translations; none refers
+        back to the image, so reference counting frees the image.
+        """
+        return translate(self.program)
 
     def function_offsets(self):
         """name -> code offset for every linked top-level function."""
@@ -204,18 +217,15 @@ def decode_instructions(code):
 
 
 _NO_FALL_THROUGH = frozenset((JUMP, RET, RETN, DONE))
-_BRANCHES = frozenset((JUMP, JUMPF, JFKEEP, JTKEEP))
 _KEEPS = frozenset((JFKEEP, JTKEEP))  # keep the value on the jump
 
 
 def _verify(img):
-    """Decode, verify and translate an image's code section.
+    """Decode and verify an image's code section into its Program.
 
     One pass over the instructions resolves operands and checks the
     per-instruction rules; the closure tree and a stack-depth worklist
-    follow (docs/bytecode.md, "Verification"), then the translation of
-    every function (docs/bytecode.md, "Execution").  Raises only
-    ImageError.
+    follow (docs/bytecode.md, "Verification").  Raises only ImageError.
     """
     strings, consts = img.strings, img.consts
     for idx, _ in img.functions:
@@ -346,12 +356,21 @@ def _verify(img):
             raise _error(offsets[i], f"stack underflow: pops {pops} of "
                                      f"{here}")
         after = here - pops + pushes
-        if opcode in _BRANCHES:
+        if opcode in BRANCHES:
             _flow(depths, work, offsets, operand,
                   here if opcode in _KEEPS else after)
         if opcode not in _NO_FALL_THROUGH:
             _flow(depths, work, offsets, i + 1, after)
-    return Program(instrs, offsets, translate(instrs, offsets, depths))
+
+    # a created function's chain is its creator's plus one entry, so the
+    # longest chains first lists each region after the regions it creates
+    heads = list(nlocals)  # the bootstrap's frame 0, then each header
+    ends = dict(zip(heads, heads[1:] + [len(raw)]))
+    regions = [(0, ends[0], 0, 1) if frame == 0 else
+               (frame + 1, ends[frame], raw[frame][2][0], nlocals[frame])
+               for frame in sorted(heads, key=lambda f: len(chains[f]),
+                                   reverse=True)]
+    return Program(instrs, offsets, depths, regions)
 
 
 def _flow(depths, work, offsets, i, depth):

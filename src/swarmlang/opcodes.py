@@ -101,6 +101,8 @@ _SPEC = {
 NAMES = {op: spec[0] for op, spec in _SPEC.items()}
 OPERANDS = {op: spec[1] for op, spec in _SPEC.items()}
 STACK = {op: spec[2:] for op, spec in _SPEC.items()}  # (pops, pushes)
+# the opcodes whose "j" operand is a jump target (MKCLOSURE's is a header)
+BRANCHES = frozenset((JUMP, JUMPF, JFKEEP, JTKEEP))
 BY_NAME = {name: op for op, name in NAMES.items()}
 
 

@@ -42,6 +42,10 @@ class SimulationConfig:
             raise ValueError("comm range and robot radius must not be NaN")
         if self.arena_side is not None and not math.isfinite(self.arena_side):
             raise ValueError("arena side must be finite")
+        if not (math.isfinite(self.density) and self.density > 0):
+            raise ValueError("density must be finite and positive")
+        if self.max_steps < 0:
+            raise ValueError("max steps must be >= 0")
 
     @property
     def side(self):
@@ -49,6 +53,10 @@ class SimulationConfig:
             return self.arena_side
         return math.sqrt(self.n_robots * math.pi * self.robot_radius ** 2
                          / self.density)
+
+
+class PlacementError(RuntimeError):
+    """No non-overlapping placement found: the density is too high."""
 
 
 # distinct streams per purpose, derived from the run seed
@@ -91,7 +99,7 @@ def place_robots(cfg, max_tries_per_robot=1000):
     budget = max_tries_per_robot * cfg.n_robots
     while len(poses) < cfg.n_robots:
         if budget <= 0:
-            raise RuntimeError(
+            raise PlacementError(
                 f"could not place {cfg.n_robots} robots without overlap; "
                 "density too high")
         budget -= 1

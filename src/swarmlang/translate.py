@@ -1,8 +1,9 @@
 """Translation of a verified code section into Python functions.
 
-Each region of the code section (the bootstrap and every function body)
-becomes one Python function, generated as source text, built with
-`compile()` once per image and shared by every VM on the image:
+Each region of the verifier's region table (the bootstrap and every
+function body) becomes one Python function, generated as source text,
+built with `compile()` by the image's first VM and shared by every VM on
+the image:
 
     def fn(vm, env, l0=None, l1=None, ..., l<nparams>=None, *_)
 
@@ -31,7 +32,7 @@ relies on are listed in vm.py and docs/bytecode.md, "Execution".  Here:
 import functools
 
 from .errors import VmRuntimeError
-from .opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, FUNC, GLOAD,
+from .opcodes import (ADD, BRANCHES, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD,
                       GSTORE, GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD,
                       LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
                       NOP, NOT, POP, POW, PUSHC, PUSHI, PUSHNIL, PUSHS, RET,
@@ -102,7 +103,6 @@ _RUNTIME = {
     "call_closure": call_closure, "unwind": _unwind,
 }
 
-_BRANCHES = (JUMP, JUMPF, JFKEEP, JTKEEP)
 _BUDGET = ("if (fuel := fuel - 1) <= 0: "
            "raise VmRuntimeError('instruction budget exceeded')")
 
@@ -180,40 +180,17 @@ _CODE[CALLM] = _CODE[CALL]
 _CODE[DONE] = _CODE[RETN]
 
 
-class _Child:
-    """Stands in K for the function of the region at `entry`."""
+def translate(program):
+    """The bootstrap of a verified Program as a Python function.
 
-    __slots__ = ("entry",)
-
-    def __init__(self, entry):
-        self.entry = entry
-
-
-def translate(instrs, offsets, depths):
-    """The bootstrap of a verified program as a Python function.
-
-    `instrs` and `offsets` are the Program's, `depths` the verifier's
-    stack depth per instruction (None where unreachable).  A region is
-    built only once the regions it creates are, so each MKCLOSURE finds
-    its function in K.
+    The region table lists each region after the regions it creates, so
+    a region's MKCLOSUREs find their functions already built.
     """
-    heads = [i for i, (opcode, _) in enumerate(instrs) if opcode == FUNC]
-    regions = {0: (heads[0] if heads else len(instrs), 0, 1)}
-    for head, end in zip(heads, heads[1:] + [len(instrs)]):
-        nparams, nlocals = instrs[head][1]
-        regions[head + 1] = (end, nparams, nlocals)
-    order, todo = [], [0]
-    while todo:  # creators before the regions they create
-        start = todo.pop()
-        order.append(start)
-        todo.extend(instrs[i][1][0] for i in range(start, regions[start][0])
-                    if instrs[i][0] == MKCLOSURE and depths[i] is not None)
+    instrs, offsets, depths = program.instrs, program.offsets, program.depths
     built = {}
-    for start in reversed(order):
-        source, consts, lines = _generate(instrs, depths, start,
-                                          *regions[start])
-        consts = [built[c.entry] if type(c) is _Child else c
-                  for c in consts]
+    for start, end, nparams, nlocals in program.regions:
+        source, consts, lines = _generate(instrs, depths, built, start, end,
+                                          nparams, nlocals)
         consts.append({n: (offsets[i], call) for n, (i, call)
                        in lines.items()})
         fn = _factory(source)(tuple(consts))
@@ -229,19 +206,19 @@ def _factory(source):
     return namespace.pop("_mk")
 
 
-def _generate(instrs, depths, start, end, nparams, nlocals):
+def _generate(instrs, depths, built, start, end, nparams, nlocals):
     """(source, constants, line table) of the region [start, end).
 
-    A `_Child` constant stands for the function of the region at its
-    entry; the line table maps a source line to (instruction index,
-    is a script call).  The last constant, the line table with offsets,
-    is appended by the caller as k<len(constants)>.
+    `built` maps the entry of each region it creates to its function.
+    The line table maps a source line to (instruction index, is a script
+    call).  The last constant, the line table with offsets, is appended
+    by the caller as k<len(constants)>.
     """
     reach = [i for i in range(start, end) if depths[i] is not None]
     leaders, backward = set(), False
     for i in reach:
         opcode, arg = instrs[i]
-        if opcode in _BRANCHES:
+        if opcode in BRANCHES:
             leaders.add(arg)
             backward = backward or arg <= i
             if opcode != JUMP:
@@ -302,12 +279,12 @@ def _generate(instrs, depths, start, end, nparams, nlocals):
         if opcode in (PUSHI, PUSHC, PUSHS, GLOAD, GSTORE):
             fields["const"] = const(arg)
         elif opcode == MKCLOSURE:
-            fields["const"] = const(_Child(arg[0]))
+            fields["const"] = const(built[arg[0]])
         elif opcode == LLOAD or opcode == LSTORE:
             fields["local"] = f"L[{arg}]" if captures else f"l{arg}"
         elif opcode == ULOAD or opcode == USTORE:
             fields["up"] = f"e{arg[0]}[{arg[1]}]"
-        elif opcode in _BRANCHES:
+        elif opcode in BRANCHES:
             fields["go"] = f"b = {arg}" + ("; continue" if arg <= i else "")
         elif opcode == CALL or opcode == CALLM:
             at = h - 1 - arg  # the callee's slot; CALLM's receiver below

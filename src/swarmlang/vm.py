@@ -11,9 +11,10 @@ actuator bindings (phase 5).
 Runtime errors fault the VM: the error (with source position recovered
 from the image debug map) is stored and every later step is a no-op.
 
-The script runs as Python: the image translates each function of its
-verified program once into one Python function (`translate.py`), which
-every VM on the image shares.  The invariants of that translation:
+The script runs as Python: the first VM on an image has each function of
+its verified program translated into one Python function
+(`BytecodeImage.main`, `translate.py`), which every VM on the image
+shares.  The invariants of that translation:
 
 - Stack slot d of a function is the Python local `s<d>`, and a function
   that creates no closure keeps its local slots as Python locals; one
@@ -25,7 +26,8 @@ every VM on the image shares.  The invariants of that translation:
 - Fuel is exact: each source instruction costs one unit, charged and
   checked before it runs.  It lives in a Python local of the running
   function and is synced through `self._fuel` around every script and
-  host call.
+  host call.  A step, and a host call into the script while no script
+  function runs, starts with the full `config.instruction_budget`.
 - `self.depth` counts the script functions running.  A call that would
   make it exceed `config.max_frames` faults with "stack overflow" at the
   call site; the counter is back at its old value after every call,
@@ -115,7 +117,7 @@ class Vm:
         if type(robot_id) is not int or not 0 <= robot_id < 2 ** 32:
             raise VmError(f"robot id must be a u32, got {robot_id!r}")
         self.image = image
-        self.program = image.program
+        self.main = image.main  # the first VM on an image translates it
         self.robot_id = robot_id
         self._announce = SentMessage(Announce(),
                                      encode_message(robot_id, Announce()))
@@ -199,7 +201,7 @@ class Vm:
         fn = self.globals.get(name)
         if not isinstance(fn, CLOSURES):
             raise VmError(f"global '{name}' is not a closure")
-        if self._fuel <= 0:
+        if self.depth == 0:  # not a call back mid-step, so a full budget
             self._fuel = self.config.instruction_budget
         return self.call_value(fn, [coerce(a) for a in args])
 
@@ -208,11 +210,8 @@ class Vm:
         if self._destroyed or self.faulted:
             return
         self._destroyed = True
-        fn = self.globals.get("destroy")
-        if isinstance(fn, CLOSURES):
-            if self._fuel <= 0:
-                self._fuel = self.config.instruction_budget
-            self.call_value(fn, [])
+        if isinstance(self.globals.get("destroy"), CLOSURES):
+            self.call_function("destroy")
 
     # --- protocol plumbing ---------------------------------------------
 
@@ -308,7 +307,7 @@ class Vm:
     def _execute(self):
         # phase 3
         if self.step_count == 1:
-            self.program.main(self, ())
+            self.main(self, ())
             init = self.globals.get("init")
             if isinstance(init, CLOSURES):
                 self.call_value(init, [])

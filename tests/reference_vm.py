@@ -112,7 +112,7 @@ class ReferenceVm(Vm):
         stack = self.stack
         push = stack.append
         pop = stack.pop
-        instrs = self.program.instrs
+        instrs = self.image.program.instrs
         globals_ = self.globals
         max_frames = self.config.max_frames
         fuel = self._fuel
@@ -291,7 +291,8 @@ class ReferenceVm(Vm):
             frame.ip = ip
             self._fuel = fuel
             if isinstance(exc, VmRuntimeError) and exc.line is None:
-                pos = self.image.position_at(self.program.offsets[ip - 1])
+                offset = self.image.program.offsets[ip - 1]
+                pos = self.image.position_at(offset)
                 if pos:
                     raise VmRuntimeError(exc.message, pos[1], pos[2],
                                          pos[0]) from None

@@ -323,3 +323,31 @@ def test_env_var_worker_cap_does_not_change_user_script_csv(tmp_path):
     rows = outputs[0].decode().splitlines()[1:]
     assert len(rows) == 4 and all(r.startswith(str(script) + ",")
                                   for r in rows)
+
+
+@pytest.mark.parametrize("command", ["sim", "sweep"])
+@pytest.mark.parametrize("flags, reason", [
+    (["--density", "0"], "density must be finite and positive"),
+    (["--density", "-1"], "density must be finite and positive"),
+    (["--density", "nan"], "density must be finite and positive"),
+    (["--density", "inf"], "density must be finite and positive"),
+    (["--max-steps", "-1"], "max steps must be >= 0"),
+    (["--robots", "0"], "need at least one robot"),
+    (["--drop-prob", "nan"], "drop probability must be within [0, 1]"),
+    (["--robots", "100", "--density", "0.95"], "could not place 100 robots"),
+], ids=["density-0", "density-negative", "density-nan", "density-inf",
+        "negative-max-steps", "no-robots", "drop-prob-nan", "infeasible"])
+def test_bad_run_parameters_exit_2_with_one_usage_line(workspace, capsys,
+                                                       monkeypatch, command,
+                                                       flags, reason):
+    tmp, _ = workspace
+    monkeypatch.chdir(tmp)
+    argv = [command, "--script", "consensus", "--robots", "8",
+            "--max-steps", "5"] + flags
+    if command == "sweep":
+        argv += ["--reps", "1", "--out", "x.csv"]
+    code, out, err = invoke(argv, capsys)
+    assert code == 2
+    assert err.startswith(f"usage error: {reason}")
+    assert len(err.splitlines()) == 1 and out == ""
+    assert not (tmp / "x.csv").exists()

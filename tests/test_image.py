@@ -1,6 +1,7 @@
 import functools
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -364,8 +365,8 @@ def test_hostile_strings_stay_data(monkeypatch):
 
     monkeypatch.setitem(image_mod.translate.__globals__, "_factory", spy)
     img = hostile_image()
-    assert sources  # the image was translated here, not taken from a cache
     vm = Vm(img, 0)
+    assert sources  # the image was translated here, not taken from a cache
     vm.step([])
     vm.step([])
     assert vm.faulted is None
@@ -396,6 +397,69 @@ def test_one_decode_serves_every_vm_on_an_image(monkeypatch):
     Vm(img, 0)
     Vm(img, 1)
     assert len(calls) == 1
+
+
+def test_load_verifies_and_the_first_vm_translates(monkeypatch):
+    calls = []
+    real = image_mod.translate
+
+    def counting(program):
+        calls.append(program)
+        return real(program)
+
+    monkeypatch.setattr(image_mod, "translate", counting)
+    data = compile_and_link(SAMPLE).encode()
+    img = BytecodeImage.decode(data)
+    assert assemble(disassemble(img)).program
+    assert calls == []
+    Vm(img, 0)
+    assert calls == [img.program]
+    Vm(img, 1)
+    assert len(calls) == 1
+
+
+def region_order_holds(program):
+    """Each region once, ending at the next header, after the regions its
+    MKCLOSUREs create."""
+    instrs, regions = program.instrs, program.regions
+    heads = [i for i, (opcode, _) in enumerate(instrs) if opcode == op.FUNC]
+    ends = heads + [len(instrs)]
+    assert sorted(r[:2] for r in regions) == list(
+        zip([0] + [h + 1 for h in heads], ends))
+    seen = set()
+    for start, end, nparams, nlocals in regions:
+        for opcode, arg in instrs[start:end]:
+            if opcode == op.MKCLOSURE:
+                assert arg[0] in seen
+        if start:
+            assert (nparams, nlocals) == instrs[start - 1][1]
+        seen.add(start)
+    assert regions[-1] == (0, ends[0], 0, 1)
+
+
+@pytest.mark.parametrize("name", SCRIPTS + ("hostile",))
+def test_region_table_lists_creators_after_what_they_create(name):
+    img = hostile_image() if name == "hostile" else \
+        BytecodeImage.decode(bundled_image_bytes(name))
+    assert len(img.program.regions) > 1
+    region_order_holds(img.program)
+
+
+def test_region_table_of_closures_nested_past_the_recursion_limit():
+    # function k (FUNC at instruction 3 + 3k) creates function k + 1 and
+    # returns it; the last returns nil.  No source nests this deep.
+    depth = sys.getrecursionlimit() + 100
+    body = []
+    for k in range(1, depth):
+        body += [("FUNC", 0, 1), ("MKCLOSURE", 7 + 15 * k), ("RET",)]
+    code = b"".join(encode_instruction(op.BY_NAME[name], args) for name, *args
+                    in [("MKCLOSURE", 7), ("POP",), ("DONE",), *body,
+                        ("FUNC", 0, 1), ("RETN",)])
+    img = BytecodeImage(code=code)
+    region_order_holds(img.program)
+    assert [r[0] for r in img.program.regions] == \
+        [4 + 3 * k for k in reversed(range(depth))] + [0]
+    assert img.main.__name__ == "fn@0"
 
 
 # --- one test per verifier rule (docs/bytecode.md, "Verification")

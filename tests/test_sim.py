@@ -62,6 +62,14 @@ def test_drop_probability_validated():
         SimulationConfig(n_robots=5, drop_prob=1.5)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("density", 0.0), ("density", -1.0), ("density", math.nan),
+    ("density", math.inf), ("max_steps", -1)])
+def test_density_and_max_steps_validated(field, value):
+    with pytest.raises(ValueError):
+        SimulationConfig(n_robots=5, **{field: value})
+
+
 def _outboxes_of_announces(n):
     out = []
     for rid in range(n):

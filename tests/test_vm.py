@@ -224,6 +224,49 @@ def test_instruction_budget_faults_infinite_loop():
     assert "budget" in str(vm.faulted)
 
 
+FUEL_SRC = """
+function f() {
+  var i = 0
+  while (i < 10) { i = i + 1 }
+  return i
+}
+function destroy() { done = f() }
+function step() {
+  var k = 0
+  while (k < spin) { k = k + 1 }
+  if (calls_back) got = again()
+}
+"""
+
+
+def _spun_vm(spin, calls_back=0):
+    # f takes about 100 units; a step of 1,000 passes leaves 980 of the
+    # 10,000, one of 1,100 passes 80
+    vm = build_vm(FUEL_SRC, config=VmConfig(instruction_budget=10_000))
+    vm.register_function("again", lambda vm, args: vm.call_function("f"))
+    vm.set_global("spin", spin)
+    vm.set_global("calls_back", calls_back)
+    vm.step([])
+    return vm
+
+
+def test_a_host_call_between_steps_starts_with_the_full_budget():
+    vm = _spun_vm(1100)
+    assert vm.faulted is None
+    assert vm.call_function("f") == 10
+    vm = _spun_vm(1100)
+    vm.destroy()
+    assert vm.get_global("done") == 10
+
+
+def test_a_host_call_back_during_a_step_draws_on_the_step_budget():
+    vm = _spun_vm(1000, calls_back=1)
+    assert vm.faulted is None and vm.get_global("got") == 10
+    vm = _spun_vm(1100, calls_back=1)
+    assert vm.faulted.message == "instruction budget exceeded"
+    assert vm.get_global("got") is None
+
+
 def test_deep_recursion_faults_as_stack_overflow():
     vm = build_vm("function f(n) { return f(n + 1) }\nfunction step() "
                   "{ f(0) }", config=VmConfig(max_frames=50))
