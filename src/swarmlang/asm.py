@@ -12,6 +12,13 @@ from .image import (VERSION, BytecodeImage, decode_instructions,
                     encode_instruction)
 from .lexer import STRING_ESCAPES, tokenize
 
+# the encoded width of a numeric field: "i" operands are i32, an integer
+# constant is i64, and every other operand, offset, index, count, line and
+# column is u32
+_WIDTHS = {"i": ("i32", -2 ** 31, 2 ** 31 - 1),
+           "q": ("i64", -2 ** 63, 2 ** 63 - 1),
+           "u": ("u32", 0, 2 ** 32 - 1)}
+
 
 def disassemble(img):
     """Render an image as a re-assemblable plain-text listing."""
@@ -74,24 +81,26 @@ def assemble(text):
             if head == ".image":
                 version = int(parts[1])
             elif head == ".string":
-                idx = int(parts[1])
+                idx = _int(parts[1], lineno)
                 strings[idx] = _unquote(parts[2].strip(), lineno)
             elif head == ".const":
-                idx, tag, literal = int(parts[1]), parts[2], parts[3]
+                idx, tag, literal = _int(parts[1], lineno), parts[2], parts[3]
                 if tag == "i":
-                    consts[idx] = ("i", int(literal))
+                    consts[idx] = ("i", _int(literal, lineno, "q"))
                 elif tag == "f":
                     consts[idx] = ("f", float(literal))
                 else:
                     raise AsmError(f"unknown const tag {tag!r}", lineno)
             elif head == ".function":
-                functions.append((int(parts[1]), _offset(parts[2], lineno)))
+                functions.append((_int(parts[1], lineno),
+                                  _offset(parts[2], lineno)))
             elif head == ".debug":
                 offset = _offset(parts[1], lineno)
                 line_s, col_s = parts[2].split(":")
-                debug.append((offset, int(line_s), int(col_s), int(parts[3])))
+                debug.append((offset, _int(line_s, lineno),
+                              _int(col_s, lineno), _int(parts[3], lineno)))
             elif head == ".code":
-                code_len = int(parts[1])
+                code_len = _int(parts[1], lineno)
             elif head.startswith("@"):
                 offset = _offset(head, lineno)
                 name = parts[1]
@@ -103,7 +112,9 @@ def assemble(text):
                 if len(raw_args) != len(kinds):
                     raise AsmError(f"{name} needs {len(kinds)} operand(s)",
                                    lineno)
-                instrs.append((offset, opcode, tuple(int(a) for a in raw_args)))
+                instrs.append((offset, opcode, tuple(
+                    _int(a, lineno, "i" if kind == "i" else "u")
+                    for kind, a in zip(kinds, raw_args))))
             else:
                 raise AsmError(f"unknown directive {head!r}", lineno)
         except AsmError:
@@ -166,7 +177,16 @@ def _strip_comment(line):
 def _offset(token, lineno):
     if not token.startswith("@"):
         raise AsmError(f"expected @offset, got {token!r}", lineno)
-    return int(token[1:])
+    return _int(token[1:], lineno)
+
+
+def _int(token, lineno, width="u"):
+    """The integer `token`, which must fit its encoded `width`."""
+    value = int(token)
+    name, low, high = _WIDTHS[width]
+    if not low <= value <= high:
+        raise AsmError(f"{value} does not fit {name}", lineno)
+    return value
 
 
 _ESCAPES = {value: "\\" + esc for esc, value in STRING_ESCAPES.items()}

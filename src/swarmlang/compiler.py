@@ -19,6 +19,9 @@ from .parser import parse
 from .values import INT64_MAX, INT64_MIN
 
 INT32_MIN, INT32_MAX = -(2 ** 31), 2 ** 31 - 1
+# a name's (global, local, upvalue) opcodes
+_LOAD = (op.GLOAD, op.LLOAD, op.ULOAD)
+_STORE = (op.GSTORE, op.LSTORE, op.USTORE)
 
 
 class Label:
@@ -59,17 +62,7 @@ class ObjectUnit:
     main: list = field(default_factory=list)      # top-level Instr/LabelMark
     funcs: list = field(default_factory=list)     # function body stream
     functions: dict = field(default_factory=dict)  # top-level name -> Label
-    global_names: list = field(default_factory=list)
-    local_names: list = field(default_factory=list)
-    string_consts: list = field(default_factory=list)
     toplevel_nlocals: int = 1                     # top-level chunk slots
-
-    def symbols(self):
-        """(name, kind) pairs for inspection and link-time reporting."""
-        out = [(name, "global") for name in self.global_names]
-        out += [(name, "local") for name in self.local_names]
-        out += [(s, "string-const") for s in self.string_consts]
-        return out
 
 
 class _Scope:
@@ -84,11 +77,12 @@ class _Scope:
         return self.slots[name]
 
     def resolve(self, name):
+        """(frames out, slot) of `name`, or None for a global."""
         depth = 0
         scope = self
         while scope is not None:
             if name in scope.slots:
-                return depth, scope.slots[name], scope
+                return depth, scope.slots[name]
             scope = scope.parent
             depth += 1
         return None
@@ -98,13 +92,6 @@ class Compiler:
     def __init__(self, origin="<script>"):
         self.unit = ObjectUnit(origin)
         self._pending = []  # (FuncExpr/FuncDef, scope, entry label)
-
-    def note_symbol(self, name, kind):
-        table = {"global": self.unit.global_names,
-                 "local": self.unit.local_names,
-                 "string-const": self.unit.string_consts}[kind]
-        if name not in table:
-            table.append(name)
 
     # --- emission ---
 
@@ -124,7 +111,6 @@ class Compiler:
         if slot >= MAX_LOCALS:
             self.error(f"more than {MAX_LOCALS} locals in one function",
                        node)
-        self.note_symbol(name, "local")
         return slot
 
     # --- top level ---
@@ -196,7 +182,7 @@ class Compiler:
             entry = Label(stmt.name)
             self._pending.append((stmt, scope, entry))
             self.emit(out, op.MKCLOSURE, entry, node=stmt)
-            self.compile_store_name(stmt.name, stmt, scope, out)
+            self.compile_name(stmt.name, stmt, scope, out, _STORE)
             if scope.is_toplevel:
                 if stmt.name in self.unit.functions:
                     self.error(f"duplicate function '{stmt.name}'", stmt)
@@ -222,12 +208,7 @@ class Compiler:
         target = stmt.target
         if isinstance(target, ast.Name):
             self.compile_expr(stmt.value, scope, out)
-            self.compile_store_name(target.name, target, scope, out)
-        elif isinstance(target, ast.Member):
-            self.compile_expr(target.obj, scope, out)
-            self.emit(out, op.PUSHS, target.name, node=target)
-            self.compile_expr(stmt.value, scope, out)
-            self.emit(out, op.TSET, node=stmt)
+            self.compile_name(target.name, target, scope, out, _STORE)
         elif isinstance(target, ast.Index):
             self.compile_expr(target.obj, scope, out)
             self.compile_expr(target.key, scope, out)
@@ -236,19 +217,22 @@ class Compiler:
         else:
             self.error("invalid assignment target", stmt)
 
-    def compile_store_name(self, name, node, scope, out):
+    def compile_name(self, name, node, scope, out, ops):
+        """Load (ops=_LOAD) or store (ops=_STORE) `name`: a slot of this
+        function, one of an enclosing function, or a global."""
         if name == "self":
-            self.error("cannot assign to 'self'", node)
+            if ops is _STORE:
+                self.error("cannot assign to 'self'", node)
+            if scope.is_toplevel:
+                self.error("'self' outside method position", node)
         found = scope.resolve(name)
+        global_op, local_op, up_op = ops
         if found is None:
-            self.note_symbol(name, "global")
-            self.emit(out, op.GSTORE, name, node=node)
-            return
-        depth, slot, _ = found
-        if depth == 0:
-            self.emit(out, op.LSTORE, slot, node=node)
+            self.emit(out, global_op, name, node=node)
+        elif found[0] == 0:
+            self.emit(out, local_op, found[1], node=node)
         else:
-            self.emit(out, op.USTORE, depth, slot, node=node)
+            self.emit(out, up_op, *found, node=node)
 
     # --- expressions ---
 
@@ -266,19 +250,14 @@ class Compiler:
         elif isinstance(node, ast.FloatLit):
             self.emit(out, op.PUSHC, ("f", node.value), node=node)
         elif isinstance(node, ast.StrLit):
-            self.note_symbol(node.value, "string-const")
             self.emit(out, op.PUSHS, node.value, node=node)
         elif isinstance(node, ast.Name):
-            self.compile_load_name(node, scope, out)
+            self.compile_name(node.name, node, scope, out, _LOAD)
         elif isinstance(node, ast.BinOp):
             self.compile_binop(node, scope, out)
         elif isinstance(node, ast.UnOp):
             self.compile_expr(node.operand, scope, out)
             self.emit(out, op.NEG if node.op == "-" else op.NOT, node=node)
-        elif isinstance(node, ast.Member):
-            self.compile_expr(node.obj, scope, out)
-            self.emit(out, op.PUSHS, node.name, node=node)
-            self.emit(out, op.TGET, node=node)
         elif isinstance(node, ast.Index):
             self.compile_expr(node.obj, scope, out)
             self.compile_expr(node.key, scope, out)
@@ -310,21 +289,6 @@ class Compiler:
         else:
             self.error(f"cannot compile expression {type(node).__name__}",
                        node)
-
-    def compile_load_name(self, node, scope, out):
-        name = node.name
-        if name == "self" and scope.is_toplevel:
-            self.error("'self' outside method position", node)
-        found = scope.resolve(name)
-        if found is None:
-            self.note_symbol(name, "global")
-            self.emit(out, op.GLOAD, name, node=node)
-            return
-        depth, slot, _ = found
-        if depth == 0:
-            self.emit(out, op.LLOAD, slot, node=node)
-        else:
-            self.emit(out, op.ULOAD, depth, slot, node=node)
 
     _ARITH = {"+": op.ADD, "-": op.SUB, "*": op.MUL, "/": op.DIV,
               "%": op.MOD, "^": op.POW, "==": op.EQ, "!=": op.NEQ,

@@ -229,10 +229,10 @@ def _verify(img):
     """
     strings, consts = img.strings, img.consts
     for idx, _ in img.functions:
-        if idx >= len(strings):
+        if not 0 <= idx < len(strings):
             raise ImageError(f"function name index {idx} out of range")
     for _, _, _, idx in img.debug:
-        if idx >= len(strings):
+        if not 0 <= idx < len(strings):
             raise ImageError(f"debug origin index {idx} out of range")
     raw = decode_instructions(img.code)
     if not raw:

@@ -65,12 +65,6 @@ class UnOp(Node):
 
 
 @dataclass
-class Member(Node):
-    obj: Node
-    name: str
-
-
-@dataclass
 class Index(Node):
     obj: Node
     key: Node
@@ -102,7 +96,7 @@ class FuncExpr(Node):
 
 @dataclass
 class Assign(Node):
-    target: Node  # Name | Member | Index
+    target: Node  # Name | Index
     value: Node
 
 
@@ -176,11 +170,12 @@ BINARY = {(kind, o): (level, level + 1 if form == "left" else level - 1)
 # `f(1)(1)`) is one level.  The levels of one program may cost parsing and
 # compiling FRAME_BUDGET Python frames, which leaves the rest of CPython's
 # default recursion limit of 1000 to the frames below them and to the
-# caller's own stack.  The dearest level costs FRAMES_PER_LEVEL frames (a
-# table constructor, an `if` or `while` body, half a function literal);
-# `python tests/test_parser.py` measures each shape.
+# caller's own stack.  The dearest level costs FRAMES_PER_LEVEL frames: a
+# parenthesised operand or a table constructor (`parse_expr`,
+# `parse_postfix`, `parse_primary`), or half a function literal; `python
+# tests/test_parser.py` measures each shape.
 FRAME_BUDGET = 600
-FRAMES_PER_LEVEL = 4
+FRAMES_PER_LEVEL = 3
 MAX_NESTING = FRAME_BUDGET // FRAMES_PER_LEVEL
 
 
@@ -256,102 +251,75 @@ class Parser:
                        hint="newline or ';'")
 
     def parse_statement(self):
-        self.nest(self.peek())
-        stmt = self._parse_statement()
-        self.depth -= 1
-        return stmt
-
-    def _parse_statement(self):
         tok = self.peek()
-        if tok.kind == "KEYWORD":
-            if tok.value == "if":
-                return self.parse_if()
+        self.nest(tok)
+        if tok.kind == "KEYWORD" and tok.value in ("if", "while"):
+            self.advance()
+            self.expect("OP", "(", hint=f"'(' after {tok.value}")
+            self.paren_depth += 1
+            cond = self.parse_expr()
+            self.paren_depth -= 1
+            self.expect("OP", ")")
+            self.skip_newlines()  # the body may start on the next line
+            body = self.parse_statement()
             if tok.value == "while":
-                return self.parse_while()
-            if tok.value == "var":
-                return self.parse_var()
-            if tok.value == "return":
-                return self.parse_return()
-            if tok.value == "function" and \
-               self.tokens[self.pos + 1].kind == "IDENT":
-                return self.parse_funcdef()
-        if tok.kind == "OP" and tok.value == "{":
+                stmt = While(cond, body, line=tok.line, col=tok.col)
+            else:
+                orelse = None
+                # else may appear after newlines/comments
+                mark = self.pos
+                self.skip_newlines()
+                if self.at("KEYWORD", "else"):
+                    self.advance()
+                    self.skip_newlines()
+                    orelse = self.parse_statement()
+                else:
+                    self.pos = mark
+                stmt = If(cond, body, orelse, line=tok.line, col=tok.col)
+        elif tok.kind == "KEYWORD" and tok.value == "var":
+            self.advance()
+            name = self.expect("IDENT", hint="variable name")
+            value = None
+            if self.at("OP", "="):
+                self.advance()
+                value = self.parse_expr()
+            stmt = VarDecl(name.value, value, line=tok.line, col=tok.col)
+        elif tok.kind == "KEYWORD" and tok.value == "return":
+            self.advance()
+            nxt = self.peek()
+            value = None
+            if not (nxt.kind in ("NEWLINE", "EOF") or
+                    (nxt.kind == "OP" and nxt.value in (";", "}"))):
+                value = self.parse_expr()
+            stmt = Return(value, line=tok.line, col=tok.col)
+        elif tok.kind == "KEYWORD" and tok.value == "function" and \
+                self.tokens[self.pos + 1].kind == "IDENT":
+            self.advance()
+            name = self.advance()
+            params = self.parse_params()
+            stmt = FuncDef(name.value, params, self.parse_func_body(),
+                           line=tok.line, col=tok.col)
+        elif tok.kind == "OP" and tok.value == "{":
             self.advance()
             body = self.parse_statements()
             self.expect("OP", "}")
-            return Block(body, line=tok.line, col=tok.col)
-        # assignment or expression statement
-        expr = self.parse_expr()
-        if self.at("OP", "="):
-            if not isinstance(expr, (Name, Member, Index)):
-                self.error("invalid assignment target")
-            self.advance()
-            value = self.parse_expr()
-            return Assign(expr, value, line=expr.line, col=expr.col)
-        return ExprStat(expr, line=expr.line, col=expr.col)
-
-    def parse_body_statement(self):
-        # if/while bodies may start on the following line
-        self.skip_newlines()
-        return self.parse_statement()
+            stmt = Block(body, line=tok.line, col=tok.col)
+        else:  # assignment or expression statement
+            expr = self.parse_expr()
+            if self.at("OP", "="):
+                if not isinstance(expr, (Name, Index)):
+                    self.error("invalid assignment target")
+                self.advance()
+                value = self.parse_expr()
+                stmt = Assign(expr, value, line=expr.line, col=expr.col)
+            else:
+                stmt = ExprStat(expr, line=expr.line, col=expr.col)
+        self.depth -= 1
+        return stmt
 
     def skip_newlines(self):
         while self.tokens[self.pos].kind == "NEWLINE":
             self.pos += 1
-
-    def parse_if(self):
-        tok = self.expect("KEYWORD", "if")
-        self.expect("OP", "(", hint="'(' after if")
-        self.paren_depth += 1
-        cond = self.parse_expr()
-        self.paren_depth -= 1
-        self.expect("OP", ")")
-        then = self.parse_body_statement()
-        orelse = None
-        # else may appear after newlines/comments
-        mark = self.pos
-        self.skip_newlines()
-        if self.at("KEYWORD", "else"):
-            self.advance()
-            orelse = self.parse_body_statement()
-        else:
-            self.pos = mark
-        return If(cond, then, orelse, line=tok.line, col=tok.col)
-
-    def parse_while(self):
-        tok = self.expect("KEYWORD", "while")
-        self.expect("OP", "(", hint="'(' after while")
-        self.paren_depth += 1
-        cond = self.parse_expr()
-        self.paren_depth -= 1
-        self.expect("OP", ")")
-        body = self.parse_body_statement()
-        return While(cond, body, line=tok.line, col=tok.col)
-
-    def parse_var(self):
-        tok = self.expect("KEYWORD", "var")
-        name = self.expect("IDENT", hint="variable name")
-        value = None
-        if self.at("OP", "="):
-            self.advance()
-            value = self.parse_expr()
-        return VarDecl(name.value, value, line=tok.line, col=tok.col)
-
-    def parse_return(self):
-        tok = self.expect("KEYWORD", "return")
-        nxt = self.peek()
-        value = None
-        if not (nxt.kind in ("NEWLINE", "EOF") or
-                (nxt.kind == "OP" and nxt.value in (";", "}"))):
-            value = self.parse_expr()
-        return Return(value, line=tok.line, col=tok.col)
-
-    def parse_funcdef(self):
-        tok = self.expect("KEYWORD", "function")
-        name = self.expect("IDENT", hint="function name")
-        params = self.parse_params()
-        body = self.parse_func_body()
-        return FuncDef(name.value, params, body, line=tok.line, col=tok.col)
 
     def parse_params(self):
         self.expect("OP", "(", hint="parameter list")
@@ -419,14 +387,12 @@ class Parser:
             if tok.value == ".":
                 self.advance()
                 name = self.expect("IDENT", hint="member name")
+                key = StrLit(name.value, line=name.line, col=name.col)
                 if self.at("OP", "("):
-                    args = self.parse_args()
-                    expr = MethodCall(expr, StrLit(name.value, line=name.line,
-                                                   col=name.col),
-                                      args, line=name.line, col=name.col)
+                    expr = MethodCall(expr, key, self.parse_args(),
+                                      line=name.line, col=name.col)
                 else:
-                    expr = Member(expr, name.value, line=name.line,
-                                  col=name.col)
+                    expr = Index(expr, key, line=name.line, col=name.col)
             elif tok.value == "[":
                 self.advance()
                 self.paren_depth += 1
@@ -490,26 +456,22 @@ class Parser:
                 self.expect("OP", ")")
                 return expr
             if tok.value == "{":
-                return self.parse_table()
+                self.advance()
+                self.paren_depth += 1
+                pairs = []
+                if not self.at("OP", "}"):
+                    while True:
+                        name = self.expect("IDENT", hint="table key")
+                        self.expect("OP", "=", hint="'=' in table constructor")
+                        pairs.append((name.value, self.parse_expr()))
+                        if self.at("OP", ","):
+                            self.advance()
+                            continue
+                        break
+                self.paren_depth -= 1
+                self.expect("OP", "}")
+                return TableLit(pairs, line=tok.line, col=tok.col)
         self.error("expected expression", tok)
-
-    def parse_table(self):
-        tok = self.expect("OP", "{")
-        self.paren_depth += 1
-        pairs = []
-        if not self.at("OP", "}"):
-            while True:
-                name = self.expect("IDENT", hint="table key")
-                self.expect("OP", "=", hint="'=' in table constructor")
-                value = self.parse_expr()
-                pairs.append((name.value, value))
-                if self.at("OP", ","):
-                    self.advance()
-                    continue
-                break
-        self.paren_depth -= 1
-        self.expect("OP", "}")
-        return TableLit(pairs, line=tok.line, col=tok.col)
 
 
 def parse(text, origin="<script>"):

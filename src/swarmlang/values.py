@@ -237,7 +237,10 @@ def arith_mod(a, b):
     if type(a) is int and type(b) is int:
         r = abs(a) % abs(b)  # C-style: the sign of the dividend
         return -r if a < 0 else r
-    return math.fmod(a, b)
+    try:
+        return math.fmod(a, b)
+    except ValueError:  # an infinite dividend
+        raise VmRuntimeError("modulo of an infinite number") from None
 
 
 def arith_pow(a, b):

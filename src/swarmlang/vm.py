@@ -95,9 +95,22 @@ def _num(args, i, name):
     raise VmRuntimeError(f"math.{name} expects numeric arguments")
 
 
+def _trig(name):
+    fn = getattr(_math, name)
+
+    def call(vm, _self, args):
+        x = _num(args, 0, name)
+        try:
+            return fn(x)
+        except ValueError:  # an infinite angle
+            raise VmRuntimeError(f"math.{name} of an infinite number") \
+                from None
+    return HostClosure(name, call)
+
+
 _MATH_METHODS = {
-    "sin": HostClosure("sin", lambda vm, s, a: _math.sin(_num(a, 0, "sin"))),
-    "cos": HostClosure("cos", lambda vm, s, a: _math.cos(_num(a, 0, "cos"))),
+    "sin": _trig("sin"),
+    "cos": _trig("cos"),
     "min": HostClosure("min", lambda vm, s, a: min(_num(a, 0, "min"),
                                                    _num(a, 1, "min"))),
     "abs": HostClosure("abs", lambda vm, s, a: check_int64(

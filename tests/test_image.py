@@ -176,17 +176,6 @@ def test_cross_unit_call(run_script):
     assert vm.get_global("y") == 42
 
 
-def test_object_unit_symbols():
-    unit = compile_source('function f(a) { var tmp = a\ncounter = tmp }\n'
-                          'greeting = "hi"')
-    symbols = dict(unit.symbols())
-    assert symbols["counter"] == "global"
-    assert symbols["greeting"] == "global"
-    assert symbols["a"] == "local"
-    assert symbols["tmp"] == "local"
-    assert symbols["hi"] == "string-const"
-
-
 def test_function_table_lists_top_level_functions():
     img = compile_and_link("function init() { a = 1 }\n"
                            "function step() { b = 2 }")
@@ -209,6 +198,46 @@ def test_assembler_rejects_gaps():
              if not ln.startswith("@0 ")]
     with pytest.raises(AsmError):
         assemble("\n".join(lines))
+
+
+WIDE = "a = 1\nb = 9999999999"  # an i32 operand and an i64 constant
+
+
+@pytest.mark.parametrize("line, bad", [
+    ("@21 PUSHI 1", "@21 PUSHI 99999999999"),
+    ("@21 PUSHI 1", "@21 PUSHI -2147483649"),
+    ("@26 GSTORE 1", "@26 GSTORE -1"),
+    (".debug @21 1:5 0", ".debug @21 99999999999:5 0"),
+    (".debug @26 1:1 0", ".debug @26 1:1 -2"),
+    (".debug @26 1:1 0", ".debug @-26 1:1 0"),
+    (".string 1 \"a\"", ".string -1 \"a\""),
+    (".const 0 i 9999999999", ".const 0 i 9223372036854775808"),
+])
+def test_assembler_rejects_fields_past_their_width(line, bad):
+    listing = disassemble(compile_and_link(WIDE)).split("\n")
+    at = [ln.split(" ;")[0] for ln in listing].index(line)
+    listing[at] = bad
+    with pytest.raises(AsmError, match=f"line {at + 1}: .* does not fit"):
+        assemble("\n".join(listing))
+
+
+def test_assembler_takes_fields_at_their_width():
+    listing = disassemble(compile_and_link(WIDE))
+    for line, edge in (("@21 PUSHI 1", "@21 PUSHI -2147483648"),
+                       (".debug @21 1:5 0", ".debug @21 4294967295:5 0"),
+                       (".const 0 i 9999999999",
+                        ".const 0 i -9223372036854775808")):
+        img = assemble(listing.replace(line, edge))
+        assert BytecodeImage.decode(img.encode()).encode() == img.encode()
+
+
+def test_verifier_rejects_negative_name_and_origin_indices():
+    with pytest.raises(ImageError, match="function name index -1"):
+        BytecodeImage(strings=["f"], functions=[(-1, 0)],
+                      code=compile_and_link("a = 1").code).program
+    with pytest.raises(ImageError, match="debug origin index -2"):
+        BytecodeImage(strings=["<script>", "a"], debug=[(21, 1, 1, -2)],
+                      code=compile_and_link("a = 1").code).program
 
 
 def test_assembler_rejects_unknown_opcode():

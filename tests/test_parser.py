@@ -21,13 +21,14 @@ def test_if_with_comparison():
 def test_method_assignment_with_lambda_self():
     (stmt,) = parse("t.m = function(p) { return self.a + p }")
     assert isinstance(stmt, ast.Assign)
-    assert isinstance(stmt.target, ast.Member)
+    assert isinstance(stmt.target, ast.Index)
+    assert isinstance(stmt.target.key, ast.StrLit)
     fn = stmt.value
     assert isinstance(fn, ast.FuncExpr) and fn.params == ["p"]
     ret = fn.body[0]
     assert isinstance(ret, ast.Return)
     add = ret.value
-    assert isinstance(add.left, ast.Member) and add.left.name == "a"
+    assert isinstance(add.left, ast.Index) and add.left.key.value == "a"
     assert isinstance(add.left.obj, ast.Name) and add.left.obj.name == "self"
 
 
@@ -105,7 +106,8 @@ def test_method_call_chain():
 def test_index_and_dot_targets():
     stmts = parse('t[6] = 5\nt.b = 9\nt["b"] = 10')
     assert isinstance(stmts[0].target, ast.Index)
-    assert isinstance(stmts[1].target, ast.Member)
+    assert isinstance(stmts[1].target, ast.Index)
+    assert isinstance(stmts[1].target.key, ast.StrLit)
     assert isinstance(stmts[2].target, ast.Index)
 
 
@@ -217,6 +219,13 @@ def test_nesting_at_the_bound_stays_inside_the_frame_budget(shape):
     _, nested, per_level = nesting_frames(shape)
     assert per_level <= FRAMES_PER_LEVEL
     assert nested <= FRAME_BUDGET
+
+
+def test_frames_per_level_is_the_dearest_shape():
+    # not just an upper bound: a fold that makes every shape cheaper must
+    # lower FRAMES_PER_LEVEL, so MAX_NESTING takes all of FRAME_BUDGET
+    worst = max(nesting_frames(shape)[2] for shape in NESTING)
+    assert math.ceil(worst) == FRAMES_PER_LEVEL
 
 
 if __name__ == "__main__":

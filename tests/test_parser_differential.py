@@ -8,10 +8,11 @@ every generated program.
 """
 
 import random
+import sys
 
 from swarmlang.errors import ParseError
 from swarmlang.lexer import tokenize
-from swarmlang.parser import BinOp, Parser, UnOp
+from swarmlang.parser import MAX_NESTING, BinOp, Parser, UnOp
 
 BINARY_LEVELS = (
     ("KEYWORD", {"or"}),
@@ -83,7 +84,14 @@ def outcome(parser, tokens):
 
 def check(text):
     tokens = tokenize(text)
-    want = outcome(LevelWalk, tokens)
+    # the level walk spends about 12 frames a level, the parser at most
+    # FRAMES_PER_LEVEL: only the model gets the stack to reach the bound
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(4 * limit)
+    try:
+        want = outcome(LevelWalk, tokens)
+    finally:
+        sys.setrecursionlimit(limit)
     assert outcome(Parser, tokens) == want, text
     return want
 
@@ -161,7 +169,9 @@ def test_climbing_matches_the_level_walk_at_the_nesting_bound():
     outcomes = []
     for _ in range(300):
         chain, loose = [], True
-        for _ in range(rng.randint(90, 160)):
+        # 3/5 to 16/15 of MAX_NESTING fragments: chains on both sides of it
+        for _ in range(rng.randint(MAX_NESTING * 3 // 5,
+                                   MAX_NESTING * 16 // 15)):
             fragment = rng.choice(FRAGMENTS)
             if fragment[0] == "not " and not loose and rng.random() < 0.9:
                 continue

@@ -1,3 +1,4 @@
+import itertools
 import sys
 import threading
 
@@ -533,6 +534,43 @@ def test_unencodable_string_faults_only_its_robot(src):
     assert bad.step([]) == ([], {})  # a faulted robot stays silent
     out, _ = good.step([])
     assert good.faulted is None and len(out) == 2
+
+
+# numbers at the edges of int64 and float, made the way a script makes
+# them: the last three are inf, -inf and nan
+SPECIAL = ("0", "1", "-1", "0.0", "-0.0", "1.5", "9223372036854775807",
+           "-9223372036854775807 - 1", "1e308 * 10", "-(1e308 * 10)",
+           "1e308 * 10 - 1e308 * 10")
+BINARY = ("a + b", "a - b", "a * b", "a / b", "a % b", "a ^ b", "a == b",
+          "a != b", "a < b", "a <= b", "a > b", "a >= b", "math.min(a, b)")
+UNARY = ("-a", "not a", "math.sin(a)", "math.cos(a)", "math.sqrt(a)",
+         "math.abs(a)")
+
+
+def test_special_numbers_fault_only_their_robot():
+    maker = build_vm("\n".join(f"v{i} = {text}"
+                               for i, text in enumerate(SPECIAL)))
+    maker.step([])
+    special = [maker.get_global(f"v{i}") for i in range(len(SPECIAL))]
+    faults = {}
+    for expr in BINARY + UNARY:
+        image = compile_and_link(f"\nr = {expr}")
+        for operands in itertools.product(special,
+                                           repeat=2 if expr in BINARY else 1):
+            vm = Vm(image, 0)
+            for name, value in zip("ab", operands):
+                vm.set_global(name, value)
+            vm.step([])  # nothing but a fault of this robot comes out
+            if vm.faulted:
+                assert isinstance(vm.faulted, VmRuntimeError)
+                assert vm.faulted.line == 2, (expr, operands)
+                faults[expr, operands] = vm.faulted.message
+    inf = float("inf")
+    assert "infinite" in faults["math.sin(a)", (inf,)]
+    assert "infinite" in faults["math.cos(a)", (-inf,)]
+    assert "infinite" in faults["a % b", (-inf, 1.5)]
+    assert "infinite" in faults["a % b", (inf, -inf)]
+    assert ("a % b", (1.5, inf)) not in faults  # fmod(x, inf) is x
 
 
 def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
