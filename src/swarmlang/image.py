@@ -231,9 +231,20 @@ def _verify(img):
     for idx, _ in img.functions:
         if not 0 <= idx < len(strings):
             raise ImageError(f"function name index {idx} out of range")
-    for _, _, _, idx in img.debug:
+    # an image built in memory must still encode: each pooled field fits
+    # the width `encode` writes it in
+    for n, (tag, value) in enumerate(consts):
+        if tag == "i" and type(value) is int:
+            if not -2 ** 63 <= value < 2 ** 63:
+                raise ImageError(f"integer constant {n} out of int64 range")
+        elif tag != "f" or type(value) is not float:
+            raise ImageError(f"constant {n} is neither an int nor a float")
+    for off, line, col, idx in img.debug:
         if not 0 <= idx < len(strings):
             raise ImageError(f"debug origin index {idx} out of range")
+        if not (_u32(off) and _u32(line) and _u32(col)):
+            raise ImageError(f"debug entry @{off} {line}:{col} out of u32 "
+                             "range")
     raw = decode_instructions(img.code)
     if not raw:
         raise ImageError("empty code section")
@@ -371,6 +382,10 @@ def _verify(img):
                for frame in sorted(heads, key=lambda f: len(chains[f]),
                                    reverse=True)]
     return Program(instrs, offsets, depths, regions)
+
+
+def _u32(n):
+    return type(n) is int and 0 <= n < 2 ** 32
 
 
 def _flow(depths, work, offsets, i, depth):

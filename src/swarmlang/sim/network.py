@@ -11,17 +11,21 @@ One step takes all its draws at once and turns them into a survivor
 mask, a list of booleans in that same order.  A receiver's inbox holds
 one `Situated` record per heard link, sender ascending, whose `msgs` is
 the tuple of that sender's surviving messages in send order; a link with
-no survivor adds no record.  Each envelope is decoded once.  When all of
-a sender's draws survive (always at P=0) its receivers share one tuple;
-otherwise the sender's block of the mask, one row per message, is
-transposed into one column per link, and a link whose column keeps every
-message still gets the shared tuple.
+no survivor adds no record.  Each envelope is decoded once, and a
+VSTIG_PUT once per distinct body (type byte onward) in one call: the
+flood repeats a PUT from robot to robot with only the sender id changed.
+A decoded message is never changed, so senders share it; each sender id
+is still read from its own envelope.  When all of a sender's draws
+survive (always at P=0) its receivers share one tuple; otherwise the
+sender's block of the mask, one row per message, is transposed into one
+column per link, and a link whose column keeps every message still gets
+the shared tuple.
 """
 
 from itertools import compress
 
 from ..errors import WireError
-from ..wire import Situated, decode_message
+from ..wire import SENDER, Situated, VstigPut, decode_message
 
 
 def deliver(drop_prob, topology, outboxes, rng):
@@ -35,12 +39,13 @@ def deliver(drop_prob, topology, outboxes, rng):
         return inboxes
     keep = (rng.random(total) >= drop_prob).tolist()
     situated = tuple.__new__  # a Situated without the __new__ call
+    puts = {}  # VSTIG_PUT body (type byte onward) -> its decoded message
     k = 0
     for outbox, links in zip(outboxes, out_links):
         m = len(links)
         if not m or not outbox:
             continue  # no draws taken, no decode
-        sender_ids, msgs = zip(*[decode_message(sent.raw) for sent in outbox])
+        sender_ids, msgs = _decode(outbox, puts)
         sender_id = sender_ids[0]
         if sender_ids.count(sender_id) != len(sender_ids):
             raise WireError("one outbox carries two sender ids")
@@ -68,3 +73,24 @@ def deliver(drop_prob, topology, outboxes, rng):
                     Situated, (sender_id, dist_cm, azimuth, 0.0, heard)))
         k = end
     return inboxes
+
+
+def _decode(outbox, puts):
+    """(sender ids, messages) of one outbox, each sender id read from its
+    own envelope; a PUT body already in `puts` is not decoded again."""
+    skip = SENDER.size
+    sender_ids = []
+    msgs = []
+    for sent in outbox:
+        raw = sent.raw
+        body = raw[skip:]
+        msg = puts.get(body)
+        if msg is None:
+            sender_id, msg = decode_message(raw)
+            if type(msg) is VstigPut:
+                puts[body] = msg
+        else:
+            sender_id = SENDER.unpack_from(raw)[0]
+        sender_ids.append(sender_id)
+        msgs.append(msg)
+    return sender_ids, tuple(msgs)

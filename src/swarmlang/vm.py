@@ -304,6 +304,12 @@ class Vm:
                 if kind is VstigPut or kind is VstigGet:
                     vstig = vstigs.get(msg.vstig_id)
                     if vstig is not None:
+                        # the same writer at the same clock: merge's no-op
+                        local = vstig.entries.get(msg.key)
+                        if (local is not None
+                                and local.timestamp == msg.timestamp
+                                and local.robot_id == msg.robot_id):
+                            continue
                         out = vstig.merge(msg, self)
                         if out is not None:
                             enqueue_vstig_message(queue, out)

@@ -7,7 +7,7 @@ table of tagged key/value pairs.
 """
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import WireError
@@ -61,6 +61,12 @@ class VstigPut:
     value: object
     timestamp: int
     robot_id: int
+    # The envelope after the sender id (type byte onward) as decoded, so
+    # an adopted PUT is forwarded without encoding it again.  Only a PUT
+    # whose key and value are not tables keeps it: a scalar has one
+    # encoding, while a received table may carry duplicate keys, a nil
+    # value, or both 1 and 1.0, which re-encoding would not reproduce.
+    received: bytes = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -97,6 +103,9 @@ _VSTIG_TAIL = struct.Struct("<II")   # timestamp, robot id
 _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
 _U32 = struct.Struct("<I")
+# an envelope's leading sender id; what follows it (type byte onward) is
+# the same for every sender of one message
+SENDER = _U32
 
 
 def encode_value(v, depth=0):
@@ -185,6 +194,9 @@ def _utf8_bytes(text):
 
 def encode_message(sender_id, msg):
     """Encode envelope + body for one message."""
+    if type(msg) is VstigPut and msg.received is not None:
+        _check_u32(sender_id, "sender id")
+        return SENDER.pack(sender_id) + msg.received
     if isinstance(msg, Announce):
         mtype, body = MSG_ANNOUNCE, b""
     elif isinstance(msg, SwarmJoin):
@@ -249,9 +261,13 @@ def decode_message(data):
         ts, rid = _VSTIG_TAIL.unpack_from(data, pos)
         if pos + 8 != end:
             raise WireError("trailing bytes after message body")
-        cls = VstigPut if mtype == MSG_VSTIG_PUT else VstigGet
-        return sender_id, cls(vid, key, value, ts, rid)
-    sender_id = _U32.unpack_from(data)[0]
+        if mtype == MSG_VSTIG_GET:
+            return sender_id, VstigGet(vid, key, value, ts, rid)
+        if type(key) is Table or type(value) is Table:
+            return sender_id, VstigPut(vid, key, value, ts, rid)
+        return sender_id, VstigPut(vid, key, value, ts, rid,
+                                   bytes(data[SENDER.size:]))
+    sender_id = SENDER.unpack_from(data)[0]
     pos = 5
     if mtype == MSG_ANNOUNCE:
         msg = Announce()

@@ -240,6 +240,33 @@ def test_verifier_rejects_negative_name_and_origin_indices():
                       code=compile_and_link("a = 1").code).program
 
 
+@pytest.mark.parametrize("pools, match", [
+    ({"debug": [(21, 1, 1, 0)]}, None),
+    ({"debug": [(2 ** 32 - 1, 2 ** 32 - 1, 2 ** 32 - 1, 0)]}, None),
+    ({"consts": [("i", -2 ** 63), ("i", 2 ** 63 - 1), ("f", 1e300)]}, None),
+    ({"debug": [(-1, 1, 1, 0)]}, "debug entry @-1 1:1 out of u32"),
+    ({"debug": [(21, 2 ** 32, 1, 0)]}, "debug entry @21 4294967296:1"),
+    ({"debug": [(21, 1, -5, 0)]}, "debug entry @21 1:-5"),
+    ({"debug": [(21, 1.0, 1, 0)]}, "debug entry @21 1.0:1"),
+    ({"consts": [("f", 0.5), ("i", 2 ** 63)]}, "integer constant 1 out of"),
+    ({"consts": [("i", -2 ** 63 - 1)]}, "integer constant 0 out of int64"),
+    ({"consts": [("i", 1.5)]}, "constant 0 is neither"),
+    ({"consts": [("f", 10 ** 400)]}, "constant 0 is neither"),
+    ({"consts": [("x", 1)]}, "constant 0 is neither"),
+], ids=["debug", "debug-max", "consts-max", "offset-negative", "line-big",
+        "col-negative", "line-float", "int-big", "int-small", "int-float",
+        "float-int", "tag"])
+def test_an_image_built_in_memory_verifies_only_if_it_encodes(pools, match):
+    img = BytecodeImage(strings=["<script>", "a"],
+                        code=compile_and_link("a = 1").code, **pools)
+    if match is None:
+        img.program
+        assert BytecodeImage.decode(img.encode()) == img
+    else:
+        with pytest.raises(ImageError, match=match):
+            img.program
+
+
 def test_assembler_rejects_unknown_opcode():
     with pytest.raises(AsmError):
         assemble(".image 1\n.code 1\n@0 FLY 1")

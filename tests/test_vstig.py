@@ -4,7 +4,7 @@ import pytest
 
 from swarmlang.errors import VmRuntimeError
 from swarmlang.linker import compile_and_link
-from swarmlang.values import copy_value
+from swarmlang.values import Table, copy_value
 from swarmlang.vstig import VStigEntry, VStigMap, enqueue_vstig_message
 from swarmlang.vm import Vm
 from swarmlang.wire import Broadcast, Situated, VstigGet, VstigPut
@@ -139,6 +139,25 @@ def test_onconflictlost_fires_for_losing_local():
         (key, entry.get("data"), entry.get("robot")))
     store.merge(VstigPut(1, "k", 9, 1, 7), StubVm())
     assert lost == [("k", 3, 3)]
+
+
+@pytest.mark.parametrize("cls", [VstigPut, VstigGet])
+def test_a_resolver_cannot_change_the_received_message(cls):
+    # every receiver of a message shares the one decoded object
+    vm = Vm(compile_and_link("""
+v = stigmergy.create(1)
+v.onconflict(function(key, local, remote) {
+  remote.data.x = 99
+  return remote
+})
+v.put("k", 1)
+"""), 1)
+    vm.step()
+    msg = cls(1, "k", Table({"x": 1}), 1, 7)
+    vm.step([Situated(7, 10.0, 0.0, 0.0, (msg,))])
+    assert vm.faulted is None
+    assert msg.value.data == {"x": 1}
+    assert vm.vstig_map(1).entries["k"].value.data == {"x": 99}
 
 
 def test_resolver_returning_non_entry_raises():
