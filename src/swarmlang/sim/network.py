@@ -12,10 +12,12 @@ mask, a list of booleans in that same order.  A receiver's inbox holds
 one `Situated` record per heard link, sender ascending, whose `msgs` is
 the tuple of that sender's surviving messages in send order; a link with
 no survivor adds no record.  Each envelope is decoded once, and a
-VSTIG_PUT once per distinct body (type byte onward) in one call: the
-flood repeats a PUT from robot to robot with only the sender id changed.
-A decoded message is never changed, so senders share it; each sender id
-is still read from its own envelope.  When all of a sender's draws
+VSTIG_PUT that keeps its received bytes (its key and value are not
+tables) once per distinct body (type byte onward) in one call: the flood
+repeats a PUT from robot to robot with only the sender id changed.  Such
+a message holds only scalars, so senders share it; each sender id is
+still read from its own envelope.  A table-keyed PUT is decoded per
+envelope, since a table key matches only the object it was decoded as.  When all of a sender's draws
 survive (always at P=0) its receivers share one tuple; otherwise the
 sender's block of the mask, one row per message, is transposed into one
 column per link, and a link whose column keeps every message still gets
@@ -25,7 +27,7 @@ the shared tuple.
 from itertools import compress
 
 from ..errors import WireError
-from ..wire import SENDER, Situated, VstigPut, decode_message
+from ..wire import U32, Situated, VstigPut, decode_message
 
 
 def deliver(drop_prob, topology, outboxes, rng):
@@ -39,7 +41,7 @@ def deliver(drop_prob, topology, outboxes, rng):
         return inboxes
     keep = (rng.random(total) >= drop_prob).tolist()
     situated = tuple.__new__  # a Situated without the __new__ call
-    puts = {}  # VSTIG_PUT body (type byte onward) -> its decoded message
+    puts = {}  # scalar VSTIG_PUT body (type byte onward) -> decoded message
     k = 0
     for outbox, links in zip(outboxes, out_links):
         m = len(links)
@@ -78,7 +80,7 @@ def deliver(drop_prob, topology, outboxes, rng):
 def _decode(outbox, puts):
     """(sender ids, messages) of one outbox, each sender id read from its
     own envelope; a PUT body already in `puts` is not decoded again."""
-    skip = SENDER.size
+    skip = U32.size
     sender_ids = []
     msgs = []
     for sent in outbox:
@@ -87,10 +89,10 @@ def _decode(outbox, puts):
         msg = puts.get(body)
         if msg is None:
             sender_id, msg = decode_message(raw)
-            if type(msg) is VstigPut:
+            if type(msg) is VstigPut and msg.received is not None:
                 puts[body] = msg
         else:
-            sender_id = SENDER.unpack_from(raw)[0]
+            sender_id = U32.unpack_from(raw)[0]
         sender_ids.append(sender_id)
         msgs.append(msg)
     return sender_ids, tuple(msgs)

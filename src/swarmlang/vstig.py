@@ -89,11 +89,11 @@ class VStigMap:
     def _resolve(self, key, local, remote_msg, vm):
         """Run the conflict resolver; store the winner; fire the lost hook."""
         ts = max(local.timestamp, remote_msg.timestamp)
-        local_tbl = _entry_table(local.value, local.robot_id)
-        # a copy: the script may change it, and the message is shared
-        remote_tbl = _entry_table(copy_value(remote_msg.value),
-                                  remote_msg.robot_id)
         if self.onconflict is not None:
+            local_tbl = _entry_table(local.value, local.robot_id)
+            # a copy: the script may change it, and the message is shared
+            remote_tbl = _entry_table(copy_value(remote_msg.value),
+                                      remote_msg.robot_id)
             ret = vm.call_value(self.onconflict, [key, local_tbl, remote_tbl])
             if not isinstance(ret, Table):
                 raise VmRuntimeError(

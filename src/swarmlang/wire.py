@@ -102,10 +102,8 @@ _VSTIG_HEAD = struct.Struct("<IBH")  # sender id, type, stigmergy id
 _VSTIG_TAIL = struct.Struct("<II")   # timestamp, robot id
 _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
-_U32 = struct.Struct("<I")
-# an envelope's leading sender id; what follows it (type byte onward) is
-# the same for every sender of one message
-SENDER = _U32
+# a length, or an envelope's leading sender id
+U32 = struct.Struct("<I")
 
 
 def encode_value(v, depth=0):
@@ -148,7 +146,7 @@ def decode_value(data, pos, depth=0):
     if tag == TAG_STRING:
         if pos + 4 > end:
             raise WireError("truncated value")
-        stop = pos + 4 + _U32.unpack_from(data, pos)[0]
+        stop = pos + 4 + U32.unpack_from(data, pos)[0]
         if stop > end:
             raise WireError("truncated value")
         return _utf8(data[pos + 4:stop]), stop
@@ -160,7 +158,7 @@ def decode_value(data, pos, depth=0):
         return _FLOAT.unpack_from(data, pos)[0], pos + 8
     if tag == TAG_TABLE:
         _need(data, pos, 4)
-        n = _U32.unpack_from(data, pos)[0]
+        n = U32.unpack_from(data, pos)[0]
         pos += 4
         t = Table()
         for _ in range(n):
@@ -196,7 +194,7 @@ def encode_message(sender_id, msg):
     """Encode envelope + body for one message."""
     if type(msg) is VstigPut and msg.received is not None:
         _check_u32(sender_id, "sender id")
-        return SENDER.pack(sender_id) + msg.received
+        return U32.pack(sender_id) + msg.received
     if isinstance(msg, Announce):
         mtype, body = MSG_ANNOUNCE, b""
     elif isinstance(msg, SwarmJoin):
@@ -266,8 +264,8 @@ def decode_message(data):
         if type(key) is Table or type(value) is Table:
             return sender_id, VstigPut(vid, key, value, ts, rid)
         return sender_id, VstigPut(vid, key, value, ts, rid,
-                                   bytes(data[SENDER.size:]))
-    sender_id = SENDER.unpack_from(data)[0]
+                                   bytes(data[U32.size:]))
+    sender_id = U32.unpack_from(data)[0]
     pos = 5
     if mtype == MSG_ANNOUNCE:
         msg = Announce()

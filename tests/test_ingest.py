@@ -258,3 +258,40 @@ def test_a_shared_put_body_keeps_each_sender_id():
     with pytest.raises(WireError, match="two sender ids"):
         deliver(0.0, topo, [[SentMessage(Announce(), encode_message(
             0, Announce()))] + outboxes[1], []], rng)
+
+
+def test_equal_table_keyed_puts_stay_two_entries():
+    # a table key matches only the object it was decoded as, so two PUTs
+    # with equal bodies but table keys are two slots at the receiver
+    cfg = SimulationConfig(n_robots=3, arena_side=1.0, comm_range=5.0)
+    topo = Topology.build(cfg, [(0.0, 0.0), (0.1, 0.0), (0.2, 0.0)])
+    rng = rng_for(cfg, 9)
+    sender = Vm(compile_and_link("""
+v = stigmergy.create(1)
+v.put({}, 1)
+v.put({}, 1)
+"""), 0)
+    listener = compile_and_link("v = stigmergy.create(1)")
+    receivers = [Vm(listener, 1), Vm(listener, 2)]
+    outbox, _ = sender.step()
+    puts = [sent for sent in outbox if type(sent.message) is VstigPut]
+    assert len(puts) == 2 and puts[0].raw == puts[1].raw
+    inboxes = deliver(0.0, topo, [outbox, [], []], rng)
+    forwarded = []
+    for vm, inbox in zip(receivers, inboxes[1:]):
+        vm.step()
+        out, _ = vm.step(inbox)
+        assert vm.faulted is None and len(vm.vstig_map(1).entries) == 2
+        forwarded.append([sent for sent in out
+                          if type(sent.message) is VstigPut])
+    assert [len(f) for f in forwarded] == [2, 2]
+
+    # both receivers forward the same two bodies; robot 0 hears all four
+    # and keeps the two from each neighbour apart
+    inboxes = deliver(0.0, topo, [[], forwarded[0], forwarded[1]], rng)
+    keys = [msg.key for record in inboxes[0] for msg in record.msgs]
+    assert len(keys) == 4 and len({id(k) for k in keys}) == 4
+    heard = Vm(listener, 0)
+    heard.step()
+    heard.step(inboxes[0])
+    assert len(heard.vstig_map(1).entries) == 4
