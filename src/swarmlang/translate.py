@@ -19,9 +19,21 @@ relies on are listed in vm.py and docs/bytecode.md, "Execution".  Here:
   while `b <= k`, so falling through needs no assignment, a forward jump
   sets `b` and a backward one also continues the `while True` around
   the blocks.
-- Every instruction, its fuel check first, has lines of its own, and
-  the line table maps each to (code offset, is a script call) for
-  `_unwind`.
+- Fuel is charged once per segment: a segment is a run of instructions
+  inside one basic block that ends at the block's end or at a call, a
+  return or a branch, so only its last instruction can change fuel.  On
+  entry the segment subtracts its instruction count n and runs without
+  further checks while fuel stays above 0.  Otherwise it restores the n
+  and runs a checked copy: each instruction after its own
+  `fuel := fuel - 1` check, as many as the budget allows, then the
+  budget fault at the instruction that has no fuel left.
+- Every instruction has lines of its own in each copy, and the line
+  table maps each line to (code offset, refund) for `_unwind`.  The
+  refund is the fuel charged in advance for the instructions of the
+  segment that come after the line's instruction: n - j - 1 for the
+  j-th instruction of the unchecked copy, 0 in the checked copy, and
+  None on a script call, whose callee leaves the exact fuel in
+  `vm._fuel`.
 - The source holds no value from the image.  Strings, constants, the
   functions MKCLOSURE creates and the line table reach the code only as
   `K`, the constants tuple of its factory, so the text depends on the
@@ -76,14 +88,15 @@ def _tset(obj, key, value):
 def _unwind(vm, exc, fuel, lines):
     """Leave a generated function on error: sync fuel, attach a position.
 
-    `lines` maps a line of the function to (code offset, is a script
-    call).  A script call leaves its callee's exact fuel in `vm._fuel`;
-    anywhere else the function's own count is the one to keep.
+    `lines` maps a line of the function to (code offset, refund), the
+    refund being the fuel charged for the instructions of its segment
+    after it, which did not run.  A script call leaves its callee's exact
+    fuel in `vm._fuel` and has refund None; anywhere else the function's
+    own count plus the refund is the one to keep.
     """
-    offset, script_call = lines.get(exc.__traceback__.tb_lineno,
-                                    (None, False))
-    if not script_call:
-        vm._fuel = fuel
+    offset, refund = lines.get(exc.__traceback__.tb_lineno, (None, 0))
+    if refund is not None:
+        vm._fuel = fuel + refund
     if offset is not None and isinstance(exc, VmRuntimeError) \
             and exc.line is None:
         pos = vm.image.position_at(offset)
@@ -105,6 +118,7 @@ _RUNTIME = {
 
 _BUDGET = ("if (fuel := fuel - 1) <= 0: "
            "raise VmRuntimeError('instruction budget exceeded')")
+_EXHAUSTED = "fuel -= 1; raise VmRuntimeError('instruction budget exceeded')"
 
 
 def _float_fast(op, slow):
@@ -112,7 +126,7 @@ def _float_fast(op, slow):
             f"type({{t1}}) is float else {slow}({{t2}}, {{t1}})")
 
 
-# The lines of each instruction after its fuel check.  `push` is the slot
+# The lines of each instruction, unchecked.  `push` is the slot
 # it pushes to, t1, t2 and t3 the top three slots it finds; `const` is
 # its operand's name in K, `local` and `up` its slot, `go` its jump and
 # `falsy` the test that t1 is nil or integer 0.  CALL and CALLM also get
@@ -178,6 +192,8 @@ _CODE = {
 }
 _CODE[CALLM] = _CODE[CALL]
 _CODE[DONE] = _CODE[RETN]
+# the instructions that end a segment: a call syncs fuel with its callee
+_ENDS = BRANCHES | {CALL, CALLM, RET, RETN, DONE}
 
 
 def translate(program):
@@ -191,7 +207,7 @@ def translate(program):
     for start, end, nparams, nlocals in program.regions:
         source, consts, lines = _generate(instrs, depths, built, start, end,
                                           nparams, nlocals)
-        consts.append({n: (offsets[i], call) for n, (i, call)
+        consts.append({n: (offsets[i], refund) for n, (i, refund)
                        in lines.items()})
         fn = _factory(source)(tuple(consts))
         fn.__name__ = fn.__qualname__ = f"fn@{offsets[start]}"
@@ -210,8 +226,8 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
     """(source, constants, line table) of the region [start, end).
 
     `built` maps the entry of each region it creates to its function.
-    The line table maps a source line to (instruction index, is a script
-    call).  The last constant, the line table with offsets, is appended
+    The line table maps a source line to (instruction index, refund), see
+    `_unwind`.  The last constant, the line table with offsets, is appended
     by the caller as k<len(constants)>.
     """
     reach = [i for i in range(start, end) if depths[i] is not None]
@@ -228,11 +244,42 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
     nparams = min(nparams, max(nlocals - 1, 0))
     consts = []
     lines = []
-    where = {}  # line number -> (instruction index, is a script call)
+    where = {}  # line number -> (instruction index, refund)
 
     def const(value):
         consts.append(value)
         return f"k{len(consts) - 1}"
+
+    def code(i):
+        opcode, arg = instrs[i]
+        h = depths[i]
+        t1 = f"s{h - 1}"
+        fields = {"push": f"s{h}", "t1": t1, "t2": f"s{h - 2}",
+                  "t3": f"s{h - 3}",
+                  "falsy": f"{t1} is None or type({t1}) is int and {t1} == 0"}
+        if opcode in (PUSHI, PUSHC, PUSHS, GLOAD, GSTORE):
+            fields["const"] = const(arg)
+        elif opcode == MKCLOSURE:
+            fields["const"] = const(built[arg[0]])
+        elif opcode == LLOAD or opcode == LSTORE:
+            fields["local"] = f"L[{arg}]" if captures else f"l{arg}"
+        elif opcode == ULOAD or opcode == USTORE:
+            fields["up"] = f"e{arg[0]}[{arg[1]}]"
+        elif opcode in BRANCHES:
+            fields["go"] = f"b = {arg}" + ("; continue" if arg <= i else "")
+        elif opcode == CALL or opcode == CALLM:
+            at = h - 1 - arg  # the callee's slot; CALLM's receiver below
+            args = ", ".join(f"s{k}" for k in range(at + 1, h))
+            fields.update(f=f"s{at}", args=args, more=", " * bool(args) + args)
+            if opcode == CALLM:
+                fields.update(self=f"s{at - 1}", out=f"s{at - 1}")
+            else:
+                fields.update(self="None", out=f"s{at}")
+        return [text.format(**fields) for text in _CODE[opcode]]
+
+    def emit(text, at):
+        lines.append(text)
+        where[len(lines)] = at
 
     params = ", ".join(f"l{k}=None" for k in range(nparams + 1))
     lines += ["def _mk(K):", None, f"    def fn(vm, env, {params}, *_):",
@@ -266,39 +313,24 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
             lines.append(f"{pad}while True:")
             pad += "    "
     body = pad
-    for i in reach:
-        if i in leaders or (leaders and i == reach[0]):
-            lines.append(f"{pad}if b <= {i}:")
+    for segment in _segments(instrs, reach, leaders):
+        first, n = segment[0], len(segment)
+        if first in leaders or (leaders and first == reach[0]):
+            lines.append(f"{pad}if b <= {first}:")
             body = pad + "    "
-        opcode, arg = instrs[i]
-        h = depths[i]
-        t1 = f"s{h - 1}"
-        fields = {"push": f"s{h}", "t1": t1, "t2": f"s{h - 2}",
-                  "t3": f"s{h - 3}",
-                  "falsy": f"{t1} is None or type({t1}) is int and {t1} == 0"}
-        if opcode in (PUSHI, PUSHC, PUSHS, GLOAD, GSTORE):
-            fields["const"] = const(arg)
-        elif opcode == MKCLOSURE:
-            fields["const"] = const(built[arg[0]])
-        elif opcode == LLOAD or opcode == LSTORE:
-            fields["local"] = f"L[{arg}]" if captures else f"l{arg}"
-        elif opcode == ULOAD or opcode == USTORE:
-            fields["up"] = f"e{arg[0]}[{arg[1]}]"
-        elif opcode in BRANCHES:
-            fields["go"] = f"b = {arg}" + ("; continue" if arg <= i else "")
-        elif opcode == CALL or opcode == CALLM:
-            at = h - 1 - arg  # the callee's slot; CALLM's receiver below
-            args = ", ".join(f"s{k}" for k in range(at + 1, h))
-            fields.update(f=f"s{at}", args=args, more=", " * bool(args) + args)
-            if opcode == CALLM:
-                fields.update(self=f"s{at - 1}", out=f"s{at - 1}")
-            else:
-                fields.update(self="None", out=f"s{at}")
-        code = [_BUDGET] + [text.format(**fields) for text in _CODE[opcode]]
-        script_call = 1 if opcode == CALL or opcode == CALLM else None
-        for n, text in enumerate(code):
-            lines.append(body + text)
-            where[len(lines)] = (i, n == script_call)
+        codes = [code(i) for i in segment]
+        # the checked copy runs only where the budget runs out, so its
+        # last check always fails and the last instruction is not needed
+        lines += [f"{body}if (fuel := fuel - {n}) <= 0:",
+                  f"{body}    fuel += {n}"]
+        for i, texts in zip(segment, codes[:-1]):
+            for text in [_BUDGET] + texts:
+                emit(f"{body}    {text}", (i, 0))
+        emit(f"{body}    {_EXHAUSTED}", (segment[-1], 0))
+        for j, (i, texts) in enumerate(zip(segment, codes)):
+            call = instrs[i][0] == CALL or instrs[i][0] == CALLM
+            for m, text in enumerate(texts):
+                emit(body + text, (i, None if call and m == 0 else n - j - 1))
     lines += ["        except BaseException as exc:",
               "            vm.depth = d",
               f"            unwind(vm, exc, fuel, k{len(consts)})",
@@ -307,3 +339,22 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
     lines[1] = f"    {', '.join(f'k{n}' for n in range(len(consts) + 1))}, = K"
     return "\n".join(lines), consts, where
 
+
+def _segments(instrs, reach, leaders):
+    """The reachable instructions split into straight-line segments.
+
+    A segment starts at a block leader and ends at the last instruction
+    before the next one or at a call, a return or a branch: nothing but
+    its last instruction can change fuel or leave it.
+    """
+    segment = []
+    for i in reach:
+        if segment and i in leaders:
+            yield segment
+            segment = []
+        segment.append(i)
+        if instrs[i][0] in _ENDS:
+            yield segment
+            segment = []
+    if segment:
+        yield segment

@@ -23,8 +23,12 @@ shares.  The invariants of that translation:
   emitted; the verifier's rules (no pop below the frame base, every slot
   and jump target in range, no FUNC header or unknown opcode reached) are
   why the generated code checks none of them.
-- Fuel is exact: each source instruction costs one unit, charged and
-  checked before it runs.  It lives in a Python local of the running
+- Fuel is exact: each source instruction costs one unit, and a budget
+  faults at the instruction it runs out on.  The generated code charges
+  a straight-line segment's count once on entry and, where that would
+  run out, runs a copy of the segment checked per instruction; a fault
+  partway through a segment gives back the charge for the instructions
+  it did not reach.  Fuel lives in a Python local of the running
   function and is synced through `self._fuel` around every script and
   host call.  A step, and a host call into the script while no script
   function runs, starts with the full `config.instruction_budget`.
@@ -87,19 +91,15 @@ def _hc_print(vm, _self, args):
     vm.print_sink("".join(to_display(a) for a in args))
 
 
-def _num(args, i, name):
-    if i < len(args):
-        value = args[i]
-        if type(value) is float or type(value) is int:
-            return value
-    raise VmRuntimeError(f"math.{name} expects numeric arguments")
-
-
+# The math methods check their arguments inline: they are among the
+# most called host methods, and a helper per argument costs a frame each.
 def _trig(name):
     fn = getattr(_math, name)
 
     def call(vm, _self, args):
-        x = _num(args, 0, name)
+        x = args[0] if args else None
+        if type(x) is not float and type(x) is not int:
+            raise VmRuntimeError(f"math.{name} expects numeric arguments")
         try:
             return fn(x)
         except ValueError:  # an infinite angle
@@ -108,21 +108,40 @@ def _trig(name):
     return HostClosure(name, call)
 
 
-_MATH_METHODS = {
-    "sin": _trig("sin"),
-    "cos": _trig("cos"),
-    "min": HostClosure("min", lambda vm, s, a: min(_num(a, 0, "min"),
-                                                   _num(a, 1, "min"))),
-    "abs": HostClosure("abs", lambda vm, s, a: check_int64(
-        abs(_num(a, 0, "abs")))),
-    "sqrt": HostClosure("sqrt", lambda vm, s, a: _sqrt(_num(a, 0, "sqrt"))),
-}
+def _min(vm, _self, args):
+    if len(args) > 1:
+        a, b = args[0], args[1]
+        if (type(a) is float or type(a) is int) \
+                and (type(b) is float or type(b) is int):
+            return b if b < a else a  # builtin min(a, b), NaN included
+    raise VmRuntimeError("math.min expects numeric arguments")
 
 
-def _sqrt(x):
+def _abs(vm, _self, args):
+    x = args[0] if args else None
+    if type(x) is float:
+        return abs(x)
+    if type(x) is int:
+        return check_int64(abs(x))
+    raise VmRuntimeError("math.abs expects numeric arguments")
+
+
+def _sqrt(vm, _self, args):
+    x = args[0] if args else None
+    if type(x) is not float and type(x) is not int:
+        raise VmRuntimeError("math.sqrt expects numeric arguments")
     if x < 0:
         raise VmRuntimeError("math.sqrt of a negative number")
     return _math.sqrt(x)
+
+
+_MATH_METHODS = {
+    "sin": _trig("sin"),
+    "cos": _trig("cos"),
+    "min": HostClosure("min", _min),
+    "abs": HostClosure("abs", _abs),
+    "sqrt": HostClosure("sqrt", _sqrt),
+}
 
 
 class Vm:

@@ -340,3 +340,34 @@ e = math.sin(0)
     assert g(vm, "c") == 3.0
     assert g(vm, "d") == 1.0
     assert g(vm, "e") == 0.0
+
+
+NUMERIC = "expects numeric arguments"
+
+
+# Each error of the math methods, at the call's position; the last column
+# is the fuel the step used, the faulting call's instruction included.
+@pytest.mark.parametrize("call, message, used", [
+    ('math.sin("a")', f"math.sin {NUMERIC}", 11),
+    ("math.cos()", f"math.cos {NUMERIC}", 10),
+    ("math.cos(1e308 * 10.0)", "math.cos of an infinite number", 13),
+    ("math.sin(-1e308 * 10.0)", "math.sin of an infinite number", 14),
+    ("math.min(1)", f"math.min {NUMERIC}", 11),
+    ("math.min(1, nil)", f"math.min {NUMERIC}", 12),
+    ('math.min("a", 2)', f"math.min {NUMERIC}", 12),
+    ("math.abs(nil)", f"math.abs {NUMERIC}", 11),
+    (f"math.abs({INT64_MIN})", OVERFLOW, 14),
+    ("math.sqrt({})", f"math.sqrt {NUMERIC}", 11),
+    ("math.sqrt(-0.5)", "math.sqrt of a negative number", 12),
+])
+def test_math_errors_fault_at_the_call(run_script, call, message, used):
+    vm = run_script(f"x = 1\ny = 2 + {call}\n")
+    assert vm.faulted.message == message
+    assert (vm.faulted.line, vm.faulted.col) == (2, 14)
+    assert vm.config.instruction_budget - vm._fuel == used
+
+
+def test_math_min_returns_the_first_of_equals(run_script):
+    vm = run_script("a = math.min(0.0, -0.0)\nb = math.min(-0.0, 0.0)\n"
+                    "c = math.min(2, 2.0)\nd = math.min(3, 1.5)")
+    assert [repr(g(vm, k)) for k in "abcd"] == ["0.0", "-0.0", "2", "1.5"]

@@ -10,16 +10,18 @@ fault (text and position) and the fuel left in `vm._fuel`.
 import dataclasses
 import math
 import random
+import re
 from unittest import mock
 
 import pytest
 
-from swarmlang import behaviors, sim
+from swarmlang import behaviors, sim, translate
 from swarmlang.errors import SwarmlangError
 from swarmlang.linker import compile_and_link
 from swarmlang.sim import runner
 from swarmlang.values import CLOSURES, SwarmHandle, Table, VStigHandle
 from swarmlang.vm import Vm, VmConfig
+from swarmlang.wire import Announce, Situated
 
 from reference_vm import ReferenceVm
 from test_image import SCRIPTS, splice
@@ -152,3 +154,88 @@ function step() {
         outbox, actuation = vm.step([])
         seen.append(observe(vm, outbox, actuation, ()))
     assert seen[0] == seen[1]
+
+
+# The shape of the segregation script: a `reduce` whose script callback
+# calls a script function, `math.cos`/`sin`, and reads and writes tables.
+SEGREGATION_SHAPED = """
+DELTA = 50.
+function force(dist, delta) {
+  return -(delta / dist) * ((delta / dist)^4 - (delta / dist)^2)
+}
+function sum(rid, data, accum) {
+  var fm = force(data.distance, DELTA)
+  accum.x = accum.x + fm * math.cos(data.azimuth)
+  accum.y = accum.y + fm * math.sin(data.azimuth)
+  return accum
+}
+function step() {
+  if (neighbors.count() > 0) {
+    var dir = neighbors.reduce(sum, {x=0, y=0})
+    dir.x = dir.x / neighbors.count()
+    dir.y = dir.y / neighbors.count()
+    last = dir
+  }
+}
+"""
+HEARD = [Situated(rid, 40.0 * rid, 0.7 * rid, 0.0, (Announce(),))
+         for rid in (1, 2, 3)]
+
+
+def second_step(engine, image, budget, inbox=()):
+    """Observations of a second step run on `budget`, the first on a full
+    one."""
+    vm = engine(image, 0, VmConfig())
+    vm.step([])
+    vm.config.instruction_budget = budget
+    outbox, actuation = vm.step(list(inbox))
+    assert idle(vm)
+    return observe(vm, outbox, actuation, ())
+
+
+def test_every_budget_of_a_segregation_step_matches_the_interpreter():
+    # every budget the step can run out on, inside the reduce callback and
+    # the math host calls included, and the first one it does not
+    image = compile_and_link(SEGREGATION_SHAPED)
+    full = second_step(Vm, image, 10_000, HEARD)
+    assert full[6] is None and "last" in dict(full[2])
+    used = 10_000 - full[7]
+    assert used > 100
+    for budget in range(1, used + 2):
+        translated = second_step(Vm, image, budget, HEARD)
+        assert translated == second_step(ReferenceVm, image, budget, HEARD)
+        assert (translated[6] is None) == (budget > used), budget
+
+
+@pytest.mark.parametrize("body", [
+    "var a = 1\n  var b = a + nil\n  var c = 2\n  done = b + c",
+    "var t = nil\n  var b = t.x\n  var c = 2\n  done = b + c",
+    "var t = {}\n  t[nil] = 1\n  var c = 2\n  done = c",
+], ids=["add", "index", "key"])
+def test_a_fault_inside_a_segment_refunds_the_rest(body):
+    # the fault's instruction has straight-line code after it, charged on
+    # entry to its segment and given back when the fault leaves it
+    image = compile_and_link(f"function step() {{\n  {body}\n}}\n")
+    translated = second_step(Vm, image, 10_000)
+    assert translated[6] is not None and translated[6][0] != \
+        "instruction budget exceeded"
+    assert translated == second_step(ReferenceVm, image, 10_000)
+
+
+CHARGE = re.compile(r"^ *if \(fuel := fuel - (\d+)\) <= 0:$", re.M)
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_straight_line_code_charges_once_per_script_call_and_once_more(k):
+    calls = "; ".join(["g(t.x + 1)"] * k)
+    image = compile_and_link("function g(a) { }\n"
+                             f"function f() {{ var t = {{x=1}}; {calls} }}\n")
+    program = image.program
+    entry = program.offsets.index(image.function_offsets()["f"]) + 1
+    start, end, nparams, nlocals = next(
+        region for region in program.regions if region[0] == entry)
+    source, _, _ = translate._generate(program.instrs, program.depths, {},
+                                       start, end, nparams, nlocals)
+    charges = [int(n) for n in CHARGE.findall(source)]
+    assert len(charges) == k + 1
+    assert sum(charges) == end - start  # each instruction charged once
