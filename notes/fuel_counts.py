@@ -46,10 +46,13 @@ def fuel_test_lines(source):
 
 
 def watch_translation():
-    """Map each generated function's code object to its fuel test lines.
+    """Map each factory's `fn` code object to its fuel test lines.
 
     Images and their translations are cached, so this must be in place
-    before the first run translates anything.
+    before the first run translates anything.  A built function runs a
+    copy of that code object renamed after its region, which equals it
+    again once named `fn` (code objects compare co_name, not
+    co_qualname).
     """
     lines_of = {}
     factory = translate._factory
@@ -79,7 +82,10 @@ def measure(name, seed, lines_of):
         return result
 
     def on_call(frame, event, _arg):
-        lines = lines_of.get(frame.f_code)
+        code = frame.f_code
+        if code.co_filename != "<swarmlang>":
+            return None
+        lines = lines_of.get(code.replace(co_name="fn"))
         if lines is None:
             return None
 

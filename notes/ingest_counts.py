@@ -1,11 +1,12 @@
-"""Stigmergy ingest counts of seeded simulator runs.
+"""Ingest counts of seeded simulator runs.
 
     PYTHONPATH=src python3 notes/ingest_counts.py [--seeds 5 11]
 
-Runs barrier (N=200, P=0, to convergence) and a serial consensus sweep
-(N in {10, 30} x P in {0, .25, .5, .75} x 5 reps, 20 steps), the shapes
-of the `barrier-200` and `sweep-small` benchmark workloads, once per
-seed, and prints one JSON line per run:
+Runs barrier (N=200, P=0, to convergence), a serial consensus sweep
+(N in {10, 30} x P in {0, .25, .5, .75} x 5 reps, 20 steps) and gradient
+(N=1000, P=0.25, 6 steps), the shapes of the `barrier-200`, `sweep-small`
+and `gradient-1k` benchmark workloads, once per seed, and prints one JSON
+line per run:
 
 - `envelopes`: envelopes in outboxes that have a receiver, i.e. the
   decodes of one decode per envelope;
@@ -15,7 +16,11 @@ seed, and prints one JSON line per run:
 - `merges`: `VStigMap.merge` calls;
 - `skipped`: `vstig_msgs - merges`, the no-op merges not made;
 - `encodes`: `encode_message` calls made by the VM;
-- `reused`: those whose PUT carried its received bytes.
+- `reused`: those whose PUT carried its received bytes;
+- `records`: neighbor record tables built (`record_table` calls).  Only
+  code that names `neighbors` gets a view each step, so the consensus
+  and barrier scripts read 0; gradient, whose script names it, is the
+  control.
 
 Point PYTHONPATH at another checkout's `src/` to measure that one; a
 checkout whose `VstigPut` keeps no received bytes reads `reused` 0.
@@ -40,15 +45,23 @@ def run_sweep(seed):
                          master_seed=seed, max_steps=20, workers=1)
 
 
-RUNS = {"barrier-200": run_barrier, "sweep-small": run_sweep}
+def run_gradient(seed):
+    cfg = sim.SimulationConfig(n_robots=1000, drop_prob=0.25, seed=seed,
+                               max_steps=6)
+    sim.run(cfg, sim.build_gradient())
+
+
+RUNS = {"barrier-200": run_barrier, "sweep-small": run_sweep,
+        "gradient-1k": run_gradient}
 
 
 def measure(name, seed):
     counts = dict.fromkeys(("envelopes", "decodes", "vstig_msgs", "merges",
-                            "encodes", "reused"), 0)
+                            "encodes", "reused", "records"), 0)
     deliver, decode = runner.deliver, network.decode_message
     merge, ingest, encode = vstig.VStigMap.merge, vm.Vm._ingest, \
         vm.encode_message
+    record = vm.record_table
 
     def counting_deliver(drop_prob, topology, outboxes, rng):
         counts["envelopes"] += sum(
@@ -77,17 +90,22 @@ def measure(name, seed):
             counts["reused"] += 1
         return encode(sender_id, msg)
 
+    def counting_record(*args):
+        counts["records"] += 1
+        return record(*args)
+
     runner.deliver = counting_deliver
     network.decode_message = counting_decode
     vstig.VStigMap.merge = counting_merge
     vm.Vm._ingest = counting_ingest
     vm.encode_message = counting_encode
+    vm.record_table = counting_record
     try:
         RUNS[name](seed)
     finally:
         runner.deliver, network.decode_message = deliver, decode
         vstig.VStigMap.merge, vm.Vm._ingest = merge, ingest
-        vm.encode_message = encode
+        vm.encode_message, vm.record_table = encode, record
     counts["skipped"] = counts["vstig_msgs"] - counts["merges"]
     return {"workload": name, "seed": seed, **counts}
 

@@ -21,9 +21,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .errors import ImageError
-from .opcodes import (BRANCHES, CALL, CALLM, DONE, FUNC, JFKEEP, JTKEEP, JUMP,
-                      LLOAD, LSTORE, MKCLOSURE, OPERANDS, RET, RETN, STACK,
-                      ULOAD, USTORE)
+from .opcodes import (BRANCHES, CALL, CALLM, DONE, FUNC, GLOAD, GSTORE,
+                      JFKEEP, JTKEEP, JUMP, LLOAD, LSTORE, MKCLOSURE, OPERANDS,
+                      RET, RETN, STACK, ULOAD, USTORE)
 from .translate import translate
 
 MAGIC = b"SWBC"
@@ -81,6 +81,16 @@ class BytecodeImage:
         back to the image, so reference counting frees the image.
         """
         return translate(self.program)
+
+    @cached_property
+    def global_names(self):
+        """Every global name the code loads or stores, reachable or not.
+
+        A script reaches a global only through a GLOAD or GSTORE naming
+        it, so a name missing here is one no code on the image can touch.
+        """
+        return frozenset(name for opcode, name in self.program.instrs
+                         if opcode == GLOAD or opcode == GSTORE)
 
     def function_offsets(self):
         """name -> code offset for every linked top-level function."""

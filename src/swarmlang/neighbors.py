@@ -1,13 +1,15 @@
 """Per-step neighbor view: spatial records plus functional operations.
 
 The view is a table keyed by robot id whose entries are
-{distance, azimuth, elevation} tables (distance in centimeters).  It is
-rebuilt from scratch every step from the senders heard in that step's
-inbox.  foreach/map/reduce/filter iterate in ascending robot id order so
-runs are reproducible; map and filter return detached views with the same
-method set.  broadcast/listen/ignore implement key-based neighbor
-messaging: one queued message per key (most recent wins), listeners fire
-during message ingestion the following step.
+{distance, azimuth, elevation} tables (distance in centimeters), one per
+sender heard in the step's inbox.  Each step has a new view: the VM
+builds it during the step when the image's code names `neighbors`, the
+only way code reaches it, and otherwise on the host's first read
+(`Vm.neighbor_view`).  foreach/map/reduce/filter iterate in ascending
+robot id order so runs are reproducible; map and filter return detached
+views with the same method set.  broadcast/listen/ignore implement
+key-based neighbor messaging: one queued message per key (most recent
+wins), listeners fire during message ingestion the following step.
 """
 
 from .errors import VmRuntimeError

@@ -210,7 +210,12 @@ def translate(program):
         consts.append({n: (offsets[i], refund) for n, (i, refund)
                        in lines.items()})
         fn = _factory(source)(tuple(consts))
-        fn.__name__ = fn.__qualname__ = f"fn@{offsets[start]}"
+        # regions of one shape share a factory, so each function gets its
+        # own code object named after its region, which keeps profilers
+        # (pstats keys by file, line and name) from merging them
+        name = f"fn@{offsets[start]}"
+        fn.__code__ = fn.__code__.replace(co_name=name, co_qualname=name)
+        fn.__name__ = fn.__qualname__ = name
         built[start] = fn
     return built[0]
 

@@ -144,6 +144,12 @@ _MATH_METHODS = {
 }
 
 
+def _view_of(inbox):
+    # one record per sender heard; a sender heard twice keeps its last
+    return make_view({rid: record_table(distance, azimuth, elevation)
+                      for rid, distance, azimuth, elevation, _ in inbox})
+
+
 class Vm:
     def __init__(self, image, robot_id, config=None, print_sink=None):
         if type(robot_id) is not int or not 0 <= robot_id < 2 ** 32:
@@ -175,14 +181,17 @@ class Vm:
         self.swarm_registry = SwarmRegistry()
         self._swarm_handles = {}
         self._vstigs = {}
-        self.neighbor_view = make_view({})
+        # whether `_ingest` builds the view for the script (see there)
+        self._names_neighbors = "neighbors" in image.global_names
+        self._view = make_view({})
+        self._heard = None  # the inbox of a view not built yet
 
         self.globals["id"] = robot_id
         self.globals["math"] = Table(dict(_MATH_METHODS))
         self.globals["print"] = HostClosure("print", _hc_print)
         self.globals["swarm"] = Table(dict(SWARM_FACTORY))
         self.globals["stigmergy"] = Table(dict(VSTIG_FACTORY))
-        self.globals["neighbors"] = self.neighbor_view
+        self.globals["neighbors"] = self._view
         self.builtin_names = set(self.globals)
 
     # --- host API -----------------------------------------------------
@@ -219,7 +228,20 @@ class Vm:
         self.globals[name] = coerce(value)
 
     def get_global(self, name):
-        return self.globals.get(name)
+        value = self.globals.get(name)
+        if name == "neighbors" and value is self._view:
+            return self.neighbor_view  # built here if not yet
+        return value
+
+    @property
+    def neighbor_view(self):
+        """The neighbor view of the last step: every sender it heard."""
+        if self._heard is not None:
+            view = _view_of(self._heard)
+            if self.globals.get("neighbors") is self._view:  # not rebound
+                self.globals["neighbors"] = view
+            self._view, self._heard = view, None
+        return self._view
 
     def script_globals(self):
         """Globals created by the script (builtins and bindings excluded)."""
@@ -301,12 +323,18 @@ class Vm:
         return outbox, snapshot
 
     def _ingest(self, inbox):
-        # phase 2: rebuild the neighbor view from every sender heard this
-        # step, then apply messages to the subsystems in arrival order
-        self.neighbor_view = make_view({
-            rid: record_table(distance, azimuth, elevation)
-            for rid, distance, azimuth, elevation, _ in inbox})
-        self.globals["neighbors"] = self.neighbor_view
+        # phase 2: a new neighbor view of every sender heard this step,
+        # then messages applied to the subsystems in arrival order.  Code
+        # reaches the view only through the global `neighbors`.  Where the
+        # image names it, the view is built now and the VM keeps no
+        # reference to the inbox, so the step's records are freed with it
+        # (kept to the next step, they slow the collector's passes);
+        # otherwise no record is built unless the host reads the view
+        if self._names_neighbors:
+            self._view = self.globals["neighbors"] = _view_of(inbox)
+        else:
+            self._heard = inbox
+            self.globals["neighbors"] = self._view  # until the view is built
 
         for msg in self.swarm_registry.on_step(self.step_count):
             enqueue_swarm_message(self.out_queue, msg)

@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from swarmlang import vm as vm_module
 from swarmlang.errors import VmRuntimeError
 from swarmlang.linker import compile_and_link
 from swarmlang.vm import Vm
@@ -56,6 +59,105 @@ def test_view_rebuilt_each_step():
     assert vm.get_global("n") == 1
     vm.step([])  # the announcer fell silent
     assert vm.get_global("n") == 0
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """The number of neighbor record tables built, counted from here."""
+    calls = [0]
+    build = vm_module.record_table
+
+    def counting(*args):
+        calls[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(vm_module, "record_table", counting)
+    return calls
+
+
+STEPS = [[announce(1, 10.0)], [announce(2, 20.0), announce(3, 30.0)], []]
+
+
+@pytest.mark.parametrize("script, seen", [
+    # only a closure loads it; the script keeps what it got in `v`
+    ("function step() { var f = function() { return neighbors }\n"
+     "v = f() }", "v"),
+    # only a store names it, and the store never runs
+    ("function step() { if (id < 0) { neighbors = 0 } }", "neighbors"),
+])
+def test_code_naming_neighbors_gets_a_new_view_each_step(script, seen,
+                                                         record_calls):
+    vm = build_vm(script)
+    assert "neighbors" in vm.image.global_names
+    kept = []
+    for inbox in STEPS:
+        vm.step(inbox)
+        assert record_calls[0] == sum(map(len, STEPS[:len(kept) + 1]))
+        view = vm.get_global("neighbors")
+        assert view is vm.neighbor_view
+        assert sorted(view.data) == sorted(r[0] for r in inbox)
+        assert all(view is not old for old in kept)
+        assert vm.get_global(seen) is view
+        kept.append(view)
+    assert vm.faulted is None
+
+
+def test_code_not_naming_neighbors_builds_no_records(record_calls):
+    vm = build_vm("function step() { n = (n or 0) + 1 }")
+    assert "neighbors" not in vm.image.global_names
+    for inbox in STEPS * 2:
+        vm.step(inbox)
+    assert vm.get_global("n") == 6
+    assert record_calls[0] == 0
+
+
+@pytest.mark.parametrize("read", [
+    lambda vm: vm.neighbor_view,
+    lambda vm: vm.get_global("neighbors"),
+])
+def test_host_reads_the_last_view_of_code_not_naming_neighbors(read,
+                                                               record_calls):
+    vm = build_vm("")
+    for inbox in STEPS:
+        vm.step(inbox)
+        view = read(vm)
+        assert sorted(view.data) == sorted(r[0] for r in inbox)
+        assert all(view.data[r[0]].data == {"distance": r[1],
+                                            "azimuth": r[2],
+                                            "elevation": r[3]}
+                   for r in inbox)
+        # built once per step, on the first read
+        assert read(vm) is view
+        assert vm.neighbor_view is vm.get_global("neighbors") is view
+    assert record_calls[0] == sum(map(len, STEPS))
+    assert vm.get_global("neighbors").data == {}  # a silent step
+
+
+@pytest.mark.parametrize("script", [
+    "", "function step() { n = neighbors.count() }"])
+def test_a_host_binding_of_neighbors_lasts_until_the_next_step(script):
+    vm = build_vm(script)
+    vm.step([announce(1, 10.0)])
+    vm.set_global("neighbors", 5)
+    assert vm.get_global("neighbors") == 5
+    assert sorted(vm.neighbor_view.data) == [1]
+    assert vm.get_global("neighbors") == 5
+    vm.step([announce(2, 10.0)])
+    assert vm.get_global("neighbors") is vm.neighbor_view
+    assert sorted(vm.neighbor_view.data) == [2]
+
+
+def test_neighbors_in_unreachable_code_is_still_named(record_calls):
+    # code after a return is never verified reachable, yet it names the
+    # global, so the view is built: the gate errs toward building
+    vm = build_vm("function step() { return 1\n n = neighbors }")
+    program = vm.image.program
+    assert [depth for (opcode, name), depth
+            in zip(program.instrs, program.depths)
+            if name == "neighbors"] == [None]
+    assert "neighbors" in vm.image.global_names
+    vm.step([announce(4, 1.0)])
+    assert record_calls[0] == 1
 
 
 def test_foreach_ascending_order():

@@ -1,4 +1,6 @@
+import cProfile
 import itertools
+import pstats
 import sys
 import threading
 
@@ -379,6 +381,20 @@ def test_fault_inside_closure_reports_its_own_line(src, inbox, line, col):
     assert vm.faulted.message == "cannot apply '+' to int and nil"
     assert (vm.faulted.line, vm.faulted.col) == (line, col)
     assert vm.depth == 0  # the fault unwound every script level
+
+
+def test_a_profile_keeps_each_script_function_apart():
+    # f and g have one shape, so one compiled factory builds both; each
+    # still has its own code object, named after its region
+    vm = build_vm("function f() { return 1 }\nfunction g() { return 2 }\n"
+                  "function step() { a = f()\n b = g()\n c = g() }")
+    profile = cProfile.Profile()
+    profile.runcall(vm.step, [])
+    calls = {name: stats[1] for (file, _, name), stats
+             in pstats.Stats(profile).stats.items() if file == "<swarmlang>"}
+    f, g = (vm.get_global(name).code.__name__ for name in "fg")
+    assert f != g and f.startswith("fn@") and g.startswith("fn@")
+    assert (calls[f], calls[g]) == (1, 2)
 
 
 @pytest.mark.parametrize("src, inbox", [
