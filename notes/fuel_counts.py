@@ -31,7 +31,7 @@ import re
 import sys
 from pathlib import Path
 
-from swarmlang import translate, vm
+from swarmlang import image, translate, vm
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402  (perfbench/ is not a package)
@@ -46,26 +46,36 @@ def fuel_test_lines(source):
 
 
 def watch_translation():
-    """Map each factory's `fn` code object to its fuel test lines.
+    """Map each generated function's code object to its fuel test lines.
 
     Images and their translations are cached, so this must be in place
-    before the first run translates anything.  A built function runs a
-    copy of that code object renamed after its region, which equals it
-    again once named `fn` (code objects compare co_name, not
-    co_qualname).
+    before the first run translates anything.  `translate` gives each
+    built function its own code object, named after its region, after the
+    factory has made it, so the map is filled once a translation is done.
     """
     lines_of = {}
-    factory = translate._factory
+    built = []  # (function, fuel test lines) of the running translation
+    factory, translate_program = translate._factory, image.translate
 
     def recording_factory(source):
         mk = factory(source)
-        for const in mk.__code__.co_consts:  # the code object of `fn`
-            if hasattr(const, "co_filename"):
-                lines_of[const] = fuel_test_lines(source)
-        return mk
+        lines = fuel_test_lines(source)
+
+        def recording_mk(consts):
+            fn = mk(consts)
+            built.append((fn, lines))
+            return fn
+        return recording_mk
+
+    def recording_translate(program):
+        main = translate_program(program)
+        lines_of.update((fn.__code__, lines) for fn, lines in built)
+        built.clear()
+        return main
 
     factory.cache_clear()
     translate._factory = recording_factory
+    image.translate = recording_translate
     return lines_of
 
 
@@ -82,10 +92,7 @@ def measure(name, seed, lines_of):
         return result
 
     def on_call(frame, event, _arg):
-        code = frame.f_code
-        if code.co_filename != "<swarmlang>":
-            return None
-        lines = lines_of.get(code.replace(co_name="fn"))
+        lines = lines_of.get(frame.f_code)
         if lines is None:
             return None
 

@@ -212,9 +212,9 @@ def translate(program):
         fn = _factory(source)(tuple(consts))
         # regions of one shape share a factory, so each function gets its
         # own code object named after its region, which keeps profilers
-        # (pstats keys by file, line and name) from merging them
+        # (pstats keys by file, line and co_name) from merging them
         name = f"fn@{offsets[start]}"
-        fn.__code__ = fn.__code__.replace(co_name=name, co_qualname=name)
+        fn.__code__ = fn.__code__.replace(co_name=name)
         fn.__name__ = fn.__qualname__ = name
         built[start] = fn
     return built[0]

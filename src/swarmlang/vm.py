@@ -228,10 +228,9 @@ class Vm:
         self.globals[name] = coerce(value)
 
     def get_global(self, name):
-        value = self.globals.get(name)
-        if name == "neighbors" and value is self._view:
-            return self.neighbor_view  # built here if not yet
-        return value
+        if name == "neighbors":
+            self.neighbor_view  # binds the step's view unless rebound
+        return self.globals.get(name)
 
     @property
     def neighbor_view(self):
@@ -305,7 +304,12 @@ class Vm:
     # --- the step cycle --------------------------------------------------
 
     def step(self, inbox=()):
-        """Run one VM step; returns (outbox, actuation snapshot)."""
+        """Run one VM step; returns (outbox, actuation snapshot).
+
+        The VM may keep `inbox` until its next step and build the step's
+        neighbor view from it when the host reads the view, so the host
+        must not change the list or its records until then.
+        """
         if self.faulted:
             return [], {}
         self.step_count += 1
