@@ -208,7 +208,7 @@ def cmd_sweep(args):
             raise SwarmlangError("empty N or P grid")
         for n in n_grid:
             for p in p_grid:
-                SimulationConfig(n_robots=n, drop_prob=p,
+                SimulationConfig(n_robots=n, drop_prob=p, seed=args.seed,
                                  max_steps=args.max_steps,
                                  density=args.density,
                                  comm_range=args.comm_range)

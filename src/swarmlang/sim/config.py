@@ -44,6 +44,10 @@ class SimulationConfig:
             raise ValueError("arena side must be finite")
         if not (math.isfinite(self.density) and self.density > 0):
             raise ValueError("density must be finite and positive")
+        if not math.isfinite(self.side):
+            raise ValueError("density too low: the arena side overflows")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_steps < 0:
             raise ValueError("max steps must be >= 0")
 

@@ -9,36 +9,10 @@ the image:
 
 `env` is the closure's tuple of captured locals lists (innermost
 first), `l0` is `self` and l1..l<nparams> are the arguments: a missing
-argument is nil and extra ones are dropped.  The invariants the VM
-relies on are listed in vm.py and docs/bytecode.md, "Execution".  Here:
-
-- Stack slot d is the local `s<d>`, local slot k is `l<k>`, or `L[k]`
-  in a function that creates closures, and upvalue `depth slot` is
-  `env[depth - 1][slot]`.
-- Basic blocks are numbered by their first instruction; block k runs
-  while `b <= k`, so falling through needs no assignment, a forward jump
-  sets `b` and a backward one also continues the `while True` around
-  the blocks.
-- Fuel is charged once per segment: a segment is a run of instructions
-  inside one basic block that ends at the block's end or at a call, a
-  return or a branch, so only its last instruction can change fuel.  On
-  entry the segment subtracts its instruction count n and runs without
-  further checks while fuel stays above 0.  Otherwise it restores the n
-  and runs a checked copy: each instruction after its own
-  `fuel := fuel - 1` check, as many as the budget allows, then the
-  budget fault at the instruction that has no fuel left.
-- Every instruction has lines of its own in each copy, and the line
-  table maps each line to (code offset, refund) for `_unwind`.  The
-  refund is the fuel charged in advance for the instructions of the
-  segment that come after the line's instruction: n - j - 1 for the
-  j-th instruction of the unchecked copy, 0 in the checked copy, and
-  None on a script call, whose callee leaves the exact fuel in
-  `vm._fuel`.
-- The source holds no value from the image.  Strings, constants, the
-  functions MKCLOSURE creates and the line table reach the code only as
-  `K`, the constants tuple of its factory, so the text depends on the
-  shape of the code alone and one compiled factory serves every region
-  of the same shape.
+argument is nil and extra ones are dropped.  docs/bytecode.md,
+"Execution", states what the generated code does and the invariants the
+VM relies on: slots and locals, the block loop, fuel per segment, the
+line table and its refunds, and the constants tuple `K`.
 """
 
 import functools

@@ -14,35 +14,9 @@ from the image debug map) is stored and every later step is a no-op.
 The script runs as Python: the first VM on an image has each function of
 its verified program translated into one Python function
 (`BytecodeImage.main`, `translate.py`), which every VM on the image
-shares.  The invariants of that translation:
-
-- Stack slot d of a function is the Python local `s<d>`, and a function
-  that creates no closure keeps its local slots as Python locals; one
-  that does keeps them in the list its closures capture.
-- Jumps become a loop over basic blocks.  Unreachable code is not
-  emitted; the verifier's rules (no pop below the frame base, every slot
-  and jump target in range, no FUNC header or unknown opcode reached) are
-  why the generated code checks none of them.
-- Fuel is exact: each source instruction costs one unit, and a budget
-  faults at the instruction it runs out on.  The generated code charges
-  a straight-line segment's count once on entry and, where that would
-  run out, runs a copy of the segment checked per instruction; a fault
-  partway through a segment gives back the charge for the instructions
-  it did not reach.  Fuel lives in a Python local of the running
-  function and is synced through `self._fuel` around every script and
-  host call.  A step, and a host call into the script while no script
-  function runs, starts with the full `config.instruction_budget`.
-- `self.depth` counts the script functions running.  A call that would
-  make it exceed `config.max_frames` faults with "stack overflow" at the
-  call site; the counter is back at its old value after every call,
-  returned or raised.
-- A fault reports the source position of the instruction that raised:
-  each instruction has its own lines in the generated source, and the
-  traceback's line number in the innermost generated frame names it.
-- Script-to-script calls call the callee's Python function directly.
-  Host code enters the script only through `Vm.call_value`, which does
-  the same, so a script level costs one Python frame, and a host method
-  that calls back (`reduce`, swarm `exec`) costs FRAMES_PER_LEVEL.
+shares.  docs/bytecode.md, "Execution", states the invariants of that
+translation: slots as Python locals, exact fuel, the frame depth count,
+fault positions and direct calls.
 """
 
 import builtins

@@ -335,8 +335,11 @@ def test_env_var_worker_cap_does_not_change_user_script_csv(tmp_path):
     (["--robots", "0"], "need at least one robot"),
     (["--drop-prob", "nan"], "drop probability must be within [0, 1]"),
     (["--robots", "100", "--density", "0.95"], "could not place 100 robots"),
+    (["--seed", "-1"], "seed must be >= 0"),
+    (["--density", "1e-320"], "density too low: the arena side overflows"),
 ], ids=["density-0", "density-negative", "density-nan", "density-inf",
-        "negative-max-steps", "no-robots", "drop-prob-nan", "infeasible"])
+        "negative-max-steps", "no-robots", "drop-prob-nan", "infeasible",
+        "negative-seed", "side-overflow"])
 def test_bad_run_parameters_exit_2_with_one_usage_line(workspace, capsys,
                                                        monkeypatch, command,
                                                        flags, reason):
