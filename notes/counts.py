@@ -25,7 +25,8 @@ What it cost, which perf changes move on purpose:
 - `encodes`: `encode_message` calls made by the VM, and `reused`, those
   whose PUT carried its received bytes;
 - `view_tables`: neighbor record tables built (`record_table` calls);
-- `full_collections`: full (oldest-generation) garbage collections;
+- `collections`: garbage collections of each generation, young first,
+  and `full_collections`, the last of them (oldest generation);
 - `fuel_tests`: executed lines of generated code that take fuel and test
   it, `if (fuel := fuel - n) <= 0`, counted by a line tracer on the
   `<swarmlang>` frames of a second run of the unit.  The tracer slows
@@ -120,9 +121,10 @@ def counts(workload, seed):
                  (vm, "encode_message", counting_encode),
                  (vm, "record_table", counting_record)):
         gc.collect()
-        before = gc.get_stats()[2]["collections"]
+        before = [g["collections"] for g in gc.get_stats()]
         call()
-        c["full_collections"] = gc.get_stats()[2]["collections"] - before
+        per_generation = [g["collections"] - b
+                          for g, b in zip(gc.get_stats(), before)]
     text = ",".join(map(str, fuel))
     return {"robot_steps": len(fuel), "instructions": sum(fuel),
             "fuel_sha256": hashlib.sha256(text.encode()).hexdigest(),
@@ -132,7 +134,8 @@ def counts(workload, seed):
             "merges": c["merges"], "skipped": c["vstig_msgs"] - c["merges"],
             "encodes": c["encodes"], "reused": c["reused"],
             "view_tables": c["view_tables"],
-            "full_collections": c["full_collections"]}
+            "collections": per_generation,
+            "full_collections": per_generation[-1]}
 
 
 def fuel_tests(workload, seed):

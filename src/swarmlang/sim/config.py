@@ -40,6 +40,8 @@ class SimulationConfig:
             raise ValueError("drop probability must be within [0, 1]")
         if math.isnan(self.comm_range) or math.isnan(self.robot_radius):
             raise ValueError("comm range and robot radius must not be NaN")
+        if self.comm_range < 0:
+            raise ValueError("comm range must be >= 0")
         if self.arena_side is not None and not math.isfinite(self.arena_side):
             raise ValueError("arena side must be finite")
         if not (math.isfinite(self.density) and self.density > 0):

@@ -1,3 +1,4 @@
+import gc
 import heapq
 import math
 import random
@@ -691,6 +692,13 @@ def test_config_rejects_nan_ranges_and_non_finite_arena():
             SimulationConfig(n_robots=3, **kw)
 
 
+def test_config_rejects_a_negative_range_and_keeps_zero():
+    for bad in (-1.0, -1e-300, -math.inf):
+        with pytest.raises(ValueError, match="comm range must be >= 0"):
+            SimulationConfig(n_robots=3, comm_range=bad)
+    assert SimulationConfig(n_robots=3, comm_range=0.0).comm_range == 0.0
+
+
 @pytest.mark.parametrize("kw, degree", [
     (dict(comm_range=0.0), 0),
     (dict(robot_radius=0.0, arena_side=2.0), None),
@@ -756,3 +764,92 @@ def test_equal_sources_share_one_image():
                                                   "x = 1\n")],
                        readout="x", convergence="none")
     assert other.image() is not a.image()
+
+
+# --- the collector's young generation during a run
+
+@pytest.fixture
+def gc_state():
+    """The host's collector settings, put back whatever a test does."""
+    saved, enabled = gc.get_threshold(), gc.isenabled()
+    yield saved
+    gc.set_threshold(*saved)
+    (gc.enable if enabled else gc.disable)()
+
+
+def _watching_threshold(experiment, seen, fail=False):
+    def sense(vm, rid, ctx, step):
+        seen.append(gc.get_threshold())
+        if fail:
+            raise RuntimeError("sensor broke")
+    experiment.sense = sense
+    return experiment
+
+
+def _links_and_robots(cfg):
+    topo = Topology.build(cfg, place_robots(cfg))
+    return sum(map(len, topo.out_links)) + cfg.n_robots
+
+
+@pytest.mark.parametrize("case", ["normal", "no-steps", "sense-raises",
+                                  "host-raised", "host-disabled",
+                                  "host-zero"])
+def test_run_restores_the_collector_settings(gc_state, case):
+    cfg = SimulationConfig(n_robots=20, seed=1,
+                           max_steps=0 if case == "no-steps" else 3)
+    young = runner._YOUNG_PER_LINK * _links_and_robots(cfg)
+    assert young > gc_state[0]  # the run raises the default threshold
+    if case == "host-raised":
+        gc.set_threshold(10 * young, 7, 9)
+    elif case == "host-zero":
+        gc.set_threshold(0, 7, 9)
+    elif case == "host-disabled":
+        gc.disable()
+    before, enabled = gc.get_threshold(), gc.isenabled()
+    seen = []
+    experiment = _watching_threshold(build_consensus(), seen,
+                                     fail=case == "sense-raises")
+    if case == "sense-raises":
+        with pytest.raises(RuntimeError, match="sensor broke"):
+            run(cfg, experiment)
+    else:
+        run(cfg, experiment)
+    assert gc.get_threshold() == before and gc.isenabled() == enabled
+    if case == "no-steps":
+        assert seen == []
+        return
+    expected = {"host-raised": before[0], "host-zero": 0}.get(case, young)
+    assert set(seen) == {(expected,) + before[1:]}
+
+
+def test_cycles_a_script_makes_are_freed_during_the_run(gc_state):
+    source = ("made = 0\n"
+              "function step() {\n"
+              "  var i = 0\n"
+              "  while (i < 2000) { var t = {}; t.me = t; i = i + 1 }\n"
+              "  made = made + 1\n"
+              "}\n")
+    cfg = SimulationConfig(n_robots=20, seed=1, max_steps=10)
+    seen = []
+    experiment = _watching_threshold(
+        Experiment(name="cycles", sources=[("cycles.swl", source)],
+                   readout="made", convergence="none"), seen)
+    collected = []
+
+    def on_collection(phase, info):
+        if phase == "stop":
+            collected.append(info["collected"])
+
+    gc.collect()
+    gc.callbacks.append(on_collection)
+    try:
+        result = run(cfg, experiment)
+    finally:
+        gc.callbacks.remove(on_collection)
+    during, after = sum(collected), gc.collect()
+    assert result.metrics[-1].readouts == [10] * 20 and not result.faults
+    assert min(t[0] for t in seen) > gc_state[0]  # under the raised threshold
+    cycles = 20 * 10 * 2000
+    assert during + after >= cycles
+    # all but about one round's worth of the cycles went during the run
+    assert after <= (during + after) / 10
