@@ -20,7 +20,9 @@ that keeps the output:
 What it cost, which perf changes move on purpose:
 
 - `inbox_records`: inbox records delivered, one per heard sender link;
-- `decodes`: `decode_message` calls made by delivery;
+- `decodes`: `decode_message` calls made by delivery: one per distinct
+  table-free body in a step, and one per envelope of a message that
+  holds a table or a swarm list;
 - `merges`: `VStigMap.merge` calls, and `skipped`, `vstig_msgs - merges`;
 - `encodes`: `encode_message` calls made by the VM, and `reused`, those
   whose PUT carried its received bytes;

@@ -118,6 +118,9 @@ def cmd_disasm(args):
 
 
 def cmd_run(args):
+    if args.steps < 0:
+        print("usage error: --steps must be >= 0", file=sys.stderr)
+        return EXIT_USAGE
     image = _load_image(args.image)
     try:
         vm = Vm(image, args.robot_id)

@@ -11,23 +11,28 @@ One step takes all its draws at once and turns them into a survivor
 mask, a list of booleans in that same order.  A receiver's inbox holds
 one `Situated` record per heard link, sender ascending, whose `msgs` is
 the tuple of that sender's surviving messages in send order; a link with
-no survivor adds no record.  Each envelope is decoded once, and a
-VSTIG_PUT that keeps its received bytes (its key and value are not
-tables) once per distinct body (type byte onward) in one call: the flood
-repeats a PUT from robot to robot with only the sender id changed.  Such
-a message holds only scalars, so senders share it; each sender id is
-still read from its own envelope.  A table-keyed PUT is decoded per
-envelope, since a table key matches only the object it was decoded as.  When all of a sender's draws
-survive (always at P=0) its receivers share one tuple; otherwise the
-sender's block of the mask, one row per message, is transposed into one
-column per link, and a link whose column keeps every message still gets
-the shared tuple.
+no survivor adds no record.  Each message that holds no mutable object
+is decoded once per distinct body (type byte onward) in one call:
+ANNOUNCE, SWARM_JOIN and SWARM_LEAVE, a BROADCAST whose value is not a
+table, and a VSTIG_PUT or VSTIG_GET whose key and value are not tables.
+Every robot sends the same ANNOUNCE, a broadcast value is often the same
+from robot to robot, and the flood repeats a PUT with only the sender id
+changed.  Such a message holds only scalars, so senders share it; each
+sender id is still read from its own envelope.  A message that holds a
+table, or a SWARM_LIST (its ids are a list), is decoded per envelope: a
+table key matches only the object it was decoded as.  When all of a
+sender's draws survive (always at P=0) its receivers share one tuple;
+otherwise the sender's block of the mask, one row per message, is
+transposed into one column per link, and a link whose column keeps every
+message still gets the shared tuple.
 """
 
 from itertools import compress
 
 from ..errors import WireError
-from ..wire import U32, Situated, VstigPut, decode_message
+from ..values import Table
+from ..wire import (U32, Broadcast, Situated, SwarmList, VstigGet, VstigPut,
+                    decode_message)
 
 
 def deliver(drop_prob, topology, outboxes, rng):
@@ -41,13 +46,13 @@ def deliver(drop_prob, topology, outboxes, rng):
         return inboxes
     keep = (rng.random(total) >= drop_prob).tolist()
     situated = tuple.__new__  # a Situated without the __new__ call
-    puts = {}  # scalar VSTIG_PUT body (type byte onward) -> decoded message
+    shared = {}  # table-free body (type byte onward) -> decoded message
     k = 0
     for outbox, links in zip(outboxes, out_links):
         m = len(links)
         if not m or not outbox:
             continue  # no draws taken, no decode
-        sender_ids, msgs = _decode(outbox, puts)
+        sender_ids, msgs = _decode(outbox, shared)
         sender_id = sender_ids[0]
         if sender_ids.count(sender_id) != len(sender_ids):
             raise WireError("one outbox carries two sender ids")
@@ -77,22 +82,35 @@ def deliver(drop_prob, topology, outboxes, rng):
     return inboxes
 
 
-def _decode(outbox, puts):
+def _decode(outbox, shared):
     """(sender ids, messages) of one outbox, each sender id read from its
-    own envelope; a PUT body already in `puts` is not decoded again."""
+    own envelope; a body already in `shared` is not decoded again."""
     skip = U32.size
     sender_ids = []
     msgs = []
     for sent in outbox:
         raw = sent.raw
         body = raw[skip:]
-        msg = puts.get(body)
+        msg = shared.get(body)
         if msg is None:
             sender_id, msg = decode_message(raw)
-            if type(msg) is VstigPut and msg.received is not None:
-                puts[body] = msg
+            if _table_free(msg):
+                shared[body] = msg
         else:
             sender_id = U32.unpack_from(raw)[0]
         sender_ids.append(sender_id)
         msgs.append(msg)
     return sender_ids, tuple(msgs)
+
+
+def _table_free(msg):
+    """True when decoded `msg` holds no mutable object, so receivers of
+    several senders may share it."""
+    kind = type(msg)
+    if kind is Broadcast:
+        return type(msg.value) is not Table
+    if kind is VstigPut:
+        return msg.received is not None  # kept only without a table
+    if kind is VstigGet:
+        return type(msg.key) is not Table and type(msg.value) is not Table
+    return kind is not SwarmList

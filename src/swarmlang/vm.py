@@ -29,8 +29,8 @@ from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .translate import call_closure
-from .values import (CLOSURES, HostClosure, SwarmHandle, Table, check_int64,
-                     coerce, copy_value, to_display)
+from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
+                     Table, check_int64, coerce, copy_value, to_display)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -321,6 +321,7 @@ class Vm:
         # of any other type is ignored
         vstigs = self._vstigs
         queue = self.out_queue
+        listeners = self.listeners
         for sender_id, _, _, _, msgs in inbox:
             for msg in msgs:
                 kind = type(msg)
@@ -339,11 +340,19 @@ class Vm:
                         if out is not None:
                             enqueue_vstig_message(queue, out)
                 elif kind is Broadcast:
-                    listener = self.listeners.get(msg.key)
+                    listener = listeners.get(msg.key)
                     if listener is not None:
-                        self.call_value(listener, [msg.key,
-                                                   copy_value(msg.value),
-                                                   sender_id])
+                        # a table is copied; a scalar is shared as decoded
+                        value = msg.value
+                        if type(value) is Table:
+                            value = copy_value(value)
+                        # call_closure's first arm, without its frame
+                        if type(listener) is NativeClosure:
+                            listener.code(self, listener.env, None, msg.key,
+                                          value, sender_id)
+                        else:
+                            self.call_value(listener,
+                                            [msg.key, value, sender_id])
                 elif (kind is SwarmJoin or kind is SwarmLeave
                       or kind is SwarmList):
                     self.swarm_registry.handle_message(sender_id, msg)
@@ -385,7 +394,9 @@ class Vm:
     # --- script calls ----------------------------------------------------
 
     # Every entry from host code into the script comes through here
-    # (listeners, `reduce` and the other neighbor methods, swarm and
-    # stigmergy callbacks, `init`, `step`, `destroy`); it calls the
-    # closure's translated code with no frame of its own in between.
+    # (`reduce` and the other neighbor methods, swarm and stigmergy
+    # callbacks, `init`, `step`, `destroy`, a host-closure listener); it
+    # calls the closure's translated code with no frame of its own in
+    # between.  `_ingest` calls a script listener's code the same way
+    # itself, the one entry that skips this.
     call_value = call_closure

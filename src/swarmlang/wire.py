@@ -51,7 +51,8 @@ class SwarmList:
 # Stigmergy messages are not frozen: decoding builds one per message, and
 # a frozen dataclass sets each field through object.__setattr__, about
 # four times the cost of a slots one.  Nothing changes a message after it
-# is built (every receiver of a sender shares the decoded one;
+# is built (every receiver of a sender shares the decoded one, and one
+# without a table is shared by every sender of its body in a step;
 # tests/test_sim.py pins this).  Equality is by value within one type, so
 # a PUT never equals a GET with the same fields.
 @dataclass(slots=True)

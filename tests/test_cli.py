@@ -119,6 +119,15 @@ def test_run_steps_zero_is_load_only(workspace, capsys):
     assert "hi" not in out  # step never ran, so no script output
 
 
+def test_run_negative_steps_is_a_usage_error(workspace, capsys):
+    tmp, src = workspace
+    out_bo = tmp / "script.bo"
+    invoke(["compile", str(src), "-o", str(out_bo)], capsys)
+    code, out, err = invoke(["run", str(out_bo), "--steps", "-1"], capsys)
+    assert code == 2
+    assert err == "usage error: --steps must be >= 0\n" and out == ""
+
+
 def test_run_with_mock_set_binds_actuators(workspace, capsys):
     tmp, _ = workspace
     src = tmp / "wheels.swl"

@@ -14,11 +14,12 @@ from swarmlang.sim import (SimulationConfig, Topology, build_barrier,
                            barrier_pass_steps, consensus_expected_step,
                            deliver, experiment_sweep, gradient_fixpoint,
                            place_robots, run)
-from swarmlang.sim import experiments, runner
+from swarmlang.sim import experiments, network, runner
 from swarmlang.sim.config import (_STREAM_NETWORK, _STREAM_PLACEMENT,
                                   _cell_side, rng_for)
 from swarmlang.sim.experiments import Experiment
 from swarmlang.sim.sweep import rows_to_csv, DATA_FIELDS
+from swarmlang.values import Table
 from swarmlang.vm import SentMessage
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
                             SwarmLeave, SwarmList, VstigGet, VstigPut,
@@ -244,6 +245,114 @@ def test_deliver_matches_per_pair_model_on_any_outboxes(data, drop_prob,
         rng_for(cfg, _STREAM_NETWORK)
     _check_against_per_pair_model(drop_prob, topo, _outboxes(kinds), rng,
                                   model_rng)
+
+
+def _deliver_counting_decodes(monkeypatch, msg, senders=3):
+    """Deliver `msg` sent by each of `senders` robots in range of one
+    another at P=0; returns the inboxes and the envelopes decoded."""
+    cfg = SimulationConfig(n_robots=senders, arena_side=1.0, comm_range=5.0)
+    topo = Topology.build(cfg, [(0.1 * rid, 0.0) for rid in range(senders)])
+    decoded = []
+    real = network.decode_message
+
+    def counting(data):
+        decoded.append(data)
+        return real(data)
+
+    monkeypatch.setattr(network, "decode_message", counting)
+    outboxes = [[SentMessage(msg, encode_message(rid, msg))]
+                for rid in range(senders)]
+    return deliver(0.0, topo, outboxes, rng_for(cfg, 9)), decoded
+
+
+def _heard(inboxes):
+    """{sender id: [(receiver, message)...]} of every delivered message."""
+    heard = {}
+    for receiver, inbox in enumerate(inboxes):
+        for sm in inbox:
+            for msg in sm.msgs:
+                heard.setdefault(sm.sender_id, []).append((receiver, msg))
+    return heard
+
+
+@pytest.mark.parametrize("msg", [
+    Announce(), SwarmJoin(3), SwarmLeave(4), Broadcast("k", 2.5),
+    Broadcast("k", "text"), Broadcast("k", None), Broadcast("k", -7),
+    VstigPut(1, "k", 1, 2, 0), VstigPut(1, 1.5, "v", 2, 0),
+    VstigGet(1, "k", None, 0, 5), VstigGet(1, 3, 4.0, 1, 5),
+], ids=repr)
+def test_equal_table_free_bodies_share_one_decoded_message(monkeypatch,
+                                                           msg):
+    inboxes, decoded = _deliver_counting_decodes(monkeypatch, msg)
+    assert len(decoded) == 1  # three senders, one body
+    heard = _heard(inboxes)
+    assert sorted(heard) == [0, 1, 2]
+    shared = heard[0][0][1]
+    assert shared == msg
+    for sender, got in heard.items():
+        # each record keeps the sender id of its own envelope
+        assert sorted(receiver for receiver, _ in got) == \
+            [r for r in range(3) if r != sender]
+        assert all(m is shared for _, m in got)
+
+
+@pytest.mark.parametrize("msg", [
+    Broadcast("k", Table({"a": 1})), VstigPut(1, Table({1: 2}), 5, 2, 0),
+    VstigPut(1, "k", Table({"x": 1.0}), 2, 0),
+    VstigGet(1, Table({1: 2}), None, 0, 5), VstigGet(1, "k", Table(), 1, 5),
+    SwarmList([1, 2]),
+], ids=["bcast-table", "put-table-key", "put-table-value", "get-table-key",
+        "get-table-value", "swarm-list"])
+def test_a_message_holding_a_table_or_list_is_decoded_per_envelope(
+        monkeypatch, msg):
+    inboxes, decoded = _deliver_counting_decodes(monkeypatch, msg)
+    assert len(decoded) == 3  # one per envelope: equal bodies, no sharing
+    heard = _heard(inboxes)
+    assert sorted(heard) == [0, 1, 2]
+    per_sender = [{id(m) for _, m in heard[sender]} for sender in range(3)]
+    # a sender's receivers share its one decoded message; senders do not
+    assert all(len(ids) == 1 for ids in per_sender)
+    assert len(set().union(*per_sender)) == 3
+
+
+def test_no_message_shared_across_senders_holds_a_table_or_list(monkeypatch):
+    # barrier floods scalar PUTs and GETs; consensus and gradient
+    # broadcast; a table-valued broadcast and a swarm list ride along.
+    # Each message is kept, so no id is reused during the runs
+    senders_of = {}
+    real = runner.deliver
+
+    def recording(drop_prob, topology, outboxes, rng):
+        inboxes = real(drop_prob, topology, outboxes, rng)
+        for inbox in inboxes:
+            for sm in inbox:
+                for msg in sm.msgs:
+                    senders_of.setdefault(id(msg), (msg, set()))[1].add(
+                        sm.sender_id)
+        return inboxes
+
+    monkeypatch.setattr(runner, "deliver", recording)
+    extra = """
+s = swarm.create(1)
+s.join()
+function step() {
+  neighbors.broadcast("t", {v = id % 2})
+  neighbors.broadcast("u", id % 2)
+}
+"""
+    for experiment in (build_barrier(), build_consensus(), build_gradient(),
+                       Experiment("extra", [("extra.swl", extra)], "u",
+                                  "none")):
+        run(SimulationConfig(n_robots=20, seed=3, max_steps=12), experiment)
+    assert {type(msg) for msg, _ in senders_of.values()} >= {
+        Announce, Broadcast, SwarmJoin, SwarmList, VstigPut, VstigGet}
+    shared = [msg for msg, senders in senders_of.values() if len(senders) > 1]
+    kinds = {type(msg) for msg in shared}
+    assert {Announce, Broadcast, SwarmJoin, VstigPut} <= kinds
+    for msg in shared:
+        assert type(msg) is not SwarmList
+        assert all(type(getattr(msg, name, None)) is not Table
+                   for name in ("key", "value"))
 
 
 def test_a_record_carries_each_surviving_message_of_its_link():

@@ -8,13 +8,14 @@ import pytest
 
 from swarmlang.errors import VmError, VmRuntimeError
 from swarmlang.linker import compile_and_link
-from swarmlang.values import HostClosure
+from swarmlang.values import CLOSURES, HostClosure, Table
 from swarmlang.vm import FRAMES_PER_LEVEL, HOST_FRAMES, Vm, VmConfig
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
                             SwarmLeave, SwarmList, VstigGet, VstigPut,
                             decode_message)
 
 from conftest import build_vm
+from reference_vm import ReferenceVm
 
 
 def test_id_global_bound(run_script):
@@ -620,6 +621,130 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
     assert applied == protocol + [protocol[2]]
     assert sorted(vm.neighbor_view.data) == [1, 2]
 
+
+# --- listeners called straight from ingest --------------------------------
+#
+# `_ingest` calls a script listener's code itself, not through
+# `call_value`; the reference interpreter's listeners still go through
+# its `call_value`, so each case runs on both engines.
+
+FAULTY_LISTENER = """
+function init() {
+  neighbors.listen("k", function(key, value, sender) {
+    var a = value + 1
+    root = math.sqrt(value)
+    var b = a * 2
+    heard = (heard or 0) + b
+  })
+}
+function step() { }
+"""
+TWO_PINGS = [Situated(1, 10.0, 0.0, 0.0, (Broadcast("k", 4),)),
+             Situated(2, 20.0, 0.0, 0.0, (Broadcast("k", -1),))]
+
+
+def _listener_step(engine, src, inbox, budget=10_000):
+    """What the second step on `inbox` left: the fault, the fuel and the
+    script's data globals."""
+    vm = engine(compile_and_link(src), 0)
+    vm.step([])
+    vm.config.instruction_budget = budget
+    vm.step(list(inbox))
+    fault = vm.faulted
+    return (fault and (fault.message, fault.line, fault.col, fault.origin),
+            vm._fuel,
+            sorted((k, v) for k, v in vm.script_globals().items()
+                   if not isinstance(v, CLOSURES)))
+
+
+def test_a_listener_fault_matches_the_interpreter():
+    got = _listener_step(Vm, FAULTY_LISTENER, TWO_PINGS)
+    assert got == _listener_step(ReferenceVm, FAULTY_LISTENER, TWO_PINGS)
+    # the first sender's call ran whole; the second faults in sqrt
+    assert got[0] == ("math.sqrt of a negative number", 5, 17, "<script>")
+    assert got[2] == [("heard", 10), ("root", 2.0)]
+
+
+def test_every_budget_of_a_listener_matches_the_interpreter():
+    full = _listener_step(Vm, FAULTY_LISTENER, TWO_PINGS[:1])
+    assert full[0] is None
+    used = 10_000 - full[1]
+    lines = set()
+    for budget in range(1, used + 2):
+        got = _listener_step(Vm, FAULTY_LISTENER, TWO_PINGS[:1], budget)
+        assert got == _listener_step(ReferenceVm, FAULTY_LISTENER,
+                                     TWO_PINGS[:1], budget), budget
+        assert (got[0] is None) == (budget > used)
+        if got[0] is not None:
+            assert got[0][0] == "instruction budget exceeded"
+            lines.add(got[0][1])
+    # the budget ran out on each line of the listener's one segment
+    assert lines >= {4, 5, 6, 7}
+
+
+def test_a_host_closure_listener_still_runs():
+    vm = build_vm('function init() { neighbors.listen("k", record) }\n'
+                  'function step() { }')
+    got = []
+    vm.register_function("record", lambda _vm, args: got.append(args))
+    vm.step([])
+    table = Table({"x": 1})
+    vm.step([Situated(3, 10.0, 0.0, 0.0,
+                      (Broadcast("k", 5), Broadcast("k", table)))])
+    assert vm.faulted is None
+    assert got[0] == ["k", 5, 3]
+    # a table value arrives as a copy
+    assert got[1][1] is not table and got[1][1].data == {"x": 1}
+
+
+def test_a_script_listener_gets_a_copy_of_a_table_value():
+    vm = build_vm("""
+function init() {
+  neighbors.listen("k", function(key, value, sender) {
+    value.x = 9
+    seen = value
+  })
+}
+function step() { }
+""")
+    vm.step([])
+    table = Table({"x": 1})
+    vm.step([Situated(3, 10.0, 0.0, 0.0, (Broadcast("k", table),))])
+    assert vm.faulted is None
+    assert table.data == {"x": 1}
+    assert vm.get_global("seen").data == {"x": 9}
+
+
+SWAPPING_LISTENERS = """
+function init() {
+  neighbors.listen("a", function(key, value, sender) {
+    a_calls = (a_calls or 0) + 1
+    neighbors.ignore("a")
+    neighbors.listen("b", function(key, value, sender) {
+      b_calls = (b_calls or 0) + 1
+      b_from = sender
+      neighbors.listen("b", function(key, value, sender) {
+        b2_calls = (b2_calls or 0) + 1
+      })
+    })
+  })
+}
+function step() { }
+"""
+
+
+def test_listen_and_ignore_during_ingest_apply_to_later_messages():
+    # each sender sends "b" then "a": the first "b" has no listener yet,
+    # the "a" that adds it then ignores itself, and each "b" listener
+    # replaces itself for the messages after it
+    inbox = [Situated(rid, 10.0 * rid, 0.0, 0.0,
+                      (Broadcast("b", 0), Broadcast("a", 1)))
+             for rid in (1, 2, 3, 4)]
+    got = _listener_step(Vm, SWAPPING_LISTENERS, inbox)
+    assert got == _listener_step(ReferenceVm, SWAPPING_LISTENERS, inbox)
+    assert got[0] is None
+    assert got[2] == [("a_calls", 1), ("b2_calls", 2), ("b_calls", 1),
+                      ("b_from", 2)]
 
 if __name__ == "__main__":
     # Python frames per script level of each chain, from which
