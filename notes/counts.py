@@ -24,8 +24,9 @@ What it cost, which perf changes move on purpose:
   table-free body in a step, and one per envelope of a message that
   holds a table or a swarm list;
 - `merges`: `VStigMap.merge` calls, and `skipped`, `vstig_msgs - merges`;
-- `encodes`: `encode_message` calls made by the VM, and `reused`, those
-  whose PUT carried its received bytes;
+- `encodes`: `encode_message` calls made by the VM, and `reused`, the
+  adopted PUTs it sent as their received bytes instead (drained
+  `VstigPut`s with `received` set), which pass through no encode;
 - `view_tables`: neighbor record tables built (`record_table` calls);
 - `collections`: garbage collections of each generation, young first,
   and `full_collections`, the last of them (oldest generation);
@@ -86,6 +87,9 @@ def counts(workload, seed):
                 and msg.vstig_id in stores)
         result = step(machine, inbox)
         fuel.append(machine.config.instruction_budget - machine._fuel)
+        c["reused"] += sum(1 for sent in result[0]
+                           if type(sent.message) is VstigPut
+                           and sent.message.received is not None)
         return result
 
     def counting_deliver(drop_prob, topology, outboxes, rng):
@@ -108,7 +112,6 @@ def counts(workload, seed):
 
     def counting_encode(sender_id, msg):
         c["encodes"] += 1
-        c["reused"] += type(msg) is VstigPut and msg.received is not None
         return encode(sender_id, msg)
 
     def counting_record(*args):

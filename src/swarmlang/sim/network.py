@@ -8,7 +8,10 @@ consumed in a fixed order (sender ascending, message order, receiver
 ascending) so a run is reproducible regardless of host parallelism.
 
 One step takes all its draws at once and turns them into a survivor
-mask, a list of booleans in that same order.  A receiver's inbox holds
+mask, a list of booleans in that same order.  At P=0 every draw
+survives, so a step advances the generator by its draw count instead of
+drawing (PCG64 takes one output per double): the generator's state after
+the step is the one the draws would leave.  A receiver's inbox holds
 one `Situated` record per heard link, sender ascending, whose `msgs` is
 the tuple of that sender's surviving messages in send order; a link with
 no survivor adds no record.  Each message that holds no mutable object
@@ -20,8 +23,8 @@ from robot to robot, and the flood repeats a PUT with only the sender id
 changed.  Such a message holds only scalars, so senders share it; each
 sender id is still read from its own envelope.  A message that holds a
 table, or a SWARM_LIST (its ids are a list), is decoded per envelope: a
-table key matches only the object it was decoded as.  When all of a
-sender's draws survive (always at P=0) its receivers share one tuple;
+table key matches only the object it was decoded as.  At P=0, or when
+all of a sender's draws survive, its receivers share one tuple;
 otherwise the sender's block of the mask, one row per message, is
 transposed into one column per link, and a link whose column keeps every
 message still gets the shared tuple.
@@ -44,7 +47,11 @@ def deliver(drop_prob, topology, outboxes, rng):
         total += len(outbox) * len(links)
     if total == 0:
         return inboxes
-    keep = (rng.random(total) >= drop_prob).tolist()
+    if drop_prob <= 0.0:
+        rng.bit_generator.advance(total)  # the state random(total) leaves
+        keep = None
+    else:
+        keep = (rng.random(total) >= drop_prob).tolist()
     situated = tuple.__new__  # a Situated without the __new__ call
     shared = {}  # table-free body (type byte onward) -> decoded message
     k = 0
@@ -58,8 +65,7 @@ def deliver(drop_prob, topology, outboxes, rng):
             raise WireError("one outbox carries two sender ids")
         n = len(msgs)
         end = k + n * m
-        block = keep[k:end]
-        if False not in block:
+        if keep is None or False not in (block := keep[k:end]):
             for j, dist_cm, azimuth in links:
                 inboxes[j].append(situated(
                     Situated, (sender_id, dist_cm, azimuth, 0.0, msgs)))

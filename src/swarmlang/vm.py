@@ -131,8 +131,10 @@ class Vm:
         self.image = image
         self.main = image.main  # the first VM on an image translates it
         self.robot_id = robot_id
-        self._announce = SentMessage(Announce(),
-                                     encode_message(robot_id, Announce()))
+        announce = Announce()
+        self._announce = SentMessage(announce,
+                                     encode_message(robot_id, announce))
+        self._head = self._announce.raw[:4]  # envelope head: the sender id
         self.config = config or VmConfig()
         levels = (sys.getrecursionlimit() - HOST_FRAMES) // FRAMES_PER_LEVEL
         if self.config.max_frames > levels:
@@ -374,11 +376,15 @@ class Vm:
         if budget < 0:
             return []
         outbox = [self._announce]
+        head = self._head
         queue = self.out_queue
         sent = []
         try:
             for slot, msg in queue.items():
-                raw = encode_message(self.robot_id, msg)
+                if type(msg) is VstigPut and msg.received is not None:
+                    raw = head + msg.received  # an adopted PUT, as received
+                else:
+                    raw = encode_message(self.robot_id, msg)
                 if len(raw) > budget:
                     break
                 sent.append(slot)

@@ -19,7 +19,7 @@ from .values import (HostClosure, Table, VStigHandle, copy_value,
 from .wire import VstigGet, VstigPut
 
 
-@dataclass
+@dataclass(slots=True)
 class VStigEntry:
     value: object
     timestamp: int

@@ -62,11 +62,13 @@ class VstigPut:
     value: object
     timestamp: int
     robot_id: int
-    # The envelope after the sender id (type byte onward) as decoded, so
-    # an adopted PUT is forwarded without encoding it again.  Only a PUT
-    # whose key and value are not tables keeps it: a scalar has one
-    # encoding, while a received table may carry duplicate keys, a nil
-    # value, or both 1 and 1.0, which re-encoding would not reproduce.
+    # The envelope after the sender id (type byte onward) as decoded.  A
+    # VM's drain sends an adopted PUT as its own sender id followed by
+    # these bytes, not through `encode_message`, which always encodes
+    # from the fields.  Only a PUT whose key and value are not tables
+    # keeps them: a scalar has one encoding, while a received table may
+    # carry duplicate keys, a nil value, or both 1 and 1.0, which
+    # re-encoding would not reproduce.
     received: bytes = field(default=None, compare=False, repr=False)
 
 
@@ -193,9 +195,6 @@ def _utf8_bytes(text):
 
 def encode_message(sender_id, msg):
     """Encode envelope + body for one message."""
-    if type(msg) is VstigPut and msg.received is not None:
-        _check_u32(sender_id, "sender id")
-        return U32.pack(sender_id) + msg.received
     if isinstance(msg, Announce):
         mtype, body = MSG_ANNOUNCE, b""
     elif isinstance(msg, SwarmJoin):

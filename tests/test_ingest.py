@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from swarmlang import vm as vm_module
 from swarmlang.errors import WireError
 from swarmlang.linker import compile_and_link
 from swarmlang.sim import (SimulationConfig, Topology, build_barrier,
@@ -132,6 +133,25 @@ def test_a_scalar_put_is_forwarded_as_received(key, value):
     assert "received" not in repr(got) and got == fresh(got)
     _, get = decode_message(encode_message(3, VstigGet(1, key, value, 2, 4)))
     assert not hasattr(get, "received")
+
+
+@pytest.mark.parametrize("rid", [0, 2 ** 32 - 1])
+def test_an_adopted_put_is_sent_without_an_encode(monkeypatch, rid):
+    machine = Vm(compile_and_link("v = stigmergy.create(1)"), rid)
+    machine.step()  # creates the store
+    _, put = decode_message(encode_message(7, VstigPut(1, "k", 2.5, 3, 7)))
+    encoded = []
+    real = vm_module.encode_message
+
+    def counting(sender_id, msg):
+        encoded.append(msg)
+        return real(sender_id, msg)
+
+    monkeypatch.setattr(vm_module, "encode_message", counting)
+    outbox, _ = machine.step([Situated(7, 10.0, 0.0, 0.0, (put,))])
+    assert [(sent.message, sent.raw) for sent in outbox[1:]] == \
+        [(put, encode_message(rid, fresh(put)))]
+    assert encoded == []
 
 
 def test_a_non_canonical_table_put_is_encoded_again():

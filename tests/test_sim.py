@@ -247,6 +247,39 @@ def test_deliver_matches_per_pair_model_on_any_outboxes(data, drop_prob,
                                   model_rng)
 
 
+class _NoDraws:
+    """A generator that may only skip its draws: `random` raises."""
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+    def random(self, *args):
+        raise AssertionError("a draw was taken")
+
+
+@pytest.mark.parametrize("n", [2, 7, 60])
+def test_deliver_takes_no_draws_at_p_zero(n):
+    cfg = SimulationConfig(n_robots=n, seed=n)
+    topo = Topology.build(cfg, place_robots(cfg))
+    assert any(topo.out_links)
+    rng, twin = rng_for(cfg, _STREAM_NETWORK), rng_for(cfg, _STREAM_NETWORK)
+
+    class Surviving:  # every draw survives P=0.5
+        def random(self, size):
+            assert size == total
+            return np.full(size, 0.5)
+
+    pick = random.Random(n)
+    for _ in range(3):
+        outboxes = _random_outboxes(pick, n)
+        total = sum(len(outbox) * len(links) for outbox, links in
+                    zip(outboxes, topo.out_links))
+        got = deliver(0.0, topo, outboxes, _NoDraws(rng))
+        twin.random(total)
+        assert rng.bit_generator.state == twin.bit_generator.state
+        assert got == deliver(0.5, topo, outboxes, Surviving())
+
+
 def _deliver_counting_decodes(monkeypatch, msg, senders=3):
     """Deliver `msg` sent by each of `senders` robots in range of one
     another at P=0; returns the inboxes and the envelopes decoded."""
