@@ -34,7 +34,10 @@ What it cost, which perf changes move on purpose:
   it, `if (fuel := fuel - n) <= 0`, counted by a line tracer on the
   `<swarmlang>` frames of a second run of the unit.  The tracer slows
   that run and allocates, so it is kept out of the first, which gives
-  every other count.
+  every other count;
+- `script_entries`: calls of generated code from code that is not
+  generated (the host's entries into the script: `init`, `step`, the
+  listeners, iterator and swarm callbacks), counted by the same tracer.
 """
 
 import argparse
@@ -71,7 +74,7 @@ def patched(*patches):
 
 
 def counts(workload, seed):
-    """Every count but `fuel_tests` of one unit of `workload`."""
+    """Every count but the traced ones of one unit of `workload`."""
     c = collections.Counter()
     fuel = []
     step, deliver, decode = vm.Vm.step, runner.deliver, network.decode_message
@@ -143,8 +146,8 @@ def counts(workload, seed):
             "full_collections": per_generation[-1]}
 
 
-def fuel_tests(workload, seed):
-    """The fuel tests executed by one traced unit of `workload`.
+def traced(workload, seed):
+    """`fuel_tests` and `script_entries` of one traced unit of `workload`.
 
     Images and their translations are cached per process, so the linked
     images are dropped first: the unit's scripts are translated again
@@ -153,7 +156,7 @@ def fuel_tests(workload, seed):
     """
     lines_of = {}
     built = []  # (function, fuel test lines) of the running translation
-    tests = 0
+    tests = entries = 0
     factory, translate_program = translate._factory, image.translate
 
     def recording_factory(source):
@@ -174,9 +177,12 @@ def fuel_tests(workload, seed):
         return main
 
     def on_call(frame, event, _arg):
+        nonlocal entries
         lines = lines_of.get(frame.f_code)
         if lines is None:
             return None
+        if frame.f_back is None or frame.f_back.f_code not in lines_of:
+            entries += 1
 
         def on_line(frame, event, _arg):
             nonlocal tests
@@ -194,7 +200,7 @@ def fuel_tests(workload, seed):
             call()
         finally:
             sys.settrace(None)
-    return tests
+    return {"fuel_tests": tests, "script_entries": entries}
 
 
 def main():
@@ -208,7 +214,7 @@ def main():
         for seed in args.seeds:
             row = {"workload": name, "seed": seed,
                    **counts(catalog[name], seed),
-                   "fuel_tests": fuel_tests(catalog[name], seed)}
+                   **traced(catalog[name], seed)}
             print(json.dumps(row), flush=True)
 
 

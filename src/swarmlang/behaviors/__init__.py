@@ -4,6 +4,7 @@ The oracles mirror the script-side virtual-force computations in plain
 Python so simulator output can be checked against an independent path.
 """
 
+import functools
 import json
 import math
 from importlib import resources
@@ -24,8 +25,9 @@ def script_path(name):
     return _SCRIPT_PKG / entry["file"]
 
 
+@functools.cache
 def load_script(name):
-    """Source text of a bundled behavior script."""
+    """Source text of a bundled behavior script, read once per process."""
     with script_path(name).open("r", encoding="utf-8") as fh:
         return fh.read()
 

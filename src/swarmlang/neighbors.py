@@ -7,14 +7,15 @@ builds it during the step when the image's code names `neighbors`, the
 only way code reaches it, and otherwise on the host's first read
 (`Vm.neighbor_view`).  foreach/map/reduce/filter iterate in ascending
 robot id order so runs are reproducible; map and filter return detached
-views with the same method set.  broadcast/listen/ignore implement
-key-based neighbor messaging: one queued message per key (most recent
-wins), listeners fire during message ingestion the following step.
+views with the same method set, and map leaves out an id mapped to nil
+(a table holds no nil).  broadcast/listen/ignore implement key-based
+neighbor messaging: one queued message per key (most recent wins),
+listeners fire during message ingestion the following step.
 """
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, Table, is_truthy, is_wire_value,
-                     require_closure)
+from .values import (HostClosure, NativeClosure, Table, is_truthy,
+                     is_wire_value, require_closure)
 from .wire import Broadcast
 
 
@@ -32,17 +33,36 @@ def _iter_sorted(view):
     return sorted(view.data.items())
 
 
+# Each iterator calls a script closure's translated code itself, as
+# `call_closure`'s first arm does but with no frame of its own between:
+# the test is for the exact type, so any other callee (a host closure, a
+# subclass) goes through `vm.call_value`.
+
 def _m_foreach(vm, view, args):
     fn = require_closure(args[0] if args else None, "foreach")
-    for rid, data in _iter_sorted(view):
-        vm.call_value(fn, [rid, data])
+    if type(fn) is NativeClosure:
+        code, env = fn.code, fn.env
+        for rid, data in _iter_sorted(view):
+            code(vm, env, None, rid, data)
+    else:
+        for rid, data in _iter_sorted(view):
+            vm.call_value(fn, [rid, data])
 
 
 def _m_map(vm, view, args):
     fn = require_closure(args[0] if args else None, "map")
     out = {}
-    for rid, data in _iter_sorted(view):
-        out[rid] = vm.call_value(fn, [rid, data])
+    if type(fn) is NativeClosure:
+        code, env = fn.code, fn.env
+        for rid, data in _iter_sorted(view):
+            value = code(vm, env, None, rid, data)
+            if value is not None:
+                out[rid] = value
+    else:
+        for rid, data in _iter_sorted(view):
+            value = vm.call_value(fn, [rid, data])
+            if value is not None:
+                out[rid] = value
     return make_view(out)
 
 
@@ -51,32 +71,36 @@ def _m_reduce(vm, view, args):
         raise VmRuntimeError("reduce expects (closure, initial value)")
     fn = require_closure(args[0], "reduce")
     accum = args[1]
-    for rid, data in _iter_sorted(view):
-        accum = vm.call_value(fn, [rid, data, accum])
+    if type(fn) is NativeClosure:
+        code, env = fn.code, fn.env
+        for rid, data in _iter_sorted(view):
+            accum = code(vm, env, None, rid, data, accum)
+    else:
+        for rid, data in _iter_sorted(view):
+            accum = vm.call_value(fn, [rid, data, accum])
     return accum
 
 
 def _m_filter(vm, view, args):
     fn = require_closure(args[0] if args else None, "filter")
     out = {}
-    for rid, data in _iter_sorted(view):
-        if is_truthy(vm.call_value(fn, [rid, data])):
-            out[rid] = data
+    if type(fn) is NativeClosure:
+        code, env = fn.code, fn.env
+        for rid, data in _iter_sorted(view):
+            if is_truthy(code(vm, env, None, rid, data)):
+                out[rid] = data
+    else:
+        for rid, data in _iter_sorted(view):
+            if is_truthy(vm.call_value(fn, [rid, data])):
+                out[rid] = data
     return make_view(out)
 
 
-def _kin_split(vm, view, keep_kin):
+def _kin_split(vm, view, kin):
     if not vm.swarm_stack:
         raise VmRuntimeError("kin/nonkin outside a swarm exec call")
-    top = vm.swarm_stack[-1]
-    out = {}
-    for rid, data in view.data.items():
-        swarms = vm.swarm_registry.swarms_of(rid)
-        if swarms is None:
-            continue  # membership unknown: in neither set
-        if (top in swarms) == keep_kin:
-            out[rid] = data
-    return make_view(out)
+    return make_view(vm.swarm_registry.split(view.data, vm.swarm_stack[-1],
+                                             kin))
 
 
 def _m_kin(vm, view, args):

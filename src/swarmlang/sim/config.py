@@ -108,16 +108,20 @@ def place_robots(cfg, max_tries_per_robot=1000):
             raise PlacementError(
                 f"could not place {cfg.n_robots} robots without overlap; "
                 "density too high")
-        budget -= 1
-        x = float(rng.uniform(-half, half))
-        y = float(rng.uniform(-half, half))
-        cx = math.floor((x + half) / side)
-        cy = math.floor((y + half) / side)
-        if all(math.hypot(x - px, y - py) > min_sep
-               for dx, dy in _BLOCK
-               for px, py in grid.get((cx + dx, cy + dy), ())):
-            poses.append((x, y))
-            grid.setdefault((cx, cy), []).append((x, y))
+        # one try per robot still to place, at most the tries left: the
+        # array draw gives the doubles the scalar draws x, y, x, y, ...
+        # would, and a block never places more than the robots left
+        tries = min(cfg.n_robots - len(poses), budget)
+        budget -= tries
+        draws = rng.uniform(-half, half, 2 * tries).tolist()
+        for x, y in zip(draws[::2], draws[1::2]):
+            cx = math.floor((x + half) / side)
+            cy = math.floor((y + half) / side)
+            if all(math.hypot(x - px, y - py) > min_sep
+                   for dx, dy in _BLOCK
+                   for px, py in grid.get((cx + dx, cy + dy), ())):
+                poses.append((x, y))
+                grid.setdefault((cx, cy), []).append((x, y))
     return poses
 
 

@@ -68,6 +68,18 @@ class SwarmRegistry:
         info = self.neighbor_info.get(robot_id)
         return info[0] if info is not None else None
 
+    def split(self, records, swarm_id, kin):
+        """The entries of {robot_id: record} whose robot is known to be in
+        swarm `swarm_id` (kin) or known not to be (not kin); a robot of
+        unknown membership is in neither."""
+        info = self.neighbor_info
+        out = {}
+        for rid, record in records.items():
+            known = info.get(rid)
+            if known is not None and (swarm_id in known[0]) == kin:
+                out[rid] = record
+        return out
+
 
 LIST_SLOT = ("swarm",)  # the one queued LIST; JOIN/LEAVE use ("swarm", sid)
 

@@ -51,12 +51,14 @@ class SentMessage:
 
 
 # Python frames per script level, at worst: a host method that calls
-# back into the script (`neighbors.reduce`, swarm `exec`) puts itself and
-# `call_value` between two generated functions.  `python tests/test_vm.py`
-# measures each chain.  A VM refuses a max_frames whose levels would
-# leave fewer than HOST_FRAMES of the interpreter's recursion limit to the
-# host's own stack, so a script's recursion ends in "stack overflow", not
-# in RecursionError.
+# back into the script through `call_value` (swarm `exec`) puts itself
+# and `call_value` between two generated functions; a neighbor iterator
+# (`neighbors.reduce`) calls its callback's code itself and puts only
+# itself there.  `python tests/test_vm.py` measures each chain, and its
+# tests check that the dearest costs exactly this.  A VM refuses a
+# max_frames whose levels would leave fewer than HOST_FRAMES of the
+# interpreter's recursion limit to the host's own stack, so a script's
+# recursion ends in "stack overflow", not in RecursionError.
 FRAMES_PER_LEVEL = 3
 HOST_FRAMES = 250
 
@@ -400,9 +402,9 @@ class Vm:
     # --- script calls ----------------------------------------------------
 
     # Every entry from host code into the script comes through here
-    # (`reduce` and the other neighbor methods, swarm and stigmergy
-    # callbacks, `init`, `step`, `destroy`, a host-closure listener); it
-    # calls the closure's translated code with no frame of its own in
-    # between.  `_ingest` calls a script listener's code the same way
-    # itself, the one entry that skips this.
+    # (swarm and stigmergy callbacks, `init`, `step`, `destroy`, a
+    # host-closure listener or iterator callback); it calls the closure's
+    # translated code with no frame of its own in between.  `_ingest` and
+    # the neighbor iterators (`neighbors.py`) call a script function's
+    # code the same way themselves, the entries that skip this.
     call_value = call_closure

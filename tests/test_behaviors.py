@@ -245,3 +245,19 @@ def test_manifest_covers_all_scripts():
     for name, entry in entries.items():
         text = load_script(name)
         compile_and_link(text, f"{name}.swl")  # compiles unmodified
+
+
+def test_a_script_is_read_once_and_an_unknown_name_still_raises(monkeypatch):
+    from swarmlang import behaviors
+    text = load_script("consensus")
+    reads = []
+    monkeypatch.setattr(behaviors, "script_path",
+                        lambda name: reads.append(name))
+    assert load_script("consensus") is text
+    assert reads == []
+    monkeypatch.undo()
+    for _ in range(2):  # a miss is not cached
+        with pytest.raises(KeyError, match="unknown behavior script"):
+            load_script("no_such_script")
+    # the manifest is still a fresh dict each call
+    assert manifest() is not manifest()

@@ -47,7 +47,21 @@ def test_both_passes_restore_every_patched_name(monkeypatch):
         counts.counts(workload, 5)
         # the first pass translated the scripts; the traced pass must
         # still see them translated, or it counts nothing
-        assert counts.fuel_tests(workload, 5) > 0
+        assert counts.traced(workload, 5)["fuel_tests"] > 0
     assert len({(id(owner), name) for owner, name, _ in seen}) == 8
     assert all(getattr(owner, name) is value for owner, name, value in seen)
     assert sys.gettrace() is tracer
+
+
+def test_script_entries_count_each_host_entry_into_the_script():
+    # a barrier robot's script is entered by its top level and `init` once
+    # and by `step` each step, with no callbacks between
+    workload = counts.workloads.catalog(tiny=True)["barrier-200"]
+    steps = counts.counts(workload, 5)["robot_steps"]
+    assert counts.traced(workload, 5)["script_entries"] \
+        == steps + 2 * workload.n
+    # segregation's step enters through swarm exec and reduce callbacks too
+    workload = counts.workloads.catalog(tiny=True)["segregation-100"]
+    steps = counts.counts(workload, 5)["robot_steps"]
+    assert counts.traced(workload, 5)["script_entries"] \
+        > steps + 2 * workload.n

@@ -210,6 +210,34 @@ function step() {
     assert vm.get_global("b") == 14.0
 
 
+@pytest.mark.parametrize("pick", ["odd_distance", "host_pick"])
+def test_map_leaves_out_ids_mapped_to_nil(pick):
+    # a table never holds nil, so an id whose callback gives nil is not in
+    # the mapped view, and foreach over that view visits only the others
+    vm = build_vm("""
+function odd_distance(rid, data) {
+  if (rid % 2 == 1) { return data.distance }
+}
+function step() {
+  var odd = neighbors.map(PICK)
+  n = odd.count()
+  visits = 0
+  odd.foreach(function(rid, data) { visits = visits + 1 })
+  none = neighbors.map(function(rid, data) { return nil }).count()
+  has_2 = odd.get(2) == nil
+}
+""".replace("PICK", pick))
+    vm.register_function(
+        "host_pick", lambda _vm, args: args[1].get("distance")
+        if args[0] % 2 else None)
+    vm.step([announce(1, 5.0), announce(2, 7.0), announce(3, 9.0)])
+    assert vm.faulted is None
+    assert vm.get_global("n") == 2
+    assert vm.get_global("visits") == 2
+    assert vm.get_global("none") == 0
+    assert vm.get_global("has_2") == 1
+
+
 def test_reduce_vector_sum():
     vm = stepped("""
 function step() {
@@ -287,6 +315,36 @@ function step() {
     assert vm.get_global("nonkin_n") == 1
     assert vm.get_global("kin_has_1") is not None
     assert vm.get_global("nonkin_has_2") is not None
+
+
+def test_kin_and_nonkin_read_the_registry_once_per_call(monkeypatch):
+    # the split reads the neighbor knowledge itself; no lookup per record
+    vm = build_vm("""
+s = swarm.create(7)
+s.join()
+function step() {
+  s.exec(function() {
+    kin = neighbors.kin().reduce(function(rid, d, acc) {
+      return acc + rid }, 0)
+    nonkin = neighbors.nonkin().reduce(function(rid, d, acc) {
+      return acc + rid }, 0)
+  })
+}
+""")
+    from swarmlang.swarms import SwarmRegistry
+    from swarmlang.wire import SwarmList
+    vm.step([])
+    calls = []
+    split = SwarmRegistry.split
+    monkeypatch.setattr(SwarmRegistry, "swarms_of", lambda *a: calls.append(a))
+    monkeypatch.setattr(SwarmRegistry, "split",
+                        lambda *a: calls.append(a) or split(*a))
+    vm.step([Situated(rid, 10.0, 0.0, 0.0, (SwarmList(swarms),))
+             for rid, swarms in ((1, [7]), (2, [4]), (4, [7, 4]), (8, []))]
+            + [announce(16, 10.0)])
+    assert vm.faulted is None
+    assert (vm.get_global("kin"), vm.get_global("nonkin")) == (5, 10)
+    assert len(calls) == 2  # one split per kin()/nonkin(), no swarms_of
 
 
 def test_kin_outside_exec_faults():

@@ -16,7 +16,7 @@ from swarmlang.sim import (SimulationConfig, Topology, build_barrier,
                            place_robots, run)
 from swarmlang.sim import experiments, network, runner
 from swarmlang.sim.config import (_STREAM_NETWORK, _STREAM_PLACEMENT,
-                                  _cell_side, rng_for)
+                                  PlacementError, _cell_side, rng_for)
 from swarmlang.sim.experiments import Experiment
 from swarmlang.sim.sweep import rows_to_csv, DATA_FIELDS
 from swarmlang.values import Table
@@ -57,6 +57,56 @@ def test_placement_fails_at_infeasible_density():
     cfg = SimulationConfig(n_robots=20, arena_side=0.3)
     with pytest.raises(RuntimeError):
         place_robots(cfg, max_tries_per_robot=50)
+
+
+def _scalar_placement(cfg, max_tries_per_robot):
+    """The poses of two scalar draws per try, each tested against every
+    pose placed, and the tries taken; None for poses where the budget ran
+    out first."""
+    rng = rng_for(cfg, _STREAM_PLACEMENT)
+    half = cfg.side / 2.0
+    poses, tries = [], 0
+    while len(poses) < cfg.n_robots:
+        if tries == max_tries_per_robot * cfg.n_robots:
+            return None, tries
+        tries += 1
+        x = rng.uniform(-half, half)
+        y = rng.uniform(-half, half)
+        if all(math.hypot(x - px, y - py) > 2.0 * cfg.robot_radius
+               for px, py in poses):
+            poses.append((x, y))
+    return poses, tries
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5])
+@pytest.mark.parametrize("n", [1, 2, 10, 60])
+def test_placement_matches_scalar_draws(n, density):
+    # drawn in blocks, the uniforms are the scalar draws' doubles in order
+    rejected = False
+    for seed in range(8):
+        cfg = SimulationConfig(n_robots=n, density=density, seed=seed)
+        poses, tries = _scalar_placement(cfg, 1000)
+        assert place_robots(cfg) == poses
+        rejected |= tries > n
+    assert rejected or n < 10
+
+
+def test_placement_budget_matches_scalar_draws():
+    # a dense arena: the budget of tries per robot decides whether
+    # placement succeeds, and it does where the scalar draws do
+    outcomes = set()
+    for tries_per_robot in range(1, 8):
+        for seed in range(4):
+            cfg = SimulationConfig(n_robots=30, density=0.5, seed=seed)
+            poses, _ = _scalar_placement(cfg, tries_per_robot)
+            outcomes.add(poses is None)
+            if poses is None:
+                with pytest.raises(PlacementError):
+                    place_robots(cfg, max_tries_per_robot=tries_per_robot)
+            else:
+                assert place_robots(
+                    cfg, max_tries_per_robot=tries_per_robot) == poses
+    assert outcomes == {False, True}
 
 
 def test_drop_probability_validated():

@@ -448,6 +448,17 @@ function f(rid, data, n) {
 }
 function step() { neighbors.reduce(f, 1) }
 """, NEIGHBORS[:1]),
+    "exec": ("""
+function f() {
+  depth = depth + 1
+  probe()
+  s.exec(f)
+}
+depth = 0
+s = swarm.create(1)
+s.join()
+function step() { s.exec(f) }
+""", []),
     "listener": ("""
 function h(key, value, sender) {
   depth = value
@@ -459,9 +470,9 @@ function init() { neighbors.listen("k", h) }
 }
 
 # the depth global when "stack overflow" stops each chain: the step
-# function is the first level of direct and reduce, the listener itself
-# the first of listener
-OVERFLOW_DEPTH = {"direct": -1, "reduce": -1, "listener": 0}
+# function is the first level of direct, reduce and exec, the listener
+# itself the first of listener
+OVERFLOW_DEPTH = {"direct": -1, "reduce": -1, "exec": -1, "listener": 0}
 
 
 def _python_frames():
@@ -494,6 +505,14 @@ def chain_frames(name):
 @pytest.mark.parametrize("name", FRAME_CHAINS)
 def test_a_script_level_costs_at_most_frames_per_level(name):
     assert chain_frames(name)[1] <= FRAMES_PER_LEVEL
+
+
+def test_frames_per_level_is_the_dearest_chain():
+    # a call back through call_value (swarm exec) is the dearest level; a
+    # neighbor iterator calls its callback's code itself, one frame less
+    per_level = {name: chain_frames(name)[1] for name in FRAME_CHAINS}
+    assert max(per_level.values()) == FRAMES_PER_LEVEL == per_level["exec"]
+    assert per_level["reduce"] == FRAMES_PER_LEVEL - 1
 
 
 @pytest.mark.parametrize("in_thread", [False, True], ids=["main", "thread"])
@@ -745,6 +764,82 @@ def test_listen_and_ignore_during_ingest_apply_to_later_messages():
     assert got[0] is None
     assert got[2] == [("a_calls", 1), ("b2_calls", 2), ("b_calls", 1),
                       ("b_from", 2)]
+
+
+# --- neighbor iterators that call a script callback's code ----------------
+#
+# foreach, map, reduce and filter call a script function's code
+# themselves; the reference interpreter's callbacks (a NativeClosure
+# subclass) still go through its `call_value`, so each case runs on both
+# engines.  The third record (distance 10) faults in sqrt.
+
+ITERATOR_CALLS = {
+    "reduce": "out = neighbors.reduce(cb, 0)",
+    "foreach": "neighbors.foreach(cb)",
+    "map": "out = neighbors.map(cb).count()",
+    "filter": "out = neighbors.filter(cb).count()",
+}
+FAULTY_CALLBACK = """
+function cb(rid, data, acc) {
+  var a = data.distance + 1
+  root = math.sqrt(a - 15)
+  var b = a * 2
+  seen = (seen or 0) + b
+  return b
+}
+function step() { CALL }
+"""
+THREE_NEIGHBORS = [Situated(rid, distance, 0.0, 0.0, (Announce(),))
+                   for rid, distance in ((1, 20.0), (2, 30.0), (3, 10.0))]
+
+
+@pytest.mark.parametrize("name", ITERATOR_CALLS)
+def test_every_budget_of_an_iterator_callback_matches_the_interpreter(name):
+    src = FAULTY_CALLBACK.replace("CALL", ITERATOR_CALLS[name])
+    full = _listener_step(Vm, src, THREE_NEIGHBORS)
+    assert full == _listener_step(ReferenceVm, src, THREE_NEIGHBORS)
+    # the first two records' calls ran whole; the third faults in sqrt
+    assert full[0] == ("math.sqrt of a negative number", 4, 15, "<script>")
+    assert ("seen", 42.0 + 62.0) in full[2]
+    # every budget up to the first that reaches the sqrt fault
+    lines = set()
+    for budget in range(1, 1_000):
+        got = _listener_step(Vm, src, THREE_NEIGHBORS, budget)
+        assert got == _listener_step(ReferenceVm, src, THREE_NEIGHBORS,
+                                     budget), budget
+        if got[0][0] != "instruction budget exceeded":
+            break
+        lines.add(got[0][1])
+    assert got[0] == full[0]
+    # the budget ran out on each line of the callback and in step's call
+    assert lines == {3, 4, 5, 6, 7, 9}
+
+
+@pytest.mark.parametrize("name", ITERATOR_CALLS)
+def test_a_host_closure_callback_goes_through_call_value(name):
+    # the host callback answers with a bool, which call_value coerces
+    vm = build_vm("function step() { "
+                  + ITERATOR_CALLS[name].replace("cb", "odd") + " }")
+    vm.register_function("odd", lambda _vm, args: args[0] % 2 == 1)
+    called = []
+
+    def call_value(fn, args, self_val=None):
+        called.append((fn, args[:2]))
+        return Vm.call_value(vm, fn, args, self_val)
+
+    vm.call_value = call_value
+    vm.step(THREE_NEIGHBORS)
+    assert vm.faulted is None
+    # the step function, then the callback once per record
+    assert called[0][0] is vm.get_global("step")
+    assert [(fn.name, args) for fn, args in called[1:]] == \
+        [("odd", [rid, vm.neighbor_view.get(rid)]) for rid in (1, 2, 3)]
+    out = vm.get_global("out")
+    # reduce keeps the last answer, map every answer, filter the odd ids
+    assert (out, type(out)) == {
+        "reduce": (1, int), "foreach": (None, type(None)), "map": (3, int),
+        "filter": (2, int)}[name]
+
 
 if __name__ == "__main__":
     # Python frames per script level of each chain, from which
