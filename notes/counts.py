@@ -25,8 +25,9 @@ What it cost, which perf changes move on purpose:
   holds a table or a swarm list;
 - `merges`: `VStigMap.merge` calls, and `skipped`, `vstig_msgs - merges`;
 - `encodes`: `encode_message` calls made by the VM, and `reused`, the
-  adopted PUTs it sent as their received bytes instead (drained
-  `VstigPut`s with `received` set), which pass through no encode;
+  messages a step sent, its ANNOUNCE apart, whose bytes no encode of
+  that step made: adopted PUTs sent as their received bytes, and
+  broadcasts sent as their key's envelope from the step before;
 - `view_tables`: neighbor record tables built (`record_table` calls);
 - `collections`: garbage collections of each generation, young first,
   and `full_collections`, the last of them (oldest generation);
@@ -77,6 +78,7 @@ def counts(workload, seed):
     """Every count but the traced ones of one unit of `workload`."""
     c = collections.Counter()
     fuel = []
+    encoded = []  # the envelopes encoded in the running step
     step, deliver, decode = vm.Vm.step, runner.deliver, network.decode_message
     merge, encode, record = vstig.VStigMap.merge, vm.encode_message, \
         vm.record_table
@@ -88,11 +90,12 @@ def counts(workload, seed):
                 1 for r in inbox for msg in r.msgs
                 if type(msg) in (VstigPut, VstigGet)
                 and msg.vstig_id in stores)
+        encoded.clear()
         result = step(machine, inbox)
         fuel.append(machine.config.instruction_budget - machine._fuel)
-        c["reused"] += sum(1 for sent in result[0]
-                           if type(sent.message) is VstigPut
-                           and sent.message.received is not None)
+        fresh = {id(raw) for raw in encoded}
+        c["reused"] += sum(1 for sent in result[0][1:]
+                           if id(sent.raw) not in fresh)
         return result
 
     def counting_deliver(drop_prob, topology, outboxes, rng):
@@ -115,7 +118,8 @@ def counts(workload, seed):
 
     def counting_encode(sender_id, msg):
         c["encodes"] += 1
-        return encode(sender_id, msg)
+        encoded.append(encode(sender_id, msg))
+        return encoded[-1]
 
     def counting_record(*args):
         c["view_tables"] += 1

@@ -9,13 +9,15 @@ only way code reaches it, and otherwise on the host's first read
 robot id order so runs are reproducible; map and filter return detached
 views with the same method set, and map leaves out an id mapped to nil
 (a table holds no nil).  broadcast/listen/ignore implement key-based
-neighbor messaging: one queued message per key (most recent wins),
-listeners fire during message ingestion the following step.
+neighbor messaging: one queued message per key (most recent wins, a
+table value copied as it is queued), listeners fire during message
+ingestion the following step.  Every method but broadcast, listen and
+ignore reads its receiver and faults unless it is a table.
 """
 
 from .errors import VmRuntimeError
 from .values import (HostClosure, NativeClosure, Table, is_truthy,
-                     is_wire_value, require_closure)
+                     is_wire_value, require_closure, wrong_receiver)
 from .wire import Broadcast
 
 
@@ -24,9 +26,17 @@ def make_view(records):
     return Table(records, methods=VIEW_METHODS)
 
 
+_new_table = Table.__new__
+
+
 def record_table(distance, azimuth, elevation):
-    return Table({"distance": distance, "azimuth": azimuth,
-                  "elevation": elevation})
+    # no `Table.__init__`, a Python frame per record: a view holds one
+    # record per sender heard
+    record = _new_table(Table)
+    record.data = {"distance": distance, "azimuth": azimuth,
+                   "elevation": elevation}
+    record.methods = None
+    return record
 
 
 def _iter_sorted(view):
@@ -39,6 +49,8 @@ def _iter_sorted(view):
 # subclass) goes through `vm.call_value`.
 
 def _m_foreach(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "foreach")
     fn = require_closure(args[0] if args else None, "foreach")
     if type(fn) is NativeClosure:
         code, env = fn.code, fn.env
@@ -50,6 +62,8 @@ def _m_foreach(vm, view, args):
 
 
 def _m_map(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "map")
     fn = require_closure(args[0] if args else None, "map")
     out = {}
     if type(fn) is NativeClosure:
@@ -67,6 +81,8 @@ def _m_map(vm, view, args):
 
 
 def _m_reduce(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "reduce")
     if len(args) != 2:
         raise VmRuntimeError("reduce expects (closure, initial value)")
     fn = require_closure(args[0], "reduce")
@@ -82,6 +98,8 @@ def _m_reduce(vm, view, args):
 
 
 def _m_filter(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "filter")
     fn = require_closure(args[0] if args else None, "filter")
     out = {}
     if type(fn) is NativeClosure:
@@ -97,6 +115,8 @@ def _m_filter(vm, view, args):
 
 
 def _kin_split(vm, view, kin):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "kin" if kin else "nonkin")
     if not vm.swarm_stack:
         raise VmRuntimeError("kin/nonkin outside a swarm exec call")
     return make_view(vm.swarm_registry.split(view.data, vm.swarm_stack[-1],
@@ -112,10 +132,14 @@ def _m_nonkin(vm, view, args):
 
 
 def _m_count(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "count")
     return len(view.data)
 
 
 def _m_get(vm, view, args):
+    if type(view) is not Table:
+        raise wrong_receiver(view, "get")
     if len(args) != 1:
         raise VmRuntimeError("get expects a robot id")
     return view.data.get(args[0])

@@ -10,7 +10,8 @@ queued it subsumes everything (no JOIN/LEAVE slot is left beside it).
 """
 
 from .errors import VmRuntimeError
-from .values import HostClosure, SwarmHandle, is_truthy, require_closure
+from .values import (HostClosure, SwarmHandle, is_truthy, require_closure,
+                     wrong_receiver)
 from .wire import SwarmJoin, SwarmLeave, SwarmList
 
 
@@ -137,30 +138,42 @@ def apply_to_view(view, msg):
 # --- script-facing methods -------------------------------------------------
 
 def _m_select(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "select")
     pred = args[0] if args else None
     if is_truthy(pred):
         vm.swarm_set_membership(handle.swarm_id, True)
 
 
 def _m_unselect(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "unselect")
     pred = args[0] if args else None
     if is_truthy(pred):
         vm.swarm_set_membership(handle.swarm_id, False)
 
 
 def _m_join(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "join")
     vm.swarm_set_membership(handle.swarm_id, True)
 
 
 def _m_leave(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "leave")
     vm.swarm_set_membership(handle.swarm_id, False)
 
 
 def _m_in(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "in")
     return 1 if vm.swarm_registry.is_member(handle.swarm_id) else 0
 
 
 def _m_exec(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "exec")
     fn = require_closure(args[0] if args else None, "exec")
     if not vm.swarm_registry.is_member(handle.swarm_id):
         return None
@@ -172,6 +185,8 @@ def _m_exec(vm, handle, args):
 
 
 def _m_others(vm, handle, args):
+    if type(handle) is not SwarmHandle:
+        raise wrong_receiver(handle, "others")
     if not args or type(args[0]) is not int:
         raise VmRuntimeError("others expects a new swarm id")
     new_id = args[0]

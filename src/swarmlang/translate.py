@@ -16,8 +16,11 @@ line table and its refunds, and the constants tuple `K`.
 """
 
 import functools
+import math
 
 from .errors import VmRuntimeError
+from .mathlib import METHODS as MATH_METHODS
+from .neighbors import VIEW_METHODS
 from .opcodes import (ADD, BRANCHES, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD,
                       GSTORE, GT, GTE, JFKEEP, JTKEEP, JUMP, JUMPF, LLOAD,
                       LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
@@ -64,9 +67,10 @@ def _unwind(vm, exc, fuel, lines):
 
     `lines` maps a line of the function to (code offset, refund), the
     refund being the fuel charged for the instructions of its segment
-    after it, which did not run.  A script call leaves its callee's exact
-    fuel in `vm._fuel` and has refund None; anywhere else the function's
-    own count plus the refund is the one to keep.
+    after it, which did not run.  A line that calls a script or host
+    closure leaves the callee's exact fuel in `vm._fuel`, callbacks that
+    a host method ran included, and has refund None; anywhere else the
+    function's own count plus the refund is the one to keep.
     """
     offset, refund = lines.get(exc.__traceback__.tb_lineno, (None, 0))
     if refund is not None:
@@ -88,6 +92,7 @@ _RUNTIME = {
     "arith_neg": arith_neg, "value_eq": value_eq, "value_lt": value_lt,
     "value_lte": value_lte, "index": _index, "tset": _tset,
     "call_closure": call_closure, "unwind": _unwind,
+    "cos": math.cos, "sin": math.sin,
 }
 
 _BUDGET = ("if (fuel := fuel - 1) <= 0: "
@@ -105,7 +110,8 @@ def _float_fast(op, slow):
 # its operand's name in K, `local` and `up` its slot, `go` its jump and
 # `falsy` the test that t1 is nil or integer 0.  CALL and CALLM also get
 # the callee `f`, the receiver `self`, the result slot `out` and the
-# arguments `args`; their first line is the script call.
+# arguments `args`; their first line is the script call.  A line that
+# hands `fuel` to a callee (`_HANDOFF`) has no refund (see `_unwind`).
 _CODE = {
     NOP: [], POP: [],
     PUSHNIL: ["{push} = None"],
@@ -166,6 +172,34 @@ _CODE = {
 }
 _CODE[CALLM] = _CODE[CALL]
 _CODE[DONE] = _CODE[RETN]
+_HANDOFF = "vm._fuel = fuel;"
+
+# Quickened calls: (global, key, arity) -> (built-in, lines).  A CALLM
+# of that arity on `global.key(...)`, its receiver read by a GLOAD of
+# that name and its callee by a TGET under that PUSHS constant key, gets
+# these lines as an arm after the script call: when the callee is that
+# very built-in and the receiver `self` and arguments a0, a1 have the
+# exact types the arm tests, it runs the built-in's body inline, with no
+# argument list, fuel sync or frame.  Anything else takes the arms after
+# it, so the guards decide what runs and the site only picks which
+# built-in to test for.
+_QUICK = {
+    ("math", "min", 2): (MATH_METHODS["min"], [
+        "elif {f} is {quick} and type({a0}) is float and type({a1}) is "
+        "float: {out} = {a1} if {a1} < {a0} else {a0}"]),
+    ("neighbors", "get", 1): (VIEW_METHODS["get"], [
+        "elif {f} is {quick} and type({self}) is Table and type({a0}) is "
+        "int:",
+        "    {out} = {self}.data.get({a0})",
+        "    if {out} is True or {out} is False: {out} = int({out})"]),
+    # a finite angle (x - x is NaN for an infinity and for NaN)
+    ("math", "cos", 1): (MATH_METHODS["cos"], [
+        "elif {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
+        "{out} = cos({a0})"]),
+    ("math", "sin", 1): (MATH_METHODS["sin"], [
+        "elif {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
+        "{out} = sin({a0})"]),
+}
 # the instructions that end a segment: a call syncs fuel with its callee
 _ENDS = BRANCHES | {CALL, CALLM, RET, RETN, DONE}
 
@@ -229,9 +263,31 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
         consts.append(value)
         return f"k{len(consts) - 1}"
 
+    def quickened(i, at):
+        # the _QUICK entry of the CALLM at i whose callee is slot `at`:
+        # the nearest TGET before it that fills that slot, above the
+        # arguments, read the key of the PUSHS before it from the receiver
+        # that a GLOAD then DUP put below (the compiler's `g.key(...)`)
+        for j in range(i - 1, start, -1):
+            h = depths[j]
+            if h is None:
+                continue
+            if h <= at:
+                return None
+            if h == at + 2 and instrs[j][0] == TGET:
+                if j - 3 < start:
+                    return None
+                (load, name), (dup, _), (push, key) = instrs[j - 3:j]
+                if (load, dup, push) != (GLOAD, DUP, PUSHS) or \
+                        depths[j - 3] != at - 1:
+                    return None
+                return _QUICK.get((name, key, instrs[i][1]))
+        return None
+
     def code(i):
         opcode, arg = instrs[i]
         h = depths[i]
+        texts = _CODE[opcode]
         t1 = f"s{h - 1}"
         fields = {"push": f"s{h}", "t1": t1, "t2": f"s{h - 2}",
                   "t3": f"s{h - 3}",
@@ -252,9 +308,14 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
             fields.update(f=f"s{at}", args=args, more=", " * bool(args) + args)
             if opcode == CALLM:
                 fields.update(self=f"s{at - 1}", out=f"s{at - 1}")
+                quick = quickened(i, at)
+                if quick is not None:
+                    fields.update(quick=const(quick[0]), a0=f"s{at + 1}",
+                                  a1=f"s{at + 2}")
+                    texts = texts[:1] + quick[1] + texts[1:]
             else:
                 fields.update(self="None", out=f"s{at}")
-        return [text.format(**fields) for text in _CODE[opcode]]
+        return [text.format(**fields) for text in texts]
 
     def emit(text, at):
         lines.append(text)
@@ -308,8 +369,9 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
         emit(f"{body}    {_EXHAUSTED}", (segment[-1], 0))
         for j, (i, texts) in enumerate(zip(segment, codes)):
             call = instrs[i][0] == CALL or instrs[i][0] == CALLM
-            for m, text in enumerate(texts):
-                emit(body + text, (i, None if call and m == 0 else n - j - 1))
+            for text in texts:
+                emit(body + text, (i, None if call and _HANDOFF in text
+                                   else n - j - 1))
     lines += ["        except BaseException as exc:",
               "            vm.depth = d",
               f"            unwind(vm, exc, fuel, k{len(consts)})",

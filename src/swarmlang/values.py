@@ -125,6 +125,17 @@ def require_closure(v, what):
     return v
 
 
+def wrong_receiver(v, what):
+    """The runtime error of built-in method `what` called on `v`, which
+    is not the kind of object it belongs to.
+
+    A script can store a method and call it alone (no receiver) or as a
+    method of another value.  Each method that reads its receiver tests
+    its type inline, as a helper call would cost a frame per call.
+    """
+    return VmRuntimeError(f"{what} called on a {type_name(v)} value")
+
+
 def check_key(key):
     if key is None:
         raise VmRuntimeError("table key cannot be nil")

@@ -16,21 +16,22 @@ its verified program translated into one Python function
 (`BytecodeImage.main`, `translate.py`), which every VM on the image
 shares.  docs/bytecode.md, "Execution", states the invariants of that
 translation: slots as Python locals, exact fuel, the frame depth count,
-fault positions and direct calls.
+fault positions, direct calls and quickened built-in calls.
 """
 
 import builtins
-import math as _math
 import sys
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from .errors import VmError, VmRuntimeError, WireError
+from .mathlib import METHODS as MATH_METHODS
 from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .translate import call_closure
 from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
-                     Table, check_int64, coerce, copy_value, to_display)
+                     Table, coerce, copy_value, to_display)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -63,61 +64,11 @@ FRAMES_PER_LEVEL = 3
 HOST_FRAMES = 250
 
 
+_NOTHING_SENT = MappingProxyType({})  # no broadcast in the last drain
+
+
 def _hc_print(vm, _self, args):
     vm.print_sink("".join(to_display(a) for a in args))
-
-
-# The math methods check their arguments inline: they are among the
-# most called host methods, and a helper per argument costs a frame each.
-def _trig(name):
-    fn = getattr(_math, name)
-
-    def call(vm, _self, args):
-        x = args[0] if args else None
-        if type(x) is not float and type(x) is not int:
-            raise VmRuntimeError(f"math.{name} expects numeric arguments")
-        try:
-            return fn(x)
-        except ValueError:  # an infinite angle
-            raise VmRuntimeError(f"math.{name} of an infinite number") \
-                from None
-    return HostClosure(name, call)
-
-
-def _min(vm, _self, args):
-    if len(args) > 1:
-        a, b = args[0], args[1]
-        if (type(a) is float or type(a) is int) \
-                and (type(b) is float or type(b) is int):
-            return b if b < a else a  # builtin min(a, b), NaN included
-    raise VmRuntimeError("math.min expects numeric arguments")
-
-
-def _abs(vm, _self, args):
-    x = args[0] if args else None
-    if type(x) is float:
-        return abs(x)
-    if type(x) is int:
-        return check_int64(abs(x))
-    raise VmRuntimeError("math.abs expects numeric arguments")
-
-
-def _sqrt(vm, _self, args):
-    x = args[0] if args else None
-    if type(x) is not float and type(x) is not int:
-        raise VmRuntimeError("math.sqrt expects numeric arguments")
-    if x < 0:
-        raise VmRuntimeError("math.sqrt of a negative number")
-    return _math.sqrt(x)
-
-
-_MATH_METHODS = {
-    "sin": _trig("sin"),
-    "cos": _trig("cos"),
-    "min": HostClosure("min", _min),
-    "abs": HostClosure("abs", _abs),
-    "sqrt": HostClosure("sqrt", _sqrt),
-}
 
 
 def _view_of(inbox):
@@ -137,6 +88,7 @@ class Vm:
         self._announce = SentMessage(announce,
                                      encode_message(robot_id, announce))
         self._head = self._announce.raw[:4]  # envelope head: the sender id
+        self._last_broadcast = _NOTHING_SENT  # key -> SentMessage, `_drain`
         self.config = config or VmConfig()
         levels = (sys.getrecursionlimit() - HOST_FRAMES) // FRAMES_PER_LEVEL
         if self.config.max_frames > levels:
@@ -165,7 +117,7 @@ class Vm:
         self._heard = None  # the inbox of a view not built yet
 
         self.globals["id"] = robot_id
-        self.globals["math"] = Table(dict(_MATH_METHODS))
+        self.globals["math"] = Table(dict(MATH_METHODS))
         self.globals["print"] = HostClosure("print", _hc_print)
         self.globals["swarm"] = Table(dict(SWARM_FACTORY))
         self.globals["stigmergy"] = Table(dict(VSTIG_FACTORY))
@@ -274,10 +226,14 @@ class Vm:
         return self._vstigs[vstig_id]
 
     def enqueue_broadcast(self, msg):
-        # one queued message per key; the most recent wins and goes last
+        # one queued message per key; the most recent wins and goes last.
+        # A table value is copied, so later changes to it stay local (and
+        # `_drain` never finds it the same object as one sent before)
+        if type(msg.value) is Table:
+            msg = Broadcast(msg.key, copy_value(msg.value))
         slot = ("bcast", msg.key)
         self.out_queue.pop(slot, None)
-        self.out_queue[slot] = Broadcast(msg.key, copy_value(msg.value))
+        self.out_queue[slot] = msg
 
     # --- the step cycle --------------------------------------------------
 
@@ -380,21 +336,40 @@ class Vm:
         outbox = [self._announce]
         head = self._head
         queue = self.out_queue
+        # the broadcast envelopes of the last drain by key; only this
+        # drain's are kept (made at its first broadcast), so a key the
+        # script stopped sending is freed
+        last_sent = self._last_broadcast
+        kept = None
         sent = []
         try:
             for slot, msg in queue.items():
+                out = None
                 if type(msg) is VstigPut and msg.received is not None:
                     raw = head + msg.received  # an adopted PUT, as received
+                elif type(msg) is Broadcast:
+                    # a value that is the very object of the key's last
+                    # encode (never a table: enqueue copies each one) has
+                    # that envelope, which goes again as it was
+                    out = last_sent.get(msg.key)
+                    if out is None or out.message.value is not msg.value:
+                        out = SentMessage(msg,
+                                          encode_message(self.robot_id, msg))
+                    if kept is None:
+                        kept = {}
+                    kept[msg.key] = out
+                    raw = out.raw
                 else:
                     raw = encode_message(self.robot_id, msg)
                 if len(raw) > budget:
                     break
                 sent.append(slot)
-                outbox.append(SentMessage(msg, raw))
+                outbox.append(out or SentMessage(msg, raw))
                 budget -= len(raw)
         except WireError as exc:
             self.faulted = VmRuntimeError(
                 f"cannot serialize outbound message: {exc}")
+        self._last_broadcast = kept or _NOTHING_SENT
         for slot in sent:  # one walk, then the deletes (not pop-first)
             del queue[slot]
         return outbox

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from .errors import VmRuntimeError
 from .values import (HostClosure, Table, VStigHandle, copy_value,
-                     is_wire_value, require_closure, value_eq)
+                     is_wire_value, require_closure, value_eq,
+                     wrong_receiver)
 from .wire import VstigGet, VstigPut
 
 
@@ -148,6 +149,8 @@ def _check_wire(v, what):
 
 
 def _m_put(vm, handle, args):
+    if type(handle) is not VStigHandle:
+        raise wrong_receiver(handle, "put")
     if len(args) != 2:
         raise VmRuntimeError("put expects (key, value)")
     key, value = args
@@ -159,6 +162,8 @@ def _m_put(vm, handle, args):
 
 
 def _m_get(vm, handle, args):
+    if type(handle) is not VStigHandle:
+        raise wrong_receiver(handle, "get")
     if len(args) != 1:
         raise VmRuntimeError("get expects (key)")
     _check_wire(args[0], "key")
@@ -169,15 +174,21 @@ def _m_get(vm, handle, args):
 
 
 def _m_size(vm, handle, args):
+    if type(handle) is not VStigHandle:
+        raise wrong_receiver(handle, "size")
     return vm.vstig_map(handle.vstig_id).size()
 
 
 def _m_onconflict(vm, handle, args):
+    if type(handle) is not VStigHandle:
+        raise wrong_receiver(handle, "onconflict")
     vm.vstig_map(handle.vstig_id).onconflict = require_closure(
         args[0] if args else None, "onconflict")
 
 
 def _m_onconflictlost(vm, handle, args):
+    if type(handle) is not VStigHandle:
+        raise wrong_receiver(handle, "onconflictlost")
     vm.vstig_map(handle.vstig_id).onconflictlost = require_closure(
         args[0] if args else None, "onconflictlost")
 

@@ -168,11 +168,14 @@ class ReferenceVm(Vm):
                         frames.append(frame)
                     elif isinstance(fn, HostClosure):
                         # host code may re-enter call_value, which reads
-                        # and leaves the remaining fuel in self._fuel
+                        # and leaves the remaining fuel in self._fuel,
+                        # also when a callback it ran faulted
                         frame.ip = ip
                         self._fuel = fuel
-                        result = fn.fn(self, self_val, call_args)
-                        fuel = self._fuel
+                        try:
+                            result = fn.fn(self, self_val, call_args)
+                        finally:
+                            fuel = self._fuel
                         push(coerce(result))
                     else:
                         raise VmRuntimeError(

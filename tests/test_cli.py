@@ -89,6 +89,24 @@ def test_run_faulted_vm_exits_4(workspace, capsys):
     assert "fault.swl:1:" in err
 
 
+@pytest.mark.parametrize("body, fault", [
+    ("var g = neighbors.get\n  x = g(5)", "3:8: get called on a nil value"),
+    ("var s = swarm.create(1)\n  var o = s.others\n  x = o(2)",
+     "4:8: others called on a nil value"),
+    ("var s = stigmergy.create(1)\n  var t = {}\n  t.p = s.put\n"
+     "  x = t.p(1, 2)", "5:9: put called on a table value"),
+])
+def test_sim_faults_a_built_in_method_off_its_object(tmp_path, capsys,
+                                                     body, fault):
+    bad = tmp_path / "bad.swl"
+    bad.write_text(f"function step() {{\n  {body}\n}}\n")
+    code, out, err = invoke(["sim", "--script", str(bad), "--readout", "x",
+                             "--robots", "3", "--max-steps", "2"], capsys)
+    assert code == 0 and out.startswith("step,")
+    assert err.splitlines() == [f"fault,robot {rid}: {bad}:{fault}"
+                                for rid in range(3)]
+
+
 # Checked-in images made by patching bytes of compiled scripts:
 # bad_string_index.bo is `s = "hi"` with PUSHS's operand set to 200, and
 # stack_underflow.bo is `a = 1` with PUSHI 1 replaced by GSTORE "a", which

@@ -5,8 +5,10 @@ import pytest
 from swarmlang import vm as vm_module
 from swarmlang.errors import VmRuntimeError
 from swarmlang.linker import compile_and_link
+from swarmlang.values import Table
 from swarmlang.vm import Vm
-from swarmlang.wire import Announce, Broadcast, Situated
+from swarmlang.wire import (Announce, Broadcast, Situated, decode_message,
+                            encode_message)
 
 from conftest import build_vm
 
@@ -419,3 +421,118 @@ function init() {
     vm.step([Situated(2, 70.0, 0.0, 0.0,
                       (Broadcast("dist_to_source", 10.0),))])
     assert vm.get_global("mydist") == 80.0
+
+
+# --- broadcast envelopes -----------------------------------------------------
+
+@pytest.fixture
+def encoded(monkeypatch):
+    """The broadcasts the VM encodes, from here on."""
+    seen = []
+    real = vm_module.encode_message
+
+    def counting(sender_id, msg):
+        if type(msg) is Broadcast:
+            seen.append(msg)
+        return real(sender_id, msg)
+
+    monkeypatch.setattr(vm_module, "encode_message", counting)
+    return seen
+
+
+BROADCASTER = "function step() { neighbors.broadcast(key, value) }"
+
+
+def broadcast_raw(outbox):
+    return [s.raw for s in outbox if type(s.message) is Broadcast]
+
+
+@pytest.mark.parametrize("value", [
+    2 ** 63 - 1, -2 ** 63, 0, 0.0, -0.0, math.nan, math.inf, -math.inf,
+    1.5, "", "é ☃ \U0001f916",
+], ids=repr)
+def test_a_reused_envelope_is_the_encoded_one(value, encoded):
+    vm = build_vm(BROADCASTER, robot_id=2 ** 32 - 1)
+    vm.set_global("key", "k")
+    vm.set_global("value", value)
+    first, _ = vm.step([])
+    assert len(encoded) == 1
+    want = [encode_message(vm.robot_id, Broadcast("k", value))]
+    assert broadcast_raw(first) == want
+    for _ in range(3):  # the same value object: no encode, the same bytes
+        outbox, _ = vm.step([])
+        assert broadcast_raw(outbox) == want and len(encoded) == 1
+
+
+def test_a_changed_key_or_value_or_a_table_encodes_again(encoded):
+    vm = build_vm(BROADCASTER)
+    steps = [("k", 1.5), ("k", 1.5), ("j", 1.5), ("k", 1.5), ("k", 2.5),
+             ("k", float("2.5")), ("k", "s"), ("k", "s"), ("k", 0.0),
+             ("k", -0.0)]
+    sent = []
+    for key, value in steps:
+        vm.set_global("key", key)
+        vm.set_global("value", value)
+        outbox, _ = vm.step([])
+        assert broadcast_raw(outbox) == [encode_message(
+            0, Broadcast(key, value))]
+        sent.append(len(encoded))
+    # a drain keeps only its own keys' envelopes, so "k" is forgotten in
+    # the step that sends "j"; an equal value that is another object is
+    # encoded again (0.0 == -0.0, and their bytes differ)
+    assert sent == [1, 1, 2, 3, 4, 5, 6, 6, 7, 8]
+
+    table = Table({"x": 1})
+    vm.set_global("value", table)
+    for n in range(3):  # copied on every enqueue, so encoded every step
+        outbox, _ = vm.step([])
+        assert len(encoded) == 9 + n
+        assert broadcast_raw(outbox) == [encode_message(
+            0, Broadcast("k", table))]
+
+
+def test_each_key_keeps_its_own_envelope(encoded):
+    vm = build_vm('function step() { neighbors.broadcast("a", x)\n'
+                  '  neighbors.broadcast("b", y) }')
+    vm.set_global("x", 1.5)
+    before, after = 2.5, 3.5
+    for y, count in ((before, 2), (before, 2), (after, 3), (after, 3)):
+        vm.set_global("y", y)
+        outbox, _ = vm.step([])
+        assert len(encoded) == count
+        assert broadcast_raw(outbox) == [
+            encode_message(0, Broadcast("a", 1.5)),
+            encode_message(0, Broadcast("b", y))]
+
+
+def test_a_table_changed_after_its_broadcast_is_sent_as_it_was():
+    vm = build_vm("""
+function step() {
+  t = t or {x = 1}
+  neighbors.broadcast("k", t)
+  t.x = t.x + 1
+}
+""")
+    for x in (1, 2, 3):
+        outbox, _ = vm.step([])
+        (raw,) = broadcast_raw(outbox)
+        assert decode_message(raw)[1].value.data == {"x": x}
+
+    # a host's enqueue is copied too
+    table = Table({"x": 1})
+    vm.enqueue_broadcast(Broadcast("h", table))
+    table.set("x", 9)
+    queued = vm.out_queue[("bcast", "h")]
+    assert queued.value is not table and queued.value.data == {"x": 1}
+    scalar = Broadcast("s", 2.5)
+    vm.enqueue_broadcast(scalar)
+    assert vm.out_queue[("bcast", "s")] is scalar
+
+
+def test_a_failed_encode_is_not_remembered(encoded):
+    vm = build_vm(BROADCASTER)
+    vm.set_global("key", "k")
+    vm.set_global("value", "\ud800")  # a lone surrogate has no UTF-8 form
+    outbox, _ = vm.step([])
+    assert "cannot serialize" in str(vm.faulted)
+    assert vm._last_broadcast == {}

@@ -8,7 +8,9 @@ import pytest
 
 from swarmlang.errors import VmError, VmRuntimeError
 from swarmlang.linker import compile_and_link
-from swarmlang.values import CLOSURES, HostClosure, Table
+from swarmlang.neighbors import VIEW_METHODS
+from swarmlang.values import (CLOSURES, HostClosure, SwarmHandle, Table,
+                              VStigHandle, type_name)
 from swarmlang.vm import FRAMES_PER_LEVEL, HOST_FRAMES, Vm, VmConfig
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
                             SwarmLeave, SwarmList, VstigGet, VstigPut,
@@ -815,6 +817,32 @@ def test_every_budget_of_an_iterator_callback_matches_the_interpreter(name):
     assert lines == {3, 4, 5, 6, 7, 9}
 
 
+# a callback of each iterator, and one that swarm `exec` runs (in the
+# step that hears neighbors, as the iterators' callbacks run)
+CALLBACK_CALLS = dict(ITERATOR_CALLS, exec="""var s = swarm.create(1)
+  s.join()
+  if (neighbors.count() > 0) {
+    s.exec(function() { cb(1, {distance = 10.}, 0) })
+  }""")
+
+
+@pytest.mark.parametrize("name", CALLBACK_CALLS)
+def test_a_faulting_callback_leaves_the_fuel_it_ran(name):
+    # a host method's callback faults: vm._fuel keeps what the callbacks
+    # spent, so the step used exactly the instructions that ran, one less
+    # than the smallest budget that reaches the fault
+    src = FAULTY_CALLBACK.replace("CALL", CALLBACK_CALLS[name])
+    fault, fuel, _ = _listener_step(Vm, src, THREE_NEIGHBORS)
+    assert fault[0] == "math.sqrt of a negative number"
+    assert _listener_step(ReferenceVm, src, THREE_NEIGHBORS)[1] == fuel
+    used = 10_000 - fuel
+    assert used > 20
+    short = _listener_step(Vm, src, THREE_NEIGHBORS, used)
+    assert short[0][0] == "instruction budget exceeded"
+    assert _listener_step(Vm, src, THREE_NEIGHBORS, used + 1)[:2] == \
+        (fault, 1)
+
+
 @pytest.mark.parametrize("name", ITERATOR_CALLS)
 def test_a_host_closure_callback_goes_through_call_value(name):
     # the host callback answers with a bool, which call_value coerces
@@ -840,6 +868,101 @@ def test_a_host_closure_callback_goes_through_call_value(name):
         "reduce": (1, int), "foreach": (None, type(None)), "map": (3, int),
         "filter": (2, int)}[name]
 
+
+
+# --- built-in methods away from their object --------------------------------
+#
+# A script can store a built-in method and call it alone (no receiver) or
+# as a method of a table, and host code or a hand-made image can give it
+# any receiver.  A method that reads its receiver checks its type and
+# faults only its robot; broadcast, listen and ignore read none.
+
+METHOD_ARGS = {  # (object, method) -> arguments it takes from its object
+    **{("neighbors", name): args for name, args in (
+        ("foreach", "f"), ("map", "f"), ("reduce", "f, 0"), ("filter", "f"),
+        ("kin", ""), ("nonkin", ""), ("count", ""), ("get", "1"),
+        ("broadcast", '"k", 1'), ("listen", '"k", f'), ("ignore", '"k"'))},
+    **{("s", name): args for name, args in (
+        ("select", "1"), ("unselect", "1"), ("join", ""), ("leave", ""),
+        ("in", ""), ("exec", "f"), ("others", "7"))},
+    **{("v", name): args for name, args in (
+        ("put", '"k", 1'), ("get", '"k"'), ("size", ""), ("onconflict", "f"),
+        ("onconflictlost", "f"))},
+}
+RECEIVER_CALLS = {
+    "unbound": "var m = OBJECT.NAME\n  out = m(ARGS)",
+    "table": "var t = {}\n  t.m = OBJECT.NAME\n  out = t.m(ARGS)",
+}
+RECEIVERLESS = {"broadcast", "listen", "ignore"}
+
+
+def _method_step(engine, obj, name, call):
+    call = RECEIVER_CALLS[call]
+    vm = engine(compile_and_link(f"""
+function f(a, b, c) {{ return a }}
+function init() {{
+  s = swarm.create(1)
+  s.join()
+  v = stigmergy.create(2)
+}}
+function step() {{
+  {call.replace("OBJECT", obj).replace("NAME", name)
+       .replace("ARGS", METHOD_ARGS[obj, name])}
+}}
+"""), 0)
+    vm.step([])
+    fault = vm.faulted
+    return (fault and (str(fault), fault.line), vm._fuel,
+            repr(vm.get_global("out")))
+
+
+def test_every_built_in_method_is_listed():
+    assert sorted(name for obj, name in METHOD_ARGS if obj == "neighbors") \
+        == sorted(VIEW_METHODS)
+    assert sorted(name for obj, name in METHOD_ARGS if obj == "s") == \
+        sorted(SwarmHandle.METHODS)
+    assert sorted(name for obj, name in METHOD_ARGS if obj == "v") == \
+        sorted(VStigHandle.METHODS)
+
+
+@pytest.mark.parametrize("call", RECEIVER_CALLS)
+@pytest.mark.parametrize("obj, name", METHOD_ARGS)
+def test_a_method_called_from_a_script_off_its_object(obj, name, call):
+    got = _method_step(Vm, obj, name, call)
+    assert got == _method_step(ReferenceVm, obj, name, call)
+    receiver = {"unbound": "nil", "table": "table"}[call]
+    if name in RECEIVERLESS or (obj == "neighbors" and call == "table"):
+        # a table is a view's kind; kin/nonkin want a swarm exec too
+        assert got[0] is None or "outside a swarm exec" in got[0][0]
+    else:
+        assert got[0][0].endswith(f"{name} called on a {receiver} value")
+
+
+@pytest.mark.parametrize("obj, name", METHOD_ARGS)
+def test_a_method_called_by_the_host_on_any_receiver(obj, name):
+    others = {"neighbors": SwarmHandle(1), "s": VStigHandle(2),
+              "v": SwarmHandle(1)}
+    owner = {"neighbors": VIEW_METHODS, "s": SwarmHandle.METHODS,
+             "v": VStigHandle.METHODS}[obj]
+    for receiver in (None, Table(), 5, 2.5, "s", others[obj]):
+        seen = []
+        for engine in (Vm, ReferenceVm):
+            vm = engine(compile_and_link("function f(a) { return a }"), 0)
+            vm.step([])
+            args = {"": [], "1": [1], "7": [7], '"k"': ["k"],
+                    '"k", 1': ["k", 1], "f": [vm.get_global("f")],
+                    "f, 0": [vm.get_global("f"), 0],
+                    '"k", f': ["k", vm.get_global("f")]}
+            try:
+                seen.append(("ok", repr(vm.call_value(
+                    owner[name], args[METHOD_ARGS[obj, name]], receiver))))
+            except VmRuntimeError as exc:
+                seen.append(("fault", exc.message))
+        assert seen[0] == seen[1], receiver
+        if name not in RECEIVERLESS and not (
+                obj == "neighbors" and type(receiver) is Table):
+            assert seen[0] == ("fault", f"{name} called on a "
+                               f"{type_name(receiver)} value"), receiver
 
 if __name__ == "__main__":
     # Python frames per script level of each chain, from which
