@@ -16,8 +16,8 @@ ignore reads its receiver and faults unless it is a table.
 """
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, NativeClosure, Table, is_truthy,
-                     is_wire_value, require_closure, wrong_receiver)
+from .values import (HostClosure, Table, is_truthy, is_wire_value,
+                     require_closure, wrong_receiver)
 from .wire import Broadcast
 
 
@@ -43,40 +43,25 @@ def _iter_sorted(view):
     return sorted(view.data.items())
 
 
-# Each iterator calls a script closure's translated code itself, as
-# `call_closure`'s first arm does but with no frame of its own between:
-# the test is for the exact type, so any other callee (a host closure, a
-# subclass) goes through `vm.call_value`.
-
 def _m_foreach(vm, view, args):
     if type(view) is not Table:
         raise wrong_receiver(view, "foreach")
     fn = require_closure(args[0] if args else None, "foreach")
-    if type(fn) is NativeClosure:
-        code, env = fn.code, fn.env
-        for rid, data in _iter_sorted(view):
-            code(vm, env, None, rid, data)
-    else:
-        for rid, data in _iter_sorted(view):
-            vm.call_value(fn, [rid, data])
+    code, env = fn.code, fn.env
+    for rid, data in _iter_sorted(view):
+        code(vm, env, None, rid, data)
 
 
 def _m_map(vm, view, args):
     if type(view) is not Table:
         raise wrong_receiver(view, "map")
     fn = require_closure(args[0] if args else None, "map")
+    code, env = fn.code, fn.env
     out = {}
-    if type(fn) is NativeClosure:
-        code, env = fn.code, fn.env
-        for rid, data in _iter_sorted(view):
-            value = code(vm, env, None, rid, data)
-            if value is not None:
-                out[rid] = value
-    else:
-        for rid, data in _iter_sorted(view):
-            value = vm.call_value(fn, [rid, data])
-            if value is not None:
-                out[rid] = value
+    for rid, data in _iter_sorted(view):
+        value = code(vm, env, None, rid, data)
+        if value is not None:
+            out[rid] = value
     return make_view(out)
 
 
@@ -86,14 +71,10 @@ def _m_reduce(vm, view, args):
     if len(args) != 2:
         raise VmRuntimeError("reduce expects (closure, initial value)")
     fn = require_closure(args[0], "reduce")
+    code, env = fn.code, fn.env
     accum = args[1]
-    if type(fn) is NativeClosure:
-        code, env = fn.code, fn.env
-        for rid, data in _iter_sorted(view):
-            accum = code(vm, env, None, rid, data, accum)
-    else:
-        for rid, data in _iter_sorted(view):
-            accum = vm.call_value(fn, [rid, data, accum])
+    for rid, data in _iter_sorted(view):
+        accum = code(vm, env, None, rid, data, accum)
     return accum
 
 
@@ -101,16 +82,11 @@ def _m_filter(vm, view, args):
     if type(view) is not Table:
         raise wrong_receiver(view, "filter")
     fn = require_closure(args[0] if args else None, "filter")
+    code, env = fn.code, fn.env
     out = {}
-    if type(fn) is NativeClosure:
-        code, env = fn.code, fn.env
-        for rid, data in _iter_sorted(view):
-            if is_truthy(code(vm, env, None, rid, data)):
-                out[rid] = data
-    else:
-        for rid, data in _iter_sorted(view):
-            if is_truthy(vm.call_value(fn, [rid, data])):
-                out[rid] = data
+    for rid, data in _iter_sorted(view):
+        if is_truthy(code(vm, env, None, rid, data)):
+            out[rid] = data
     return make_view(out)
 
 

@@ -26,9 +26,9 @@ from .opcodes import (ADD, BRANCHES, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD,
                       LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
                       NOP, NOT, POP, POW, PUSHC, PUSHI, PUSHNIL, PUSHS, RET,
                       RETN, SUB, TGET, TSET, ULOAD, USTORE)
-from .values import (HostClosure, NativeClosure, SwarmHandle, Table,
-                     VStigHandle, arith_add, arith_div, arith_mod, arith_mul,
-                     arith_neg, arith_pow, arith_sub, check_key, coerce,
+from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
+                     Table, VStigHandle, arith_add, arith_div, arith_mod,
+                     arith_mul, arith_neg, arith_pow, arith_sub, check_key,
                      type_name, value_eq, value_lt, value_lte)
 
 
@@ -36,13 +36,12 @@ def call_closure(vm, fn, args, self_val=None):
     """Call closure value `fn` with the list `args`; returns its result.
 
     This is `Vm.call_value`, and the CALL of a value that is not exactly
-    a NativeClosure or a HostClosure.
+    a NativeClosure or a HostClosure.  Every closure, script or host,
+    is entered the same way, through its `code` and `env`.
     """
-    if isinstance(fn, NativeClosure):
-        return fn.code(vm, fn.env, self_val, *args)
-    if isinstance(fn, HostClosure):
-        return coerce(fn.fn(vm, self_val, args))
-    raise VmRuntimeError(f"called a {type_name(fn)} value")
+    if not isinstance(fn, CLOSURES):
+        raise VmRuntimeError(f"called a {type_name(fn)} value")
+    return fn.code(vm, fn.env, self_val, *args)
 
 
 def _index(obj, key):

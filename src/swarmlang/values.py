@@ -51,7 +51,8 @@ class NativeClosure:
     """Script function: its translated code plus captured frames.
 
     `code(vm, env, self_value, *args)` is the Python function the image
-    built for the function body (see translate.py).
+    built for the function body (see translate.py).  Host code enters
+    any closure, script or host, as `fn.code(vm, fn.env, self, *args)`.
     """
 
     __slots__ = ("code", "env")
@@ -65,13 +66,22 @@ class NativeClosure:
 
 
 class HostClosure:
-    """Host function exposed to scripts: fn(vm, self_value, args) -> value."""
+    """Host function exposed to scripts: fn(vm, self_value, args) -> value.
 
-    __slots__ = ("name", "fn")
+    It has a script closure's calling pair: its `env` is `fn`, and
+    `code(vm, env, self_value, *args)` calls it and turns a bool result
+    into an int, so a caller needs no test of which kind it holds.
+    """
+
+    __slots__ = ("name", "fn", "env")
 
     def __init__(self, name, fn):
         self.name = name
-        self.fn = fn
+        self.fn = self.env = fn
+
+    @staticmethod
+    def code(vm, fn, self_value, *args):
+        return coerce(fn(vm, self_value, list(args)))
 
     def __repr__(self):
         return f"HostClosure({self.name})"

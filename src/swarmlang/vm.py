@@ -30,8 +30,8 @@ from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .translate import call_closure
-from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
-                     Table, coerce, copy_value, to_display)
+from .values import (CLOSURES, HostClosure, SwarmHandle, Table, coerce,
+                     copy_value, to_display)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -306,13 +306,8 @@ class Vm:
                         value = msg.value
                         if type(value) is Table:
                             value = copy_value(value)
-                        # call_closure's first arm, without its frame
-                        if type(listener) is NativeClosure:
-                            listener.code(self, listener.env, None, msg.key,
-                                          value, sender_id)
-                        else:
-                            self.call_value(listener,
-                                            [msg.key, value, sender_id])
+                        listener.code(self, listener.env, None, msg.key,
+                                      value, sender_id)
                 elif (kind is SwarmJoin or kind is SwarmLeave
                       or kind is SwarmList):
                     self.swarm_registry.handle_message(sender_id, msg)
@@ -376,10 +371,10 @@ class Vm:
 
     # --- script calls ----------------------------------------------------
 
-    # Every entry from host code into the script comes through here
-    # (swarm and stigmergy callbacks, `init`, `step`, `destroy`, a
-    # host-closure listener or iterator callback); it calls the closure's
-    # translated code with no frame of its own in between.  `_ingest` and
-    # the neighbor iterators (`neighbors.py`) call a script function's
-    # code the same way themselves, the entries that skip this.
+    # Host code calls a closure value with a list of arguments through
+    # here (swarm `exec`, stigmergy resolvers, `init`, `step`,
+    # `destroy`); it enters the closure's `code` with no frame of its own
+    # in between.  Where a frame per call counts (`_ingest`'s listeners,
+    # the neighbor iterators) host code enters `fn.code(vm, fn.env, self,
+    # *args)` itself, the same call for a script or a host closure.
     call_value = call_closure

@@ -28,33 +28,35 @@ TAG_STRING = 3
 TAG_TABLE = 4
 
 
-@dataclass(frozen=True)
+# Every wire message class is a `@dataclass(slots=True)`, not frozen:
+# decoding and sending build one per message, and a frozen dataclass sets
+# each field through object.__setattr__, about twice the cost of a slots
+# one.  Nothing changes a message after it is built (every receiver of a
+# sender shares the decoded one, and one without a table is shared by
+# every sender of its body in a step; tests/test_sim.py pins this), and
+# nothing hashes one.  Equality is by value within one type, so a PUT
+# never equals a GET with the same fields.  Perfbench counts messages by
+# class name, so the names stay.
+@dataclass(slots=True)
 class Announce:
     """Per-step id broadcast backing the neighbor structure."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwarmJoin:
     swarm_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SwarmLeave:
     swarm_id: int
 
 
-@dataclass
+@dataclass(slots=True)
 class SwarmList:
     swarm_ids: list  # complete membership of the sender
 
 
-# Stigmergy messages are not frozen: decoding builds one per message, and
-# a frozen dataclass sets each field through object.__setattr__, about
-# four times the cost of a slots one.  Nothing changes a message after it
-# is built (every receiver of a sender shares the decoded one, and one
-# without a table is shared by every sender of its body in a step;
-# tests/test_sim.py pins this).  Equality is by value within one type, so
-# a PUT never equals a GET with the same fields.
 @dataclass(slots=True)
 class VstigPut:
     vstig_id: int
@@ -81,7 +83,7 @@ class VstigGet:
     robot_id: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Broadcast:
     key: str
     value: object

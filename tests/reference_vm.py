@@ -27,15 +27,23 @@ from swarmlang.vm import Vm
 
 
 class RefClosure(NativeClosure):
-    """A script function as the interpreter saw it: an entry index."""
+    """A script function as the interpreter saw it: an entry index.
+
+    Host code enters it as any closure, `fn.code(vm, fn.env, self,
+    *args)`; its `code` re-enters the interpreter through the VM's
+    `call_value`.
+    """
 
     __slots__ = ("entry", "nparams", "nlocals")
 
     def __init__(self, entry, nparams, nlocals, env):
-        super().__init__(None, env)
+        self.env = env
         self.entry = entry
         self.nparams = nparams
         self.nlocals = nlocals
+
+    def code(self, vm, _env, self_val, *args):
+        return vm.call_value(self, list(args), self_val)
 
     def __repr__(self):
         return f"RefClosure({self.entry})"

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -217,6 +218,42 @@ def test_sweep_gnuplot_output(workspace, capsys):
     assert code == 0
     dat = (tmp / "g_summary.dat").read_text().splitlines()
     assert dat[0].startswith("# experiment N P")
+
+
+# sha256 of each output of `swarmlang sweep --robots 10,30 --drop-prob
+# 0,0.25,0.5,0.75 --reps 3 --seed 7 --gnuplot`: a change to the VM, the
+# protocols or the simulator that moves one byte of a result fails here
+SWEEP_DIGESTS = {
+    "consensus": (
+        "dfb8fda96a030b79d651eacc2d0f924ae6897aed3b0006b5343e76412dd609eb",
+        "9a75e1b700b6e936dea80e2de703736f33c07308bde0a3f326ae2606bdbd391b",
+        "e57b5c1a48a932efc8cd439fe93c9293a8353de3a66362947d37ea1568f863cb"),
+    "gradient": (
+        "8f780233c5e08bf42b5269fcaedca434caea2bde145586cf04374913d5f1d437",
+        "c57a7e2f4b01511554056d087cf0a89e7b8727428fa1fec6df5e41846e419520",
+        "5be264a4503ab0a5eda83b205136bd5fb29cbaf880645ebf136bc21775b802ac"),
+    "barrier": (
+        "88c51ce5777c7bb78c18c02c6b4f3c6c0262424aeab59660741e2ab6cda70ca1",
+        "3973852cd29a3334be327d34e3698fbcff390a9fe2f7736f0d7e7515b46d2564",
+        "2f40d644fea5f073f531834c891db8d70cecdea5cdf78e61bbe695d868946b86"),
+}
+
+
+@pytest.mark.parametrize("script", SWEEP_DIGESTS)
+def test_sweep_bytes_are_pinned(tmp_path, capsys, monkeypatch, script):
+    monkeypatch.delenv("SWARMLANG_THREADS", raising=False)
+    out_csv = tmp_path / f"{script}.csv"
+    code, out, _ = invoke(["sweep", "--script", script,
+                           "--robots", "10,30",
+                           "--drop-prob", "0,0.25,0.5,0.75", "--reps", "3",
+                           "--seed", "7", "--gnuplot", "--out", str(out_csv)],
+                          capsys)
+    assert code == 0
+    names = [f"{script}.csv", f"{script}_summary.csv",
+             f"{script}_summary.dat"]
+    assert [Path(line).name for line in out.splitlines()] == names
+    assert [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in names] == list(SWEEP_DIGESTS[script])
 
 
 def test_console_entry_point_installed():

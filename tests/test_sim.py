@@ -1,5 +1,4 @@
 import gc
-import heapq
 import math
 import random
 

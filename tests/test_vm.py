@@ -645,8 +645,8 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
 
 # --- listeners called straight from ingest --------------------------------
 #
-# `_ingest` calls a script listener's code itself, not through
-# `call_value`; the reference interpreter's listeners still go through
+# `_ingest` calls a listener's code itself, not through `call_value`;
+# the reference interpreter's listeners have a `code` that goes through
 # its `call_value`, so each case runs on both engines.
 
 FAULTY_LISTENER = """
@@ -770,9 +770,9 @@ def test_listen_and_ignore_during_ingest_apply_to_later_messages():
 
 # --- neighbor iterators that call a script callback's code ----------------
 #
-# foreach, map, reduce and filter call a script function's code
-# themselves; the reference interpreter's callbacks (a NativeClosure
-# subclass) still go through its `call_value`, so each case runs on both
+# foreach, map, reduce and filter call their callback's code themselves;
+# the reference interpreter's callbacks (a NativeClosure subclass) have a
+# `code` that goes through its `call_value`, so each case runs on both
 # engines.  The third record (distance 10) faults in sqrt.
 
 ITERATOR_CALLS = {
@@ -844,30 +844,75 @@ def test_a_faulting_callback_leaves_the_fuel_it_ran(name):
 
 
 @pytest.mark.parametrize("name", ITERATOR_CALLS)
-def test_a_host_closure_callback_goes_through_call_value(name):
-    # the host callback answers with a bool, which call_value coerces
+def test_a_host_closure_callback_gets_each_record_in_id_order(name):
+    # the host callback answers with a bool, which its closure coerces
     vm = build_vm("function step() { "
                   + ITERATOR_CALLS[name].replace("cb", "odd") + " }")
-    vm.register_function("odd", lambda _vm, args: args[0] % 2 == 1)
     called = []
 
-    def call_value(fn, args, self_val=None):
-        called.append((fn, args[:2]))
-        return Vm.call_value(vm, fn, args, self_val)
+    def odd(_vm, args):
+        called.append(args[:2])
+        return args[0] % 2 == 1
 
-    vm.call_value = call_value
+    vm.register_function("odd", odd)
     vm.step(THREE_NEIGHBORS)
     assert vm.faulted is None
-    # the step function, then the callback once per record
-    assert called[0][0] is vm.get_global("step")
-    assert [(fn.name, args) for fn, args in called[1:]] == \
-        [("odd", [rid, vm.neighbor_view.get(rid)]) for rid in (1, 2, 3)]
+    assert called == [[rid, vm.neighbor_view.get(rid)] for rid in (1, 2, 3)]
     out = vm.get_global("out")
     # reduce keeps the last answer, map every answer, filter the odd ids
     assert (out, type(out)) == {
         "reduce": (1, int), "foreach": (None, type(None)), "map": (3, int),
         "filter": (2, int)}[name]
 
+
+# --- built-ins passed as script callbacks -----------------------------------
+#
+# A script can hand a built-in to an iterator, `listen` or swarm `exec`,
+# which enter it as they enter a script function.  Each case runs on both
+# engines; the three neighbors each send "k" on the step that runs it.
+
+BUILT_IN_CALLBACKS = {  # name -> (call, fault, out, printed lines)
+    "foreach-print": ("neighbors.foreach(print)", None, None,
+                      ["1[table(3)]", "2[table(3)]", "3[table(3)]"]),
+    "map-abs": ("out = neighbors.map(math.abs)", None, {1: 1, 2: 2, 3: 3},
+                []),
+    "filter-abs": ("out = neighbors.filter(math.abs).count()", None, 3, []),
+    # a fault keeps the first step's `out`, which heard no neighbor
+    "reduce-min": ("out = neighbors.reduce(math.min, 0)",
+                   "math.min expects numeric arguments", 0, []),
+    "map-get": ("out = neighbors.map(neighbors.get)",
+                "get called on a nil value", {}, []),
+    "listen-print": ('neighbors.listen("k", print)', None, None,
+                     ["k-33", "k-11", "k-22"]),
+    "exec-print": ("var s = swarm.create(1)\n  s.join()\n  s.exec(print)",
+                   None, None, ["", ""]),
+}
+PINGING_NEIGHBORS = [Situated(rid, distance, 0.0, 0.0,
+                              (Broadcast("k", -rid),))
+                     for rid, distance in ((3, 10.0), (1, 20.0), (2, 30.0))]
+
+
+def _built_in_callback_steps(engine, call):
+    """What two steps left, the second hearing PINGING_NEIGHBORS: the
+    fault, the fuel, `out` (a table as a dict) and the printed lines."""
+    printed = []
+    vm = engine(compile_and_link("function step() {\n  " + call + "\n}"),
+                0, print_sink=printed.append)
+    vm.step([])
+    vm.step(list(PINGING_NEIGHBORS))
+    fault = vm.faulted
+    out = vm.get_global("out")
+    return (fault and (fault.message, fault.line, fault.col, fault.origin),
+            vm._fuel, out.data if type(out) is Table else out, printed)
+
+
+@pytest.mark.parametrize("name", BUILT_IN_CALLBACKS)
+def test_a_built_in_passed_as_a_callback_matches_the_interpreter(name):
+    call, fault, out, printed = BUILT_IN_CALLBACKS[name]
+    got = _built_in_callback_steps(Vm, call)
+    assert got == _built_in_callback_steps(ReferenceVm, call)
+    assert (got[0] and got[0][:2]) == (fault and (fault, 2))
+    assert got[2:] == (out, printed)
 
 
 # --- built-in methods away from their object --------------------------------
