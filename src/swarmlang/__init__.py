@@ -14,8 +14,7 @@ from .image import BytecodeImage
 from .lexer import Token, tokenize
 from .linker import compile_and_link, link
 from .parser import parse
-from .values import (HostClosure, NativeClosure, SwarmHandle, Table,
-                     VStigHandle)
+from .values import NativeClosure, SwarmHandle, Table, VStigHandle
 from .vm import SentMessage, Vm, VmConfig
 from .wire import Situated, decode_message, encode_message
 
@@ -27,7 +26,7 @@ __all__ = [
     "ParseError", "SourceError", "SwarmlangError", "VmError",
     "VmRuntimeError", "WireError",
     "BytecodeImage", "Token", "tokenize", "compile_and_link", "link",
-    "parse", "HostClosure", "NativeClosure", "SwarmHandle", "Table",
+    "parse", "NativeClosure", "SwarmHandle", "Table",
     "VStigHandle", "SentMessage", "Vm", "VmConfig",
     "Situated", "decode_message", "encode_message",
     "__version__",

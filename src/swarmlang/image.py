@@ -159,8 +159,8 @@ class BytecodeImage:
                 consts.append(("f", struct.unpack("<d", r.take(8))[0]))
             else:
                 raise ImageError(f"unknown constant tag {tag}", offset=r.pos - 1)
-        functions = [(r.u32(), r.u32()) for _ in range(r.u32())]
-        debug = [(r.u32(), r.u32(), r.u32(), r.u32()) for _ in range(r.u32())]
+        functions = r.records("<II", r.u32())
+        debug = r.records("<IIII", r.u32())
         code = r.take(r.u32())
         if r.pos != len(data):
             raise ImageError("trailing bytes after code section", offset=r.pos)
@@ -189,6 +189,20 @@ class _Reader:
 
     def u32(self):
         return struct.unpack("<I", self.take(4))[0]
+
+    def records(self, fmt, n):
+        """`n` records of u32 fields in struct format `fmt`, as tuples.
+
+        A short table fails at its first u32 that does not fit, as one
+        u32 read after another would.
+        """
+        end = self.pos + n * struct.calcsize(fmt)
+        if end > len(self.data):
+            raise ImageError("truncated image", offset=self.pos + 4 * (
+                (len(self.data) - self.pos) // 4))
+        table = list(struct.iter_unpack(fmt, self.data[self.pos:end]))
+        self.pos = end
+        return table
 
 
 def encode_instruction(opcode, args):

@@ -8,15 +8,15 @@ of them by identity (translate.py, quickened calls).
 import math as _math
 
 from .errors import VmRuntimeError
-from .values import HostClosure, check_int64
+from .values import NativeClosure, check_int64
 
 
 # The math methods check their arguments inline: they are among the
-# most called host methods, and a helper per argument costs a frame each.
+# most called built-ins, and a helper per argument costs a frame each.
 def _trig(name):
     fn = getattr(_math, name)
 
-    def call(vm, _self, args):
+    def call(vm, _env, _self, *args):
         x = args[0] if args else None
         if type(x) is not float and type(x) is not int:
             raise VmRuntimeError(f"math.{name} expects numeric arguments")
@@ -25,10 +25,10 @@ def _trig(name):
         except ValueError:  # an infinite angle
             raise VmRuntimeError(f"math.{name} of an infinite number") \
                 from None
-    return HostClosure(name, call)
+    return NativeClosure(call, None)
 
 
-def _min(vm, _self, args):
+def _min(vm, _env, _self, *args):
     if len(args) > 1:
         a, b = args[0], args[1]
         if (type(a) is float or type(a) is int) \
@@ -37,7 +37,7 @@ def _min(vm, _self, args):
     raise VmRuntimeError("math.min expects numeric arguments")
 
 
-def _abs(vm, _self, args):
+def _abs(vm, _env, _self, *args):
     x = args[0] if args else None
     if type(x) is float:
         return abs(x)
@@ -46,7 +46,7 @@ def _abs(vm, _self, args):
     raise VmRuntimeError("math.abs expects numeric arguments")
 
 
-def _sqrt(vm, _self, args):
+def _sqrt(vm, _env, _self, *args):
     x = args[0] if args else None
     if type(x) is not float and type(x) is not int:
         raise VmRuntimeError("math.sqrt expects numeric arguments")
@@ -58,7 +58,7 @@ def _sqrt(vm, _self, args):
 METHODS = {
     "sin": _trig("sin"),
     "cos": _trig("cos"),
-    "min": HostClosure("min", _min),
-    "abs": HostClosure("abs", _abs),
-    "sqrt": HostClosure("sqrt", _sqrt),
+    "min": NativeClosure(_min, None),
+    "abs": NativeClosure(_abs, None),
+    "sqrt": NativeClosure(_sqrt, None),
 }

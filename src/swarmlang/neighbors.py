@@ -16,8 +16,8 @@ ignore reads its receiver and faults unless it is a table.
 """
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, Table, is_truthy, is_wire_value,
-                     require_closure, wrong_receiver)
+from .values import (NativeClosure, Table, coerce, is_truthy,
+                     is_wire_value, require_closure, wrong_receiver)
 from .wire import Broadcast
 
 
@@ -43,7 +43,7 @@ def _iter_sorted(view):
     return sorted(view.data.items())
 
 
-def _m_foreach(vm, view, args):
+def _m_foreach(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "foreach")
     fn = require_closure(args[0] if args else None, "foreach")
@@ -52,7 +52,7 @@ def _m_foreach(vm, view, args):
         code(vm, env, None, rid, data)
 
 
-def _m_map(vm, view, args):
+def _m_map(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "map")
     fn = require_closure(args[0] if args else None, "map")
@@ -65,7 +65,7 @@ def _m_map(vm, view, args):
     return make_view(out)
 
 
-def _m_reduce(vm, view, args):
+def _m_reduce(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "reduce")
     if len(args) != 2:
@@ -75,10 +75,10 @@ def _m_reduce(vm, view, args):
     accum = args[1]
     for rid, data in _iter_sorted(view):
         accum = code(vm, env, None, rid, data, accum)
-    return accum
+    return coerce(accum)
 
 
-def _m_filter(vm, view, args):
+def _m_filter(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "filter")
     fn = require_closure(args[0] if args else None, "filter")
@@ -99,29 +99,29 @@ def _kin_split(vm, view, kin):
                                              kin))
 
 
-def _m_kin(vm, view, args):
+def _m_kin(vm, _env, view, *args):
     return _kin_split(vm, view, True)
 
 
-def _m_nonkin(vm, view, args):
+def _m_nonkin(vm, _env, view, *args):
     return _kin_split(vm, view, False)
 
 
-def _m_count(vm, view, args):
+def _m_count(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "count")
     return len(view.data)
 
 
-def _m_get(vm, view, args):
+def _m_get(vm, _env, view, *args):
     if type(view) is not Table:
         raise wrong_receiver(view, "get")
     if len(args) != 1:
         raise VmRuntimeError("get expects a robot id")
-    return view.data.get(args[0])
+    return coerce(view.data.get(args[0]))
 
 
-def _m_broadcast(vm, view, args):
+def _m_broadcast(vm, _env, view, *args):
     if len(args) != 2 or type(args[0]) is not str:
         raise VmRuntimeError("broadcast expects (string key, value)")
     key, value = args
@@ -131,29 +131,29 @@ def _m_broadcast(vm, view, args):
     vm.enqueue_broadcast(Broadcast(key, value))
 
 
-def _m_listen(vm, view, args):
+def _m_listen(vm, _env, view, *args):
     if len(args) != 2 or type(args[0]) is not str:
         raise VmRuntimeError("listen expects (string key, closure)")
     fn = require_closure(args[1], "listen")
     vm.listeners[args[0]] = fn
 
 
-def _m_ignore(vm, view, args):
+def _m_ignore(vm, _env, view, *args):
     if len(args) != 1 or type(args[0]) is not str:
         raise VmRuntimeError("ignore expects a string key")
     vm.listeners.pop(args[0], None)
 
 
 VIEW_METHODS = {
-    "foreach": HostClosure("foreach", _m_foreach),
-    "map": HostClosure("map", _m_map),
-    "reduce": HostClosure("reduce", _m_reduce),
-    "filter": HostClosure("filter", _m_filter),
-    "kin": HostClosure("kin", _m_kin),
-    "nonkin": HostClosure("nonkin", _m_nonkin),
-    "count": HostClosure("count", _m_count),
-    "get": HostClosure("get", _m_get),
-    "broadcast": HostClosure("broadcast", _m_broadcast),
-    "listen": HostClosure("listen", _m_listen),
-    "ignore": HostClosure("ignore", _m_ignore),
+    "foreach": NativeClosure(_m_foreach, None),
+    "map": NativeClosure(_m_map, None),
+    "reduce": NativeClosure(_m_reduce, None),
+    "filter": NativeClosure(_m_filter, None),
+    "kin": NativeClosure(_m_kin, None),
+    "nonkin": NativeClosure(_m_nonkin, None),
+    "count": NativeClosure(_m_count, None),
+    "get": NativeClosure(_m_get, None),
+    "broadcast": NativeClosure(_m_broadcast, None),
+    "listen": NativeClosure(_m_listen, None),
+    "ignore": NativeClosure(_m_ignore, None),
 }

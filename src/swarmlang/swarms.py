@@ -10,17 +10,19 @@ queued it subsumes everything (no JOIN/LEAVE slot is left beside it).
 """
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, SwarmHandle, is_truthy, require_closure,
-                     wrong_receiver)
+from .values import (NativeClosure, SwarmHandle, is_truthy,
+                     require_closure, wrong_receiver)
 from .wire import SwarmJoin, SwarmLeave, SwarmList
 
 
+LIST_PERIOD = 10  # a LIST goes out every this many steps
+FORGET_THRESHOLD = 50  # a neighbor silent longer than this is forgotten
+
+
 class SwarmRegistry:
-    def __init__(self, list_period=10, forget_threshold=50):
+    def __init__(self):
         self.flags = {}          # swarm_id -> 0/1
         self.neighbor_info = {}  # robot_id -> [set(swarm_ids), age]
-        self.list_period = list_period
-        self.forget_threshold = forget_threshold
 
     def create(self, swarm_id):
         self.flags.setdefault(swarm_id, 0)
@@ -54,11 +56,11 @@ class SwarmRegistry:
         stale = []
         for rid, info in self.neighbor_info.items():
             info[1] += 1
-            if info[1] > self.forget_threshold:
+            if info[1] > FORGET_THRESHOLD:
                 stale.append(rid)
         for rid in stale:
             del self.neighbor_info[rid]
-        if self.list_period > 0 and step_count % self.list_period == 0:
+        if step_count % LIST_PERIOD == 0:
             return [SwarmList(self.membership_list())]
         return []
 
@@ -137,7 +139,7 @@ def apply_to_view(view, msg):
 
 # --- script-facing methods -------------------------------------------------
 
-def _m_select(vm, handle, args):
+def _m_select(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "select")
     pred = args[0] if args else None
@@ -145,7 +147,7 @@ def _m_select(vm, handle, args):
         vm.swarm_set_membership(handle.swarm_id, True)
 
 
-def _m_unselect(vm, handle, args):
+def _m_unselect(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "unselect")
     pred = args[0] if args else None
@@ -153,25 +155,25 @@ def _m_unselect(vm, handle, args):
         vm.swarm_set_membership(handle.swarm_id, False)
 
 
-def _m_join(vm, handle, args):
+def _m_join(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "join")
     vm.swarm_set_membership(handle.swarm_id, True)
 
 
-def _m_leave(vm, handle, args):
+def _m_leave(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "leave")
     vm.swarm_set_membership(handle.swarm_id, False)
 
 
-def _m_in(vm, handle, args):
+def _m_in(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "in")
     return 1 if vm.swarm_registry.is_member(handle.swarm_id) else 0
 
 
-def _m_exec(vm, handle, args):
+def _m_exec(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "exec")
     fn = require_closure(args[0] if args else None, "exec")
@@ -179,12 +181,12 @@ def _m_exec(vm, handle, args):
         return None
     vm.swarm_stack.append(handle.swarm_id)
     try:
-        vm.call_value(fn, [])
+        fn.code(vm, fn.env, None)
     finally:
         vm.swarm_stack.pop()
 
 
-def _m_others(vm, handle, args):
+def _m_others(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "others")
     if not args or type(args[0]) is not int:
@@ -195,17 +197,17 @@ def _m_others(vm, handle, args):
 
 
 SwarmHandle.METHODS = {
-    "select": HostClosure("select", _m_select),
-    "unselect": HostClosure("unselect", _m_unselect),
-    "join": HostClosure("join", _m_join),
-    "leave": HostClosure("leave", _m_leave),
-    "in": HostClosure("in", _m_in),
-    "exec": HostClosure("exec", _m_exec),
-    "others": HostClosure("others", _m_others),
+    "select": NativeClosure(_m_select, None),
+    "unselect": NativeClosure(_m_unselect, None),
+    "join": NativeClosure(_m_join, None),
+    "leave": NativeClosure(_m_leave, None),
+    "in": NativeClosure(_m_in, None),
+    "exec": NativeClosure(_m_exec, None),
+    "others": NativeClosure(_m_others, None),
 }
 
 
-def _f_create(vm, _self, args):
+def _f_create(vm, _env, _self, *args):
     if not args or type(args[0]) is not int:
         raise VmRuntimeError("swarm.create expects an integer id")
     return vm.swarm_create(args[0])
@@ -222,19 +224,19 @@ def _setop(vm, args, op, name):
     return vm.swarm_create(new_id, op(fa, fb))
 
 
-def _f_intersection(vm, _self, args):
+def _f_intersection(vm, _env, _self, *args):
     return _setop(vm, args, lambda a, b: a and b, "intersection")
 
 
-def _f_union(vm, _self, args):
+def _f_union(vm, _env, _self, *args):
     return _setop(vm, args, lambda a, b: a or b, "union")
 
 
-def _f_difference(vm, _self, args):
+def _f_difference(vm, _env, _self, *args):
     return _setop(vm, args, lambda a, b: a and not b, "difference")
 
 
-def _f_id(vm, _self, args):
+def _f_id(vm, _env, _self, *args):
     stack = vm.swarm_stack
     if not stack:
         return None
@@ -247,9 +249,9 @@ def _f_id(vm, _self, args):
 
 
 FACTORY_METHODS = {
-    "create": HostClosure("create", _f_create),
-    "intersection": HostClosure("intersection", _f_intersection),
-    "union": HostClosure("union", _f_union),
-    "difference": HostClosure("difference", _f_difference),
-    "id": HostClosure("id", _f_id),
+    "create": NativeClosure(_f_create, None),
+    "intersection": NativeClosure(_f_intersection, None),
+    "union": NativeClosure(_f_union, None),
+    "difference": NativeClosure(_f_difference, None),
+    "id": NativeClosure(_f_id, None),
 }

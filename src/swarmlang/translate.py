@@ -26,20 +26,21 @@ from .opcodes import (ADD, BRANCHES, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD,
                       LSTORE, LT, LTE, MKCLOSURE, MKTABLE, MOD, MUL, NEG, NEQ,
                       NOP, NOT, POP, POW, PUSHC, PUSHI, PUSHNIL, PUSHS, RET,
                       RETN, SUB, TGET, TSET, ULOAD, USTORE)
-from .values import (CLOSURES, HostClosure, NativeClosure, SwarmHandle,
-                     Table, VStigHandle, arith_add, arith_div, arith_mod,
-                     arith_mul, arith_neg, arith_pow, arith_sub, check_key,
-                     type_name, value_eq, value_lt, value_lte)
+from .values import (NativeClosure, SwarmHandle, Table, VStigHandle,
+                     arith_add, arith_div, arith_mod, arith_mul, arith_neg,
+                     arith_pow, arith_sub, check_key, type_name, value_eq,
+                     value_lt, value_lte)
 
 
 def call_closure(vm, fn, args, self_val=None):
     """Call closure value `fn` with the list `args`; returns its result.
 
     This is `Vm.call_value`, and the CALL of a value that is not exactly
-    a NativeClosure or a HostClosure.  Every closure, script or host,
-    is entered the same way, through its `code` and `env`.
+    a NativeClosure (a subclass, or no closure at all).  Every closure,
+    script function or built-in, is entered the same way, through its
+    `code` and `env`.
     """
-    if not isinstance(fn, CLOSURES):
+    if not isinstance(fn, NativeClosure):
         raise VmRuntimeError(f"called a {type_name(fn)} value")
     return fn.code(vm, fn.env, self_val, *args)
 
@@ -66,9 +67,9 @@ def _unwind(vm, exc, fuel, lines):
 
     `lines` maps a line of the function to (code offset, refund), the
     refund being the fuel charged for the instructions of its segment
-    after it, which did not run.  A line that calls a script or host
-    closure leaves the callee's exact fuel in `vm._fuel`, callbacks that
-    a host method ran included, and has refund None; anywhere else the
+    after it, which did not run.  A line that calls a closure leaves the
+    callee's exact fuel in `vm._fuel`, callbacks that a built-in ran
+    included, and has refund None; anywhere else the
     function's own count plus the refund is the one to keep.
     """
     offset, refund = lines.get(exc.__traceback__.tb_lineno, (None, 0))
@@ -84,8 +85,7 @@ def _unwind(vm, exc, fuel, lines):
 
 # the names generated code uses besides its own locals and K
 _RUNTIME = {
-    "NativeClosure": NativeClosure, "HostClosure": HostClosure,
-    "Table": Table, "VmRuntimeError": VmRuntimeError,
+    "NativeClosure": NativeClosure, "Table": Table, "VmRuntimeError": VmRuntimeError,
     "arith_add": arith_add, "arith_sub": arith_sub, "arith_mul": arith_mul,
     "arith_div": arith_div, "arith_mod": arith_mod, "arith_pow": arith_pow,
     "arith_neg": arith_neg, "value_eq": value_eq, "value_lt": value_lt,
@@ -109,8 +109,9 @@ def _float_fast(op, slow):
 # its operand's name in K, `local` and `up` its slot, `go` its jump and
 # `falsy` the test that t1 is nil or integer 0.  CALL and CALLM also get
 # the callee `f`, the receiver `self`, the result slot `out` and the
-# arguments `args`; their first line is the script call.  A line that
-# hands `fuel` to a callee (`_HANDOFF`) has no refund (see `_unwind`).
+# arguments `args`; their first line calls a closure, script function or
+# built-in alike, and their second anything else.  A line that hands
+# `fuel` to a callee (`_HANDOFF`) has no refund (see `_unwind`).
 _CODE = {
     NOP: [], POP: [],
     PUSHNIL: ["{push} = None"],
@@ -160,10 +161,6 @@ _CODE = {
     JTKEEP: ["if not ({falsy}): {go}"],
     CALL: ["if type({f}) is NativeClosure: vm._fuel = fuel; "
            "{out} = {f}.code(vm, {f}.env, {self}{more}); fuel = vm._fuel",
-           "elif type({f}) is HostClosure:",
-           "    vm._fuel = fuel; {out} = {f}.fn(vm, {self}, [{args}]); "
-           "fuel = vm._fuel",
-           "    if {out} is True or {out} is False: {out} = int({out})",
            "else: vm._fuel = fuel; {out} = call_closure(vm, {f}, [{args}], "
            "{self}); fuel = vm._fuel"],
     RET: ["vm.depth = d; vm._fuel = fuel; return {t1}"],
@@ -176,27 +173,27 @@ _HANDOFF = "vm._fuel = fuel;"
 # Quickened calls: (global, key, arity) -> (built-in, lines).  A CALLM
 # of that arity on `global.key(...)`, its receiver read by a GLOAD of
 # that name and its callee by a TGET under that PUSHS constant key, gets
-# these lines as an arm after the script call: when the callee is that
-# very built-in and the receiver `self` and arguments a0, a1 have the
-# exact types the arm tests, it runs the built-in's body inline, with no
-# argument list, fuel sync or frame.  Anything else takes the arms after
-# it, so the guards decide what runs and the site only picks which
-# built-in to test for.
+# these lines as an arm before the call: when the callee is that very
+# built-in and the receiver `self` and arguments a0, a1 have the exact
+# types the arm tests, it runs the built-in's body inline, with no fuel
+# sync or frame.  Anything else takes the call arms after it, so the
+# guards decide what runs and the site only picks which built-in to test
+# for.
 _QUICK = {
     ("math", "min", 2): (MATH_METHODS["min"], [
-        "elif {f} is {quick} and type({a0}) is float and type({a1}) is "
+        "if {f} is {quick} and type({a0}) is float and type({a1}) is "
         "float: {out} = {a1} if {a1} < {a0} else {a0}"]),
     ("neighbors", "get", 1): (VIEW_METHODS["get"], [
-        "elif {f} is {quick} and type({self}) is Table and type({a0}) is "
+        "if {f} is {quick} and type({self}) is Table and type({a0}) is "
         "int:",
         "    {out} = {self}.data.get({a0})",
         "    if {out} is True or {out} is False: {out} = int({out})"]),
     # a finite angle (x - x is NaN for an infinity and for NaN)
     ("math", "cos", 1): (MATH_METHODS["cos"], [
-        "elif {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
+        "if {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
         "{out} = cos({a0})"]),
     ("math", "sin", 1): (MATH_METHODS["sin"], [
-        "elif {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
+        "if {f} is {quick} and type({a0}) is float and {a0} - {a0} == 0: "
         "{out} = sin({a0})"]),
 }
 # the instructions that end a segment: a call syncs fuel with its callee
@@ -311,7 +308,8 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
                 if quick is not None:
                     fields.update(quick=const(quick[0]), a0=f"s{at + 1}",
                                   a1=f"s{at + 2}")
-                    texts = texts[:1] + quick[1] + texts[1:]
+                    # the arm goes first, and the call's `if` becomes `elif`
+                    texts = quick[1] + ["el" + texts[0]] + texts[1:]
             else:
                 fields.update(self="None", out=f"s{at}")
         return [text.format(**fields) for text in texts]

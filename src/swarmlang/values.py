@@ -48,46 +48,24 @@ class Table:
 
 
 class NativeClosure:
-    """Script function: its translated code plus captured frames.
+    """A value scripts can call: `code(vm, env, self_value, *args)` and
+    the `env` it is called with.
 
-    `code(vm, env, self_value, *args)` is the Python function the image
-    built for the function body (see translate.py).  Host code enters
-    any closure, script or host, as `fn.code(vm, fn.env, self, *args)`.
+    A script function's `code` is the Python function the image built
+    for its body (see translate.py) and its `env` the tuple of enclosing
+    frames' locals lists.  A built-in is a host function written in the
+    same convention, with env None.  Host code enters any closure as
+    `fn.code(vm, fn.env, self, *args)`.
     """
 
     __slots__ = ("code", "env")
 
     def __init__(self, code, env):
         self.code = code
-        self.env = env  # tuple of enclosing frames' locals lists
+        self.env = env
 
     def __repr__(self):
         return f"NativeClosure({self.code.__name__})"
-
-
-class HostClosure:
-    """Host function exposed to scripts: fn(vm, self_value, args) -> value.
-
-    It has a script closure's calling pair: its `env` is `fn`, and
-    `code(vm, env, self_value, *args)` calls it and turns a bool result
-    into an int, so a caller needs no test of which kind it holds.
-    """
-
-    __slots__ = ("name", "fn", "env")
-
-    def __init__(self, name, fn):
-        self.name = name
-        self.fn = self.env = fn
-
-    @staticmethod
-    def code(vm, fn, self_value, *args):
-        return coerce(fn(vm, self_value, list(args)))
-
-    def __repr__(self):
-        return f"HostClosure({self.name})"
-
-
-CLOSURES = (NativeClosure, HostClosure)  # the values scripts can call
 
 
 class SwarmHandle:
@@ -130,7 +108,7 @@ def is_number(v):
 
 def require_closure(v, what):
     """`v` itself if scripts can call it; else a runtime error."""
-    if not isinstance(v, CLOSURES):
+    if not isinstance(v, NativeClosure):
         raise VmRuntimeError(f"{what} expects a closure")
     return v
 
@@ -164,7 +142,7 @@ def type_name(v):
         return "string"
     if isinstance(v, Table):
         return "table"
-    if isinstance(v, CLOSURES):
+    if isinstance(v, NativeClosure):
         return "closure"
     if isinstance(v, SwarmHandle):
         return "swarm"
@@ -322,7 +300,7 @@ def to_display(v):
         return repr(v)
     if isinstance(v, Table):
         return f"[table({len(v)})]"
-    if isinstance(v, CLOSURES):
+    if isinstance(v, NativeClosure):
         return "[closure]"
     if isinstance(v, SwarmHandle):
         return f"[swarm {v.swarm_id}]"

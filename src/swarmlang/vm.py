@@ -30,8 +30,8 @@ from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .translate import call_closure
-from .values import (CLOSURES, HostClosure, SwarmHandle, Table, coerce,
-                     copy_value, to_display)
+from .values import (NativeClosure, SwarmHandle, Table, coerce, copy_value,
+                     to_display)
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -51,23 +51,22 @@ class SentMessage:
     raw: bytes
 
 
-# Python frames per script level, at worst: a host method that calls
-# back into the script through `call_value` (swarm `exec`) puts itself
-# and `call_value` between two generated functions; a neighbor iterator
-# (`neighbors.reduce`) calls its callback's code itself and puts only
-# itself there.  `python tests/test_vm.py` measures each chain, and its
-# tests check that the dearest costs exactly this.  A VM refuses a
+# Python frames per script level, at worst: a built-in that calls back
+# into the script (`neighbors.reduce`, swarm `exec`) calls its callback's
+# code itself, so it puts only itself between two generated functions.
+# `python tests/test_vm.py` measures each chain, and its tests check
+# that the dearest costs exactly this.  A VM refuses a
 # max_frames whose levels would leave fewer than HOST_FRAMES of the
 # interpreter's recursion limit to the host's own stack, so a script's
 # recursion ends in "stack overflow", not in RecursionError.
-FRAMES_PER_LEVEL = 3
+FRAMES_PER_LEVEL = 2
 HOST_FRAMES = 250
 
 
 _NOTHING_SENT = MappingProxyType({})  # no broadcast in the last drain
 
 
-def _hc_print(vm, _self, args):
+def _hc_print(vm, _env, _self, *args):
     vm.print_sink("".join(to_display(a) for a in args))
 
 
@@ -118,7 +117,7 @@ class Vm:
 
         self.globals["id"] = robot_id
         self.globals["math"] = Table(dict(MATH_METHODS))
-        self.globals["print"] = HostClosure("print", _hc_print)
+        self.globals["print"] = NativeClosure(_hc_print, None)
         self.globals["swarm"] = Table(dict(SWARM_FACTORY))
         self.globals["stigmergy"] = Table(dict(VSTIG_FACTORY))
         self.globals["neighbors"] = self._view
@@ -129,7 +128,8 @@ class Vm:
     def register_function(self, name, fn, actuator=False):
         """Expose a host function to the script as a global closure.
 
-        `fn(vm, args)` may return a value (None becomes nil).  With
+        `fn(vm, args)` may return a value (None becomes nil, a bool an
+        int).  With
         actuator=True each call is recorded in the per-step actuation
         snapshot.  Must be called before the first step.
         """
@@ -139,12 +139,12 @@ class Vm:
         if name in self.globals:
             raise VmError(f"global '{name}' already exists")
 
-        def call(vm, _self, args):
+        def call(vm, _env, _self, *args):
             if actuator:
-                vm.actuation[name] = tuple(args)
-            return fn(vm, list(args))
+                vm.actuation[name] = args
+            return coerce(fn(vm, list(args)))
 
-        self.globals[name] = HostClosure(name, call)
+        self.globals[name] = NativeClosure(call, None)
         self.builtin_names.add(name)
 
     def set_table(self, name, entries):
@@ -182,7 +182,7 @@ class Vm:
         if self.faulted:
             raise VmError(f"VM is faulted: {self.faulted}")
         fn = self.globals.get(name)
-        if not isinstance(fn, CLOSURES):
+        if not isinstance(fn, NativeClosure):
             raise VmError(f"global '{name}' is not a closure")
         if self.depth == 0:  # not a call back mid-step, so a full budget
             self._fuel = self.config.instruction_budget
@@ -193,7 +193,7 @@ class Vm:
         if self._destroyed or self.faulted:
             return
         self._destroyed = True
-        if isinstance(self.globals.get("destroy"), CLOSURES):
+        if isinstance(self.globals.get("destroy"), NativeClosure):
             self.call_function("destroy")
 
     # --- protocol plumbing ---------------------------------------------
@@ -317,10 +317,10 @@ class Vm:
         if self.step_count == 1:
             self.main(self, ())
             init = self.globals.get("init")
-            if isinstance(init, CLOSURES):
+            if isinstance(init, NativeClosure):
                 self.call_value(init, [])
         step_fn = self.globals.get("step")
-        if isinstance(step_fn, CLOSURES):
+        if isinstance(step_fn, NativeClosure):
             self.call_value(step_fn, [])
 
     def _drain(self):
@@ -372,9 +372,10 @@ class Vm:
     # --- script calls ----------------------------------------------------
 
     # Host code calls a closure value with a list of arguments through
-    # here (swarm `exec`, stigmergy resolvers, `init`, `step`,
-    # `destroy`); it enters the closure's `code` with no frame of its own
-    # in between.  Where a frame per call counts (`_ingest`'s listeners,
-    # the neighbor iterators) host code enters `fn.code(vm, fn.env, self,
-    # *args)` itself, the same call for a script or a host closure.
+    # here (stigmergy resolvers, `init`, `step`, `destroy`); it enters
+    # the closure's `code` with no frame of its own in between.  Where a
+    # frame per call counts (`_ingest`'s listeners, the neighbor
+    # iterators, swarm `exec`) host code enters `fn.code(vm, fn.env,
+    # self, *args)` itself, the same call for a script function or a
+    # built-in.
     call_value = call_closure

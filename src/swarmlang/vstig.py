@@ -14,7 +14,7 @@ matches only the same float object.
 from dataclasses import dataclass
 
 from .errors import VmRuntimeError
-from .values import (HostClosure, Table, VStigHandle, copy_value,
+from .values import (NativeClosure, Table, VStigHandle, coerce, copy_value,
                      is_wire_value, require_closure, value_eq,
                      wrong_receiver)
 from .wire import VstigGet, VstigPut
@@ -148,7 +148,7 @@ def _check_wire(v, what):
                              "string, or table of those")
 
 
-def _m_put(vm, handle, args):
+def _m_put(vm, _env, handle, *args):
     if type(handle) is not VStigHandle:
         raise wrong_receiver(handle, "put")
     if len(args) != 2:
@@ -161,7 +161,7 @@ def _m_put(vm, handle, args):
                           vstig.local_put(key, value, vm.robot_id))
 
 
-def _m_get(vm, handle, args):
+def _m_get(vm, _env, handle, *args):
     if type(handle) is not VStigHandle:
         raise wrong_receiver(handle, "get")
     if len(args) != 1:
@@ -170,23 +170,23 @@ def _m_get(vm, handle, args):
     vstig = vm.vstig_map(handle.vstig_id)
     value, msg = vstig.local_get(args[0])
     enqueue_vstig_message(vm.out_queue, msg)
-    return value
+    return coerce(value)
 
 
-def _m_size(vm, handle, args):
+def _m_size(vm, _env, handle, *args):
     if type(handle) is not VStigHandle:
         raise wrong_receiver(handle, "size")
     return vm.vstig_map(handle.vstig_id).size()
 
 
-def _m_onconflict(vm, handle, args):
+def _m_onconflict(vm, _env, handle, *args):
     if type(handle) is not VStigHandle:
         raise wrong_receiver(handle, "onconflict")
     vm.vstig_map(handle.vstig_id).onconflict = require_closure(
         args[0] if args else None, "onconflict")
 
 
-def _m_onconflictlost(vm, handle, args):
+def _m_onconflictlost(vm, _env, handle, *args):
     if type(handle) is not VStigHandle:
         raise wrong_receiver(handle, "onconflictlost")
     vm.vstig_map(handle.vstig_id).onconflictlost = require_closure(
@@ -194,20 +194,20 @@ def _m_onconflictlost(vm, handle, args):
 
 
 VStigHandle.METHODS = {
-    "put": HostClosure("put", _m_put),
-    "get": HostClosure("get", _m_get),
-    "size": HostClosure("size", _m_size),
-    "onconflict": HostClosure("onconflict", _m_onconflict),
-    "onconflictlost": HostClosure("onconflictlost", _m_onconflictlost),
+    "put": NativeClosure(_m_put, None),
+    "get": NativeClosure(_m_get, None),
+    "size": NativeClosure(_m_size, None),
+    "onconflict": NativeClosure(_m_onconflict, None),
+    "onconflictlost": NativeClosure(_m_onconflictlost, None),
 }
 
 
-def _f_create(vm, _self, args):
+def _f_create(vm, _env, _self, *args):
     if not args or type(args[0]) is not int:
         raise VmRuntimeError("stigmergy.create expects an integer id")
     return vm.vstig_create(args[0])
 
 
 FACTORY_METHODS = {
-    "create": HostClosure("create", _f_create),
+    "create": NativeClosure(_f_create, None),
 }

@@ -17,12 +17,11 @@ from swarmlang.opcodes import (ADD, CALL, CALLM, DIV, DONE, DUP, EQ, GLOAD,
                                MOD, MUL, NEG, NEQ, NOP, NOT, POP, POW,
                                PUSHNIL, PUSHS, RET, RETN, SUB, TGET, TSET,
                                ULOAD, USTORE)
-from swarmlang.values import (CLOSURES, HostClosure, NativeClosure,
-                              SwarmHandle, Table, VStigHandle, arith_add,
-                              arith_div, arith_mod, arith_mul, arith_neg,
-                              arith_pow, arith_sub, check_key, coerce,
-                              is_truthy, type_name, value_eq, value_lt,
-                              value_lte)
+from swarmlang.values import (NativeClosure, SwarmHandle, Table,
+                              VStigHandle, arith_add, arith_div, arith_mod,
+                              arith_mul, arith_neg, arith_pow, arith_sub,
+                              check_key, is_truthy, type_name, value_eq,
+                              value_lt, value_lte)
 from swarmlang.vm import Vm
 
 
@@ -70,10 +69,10 @@ class ReferenceVm(Vm):
         if self.step_count == 1:
             self._run_toplevel()
             init = self.globals.get("init")
-            if isinstance(init, CLOSURES):
+            if isinstance(init, NativeClosure):
                 self.call_value(init, [])
         step_fn = self.globals.get("step")
-        if isinstance(step_fn, CLOSURES):
+        if isinstance(step_fn, NativeClosure):
             self.call_value(step_fn, [])
 
     def _run_toplevel(self):
@@ -89,12 +88,12 @@ class ReferenceVm(Vm):
         floor = len(self.frames)
         stack_floor = len(self.stack)
         try:
-            if isinstance(fn, NativeClosure):
+            if isinstance(fn, RefClosure):
                 self._push_frame(fn, self_val, args)
                 self._run(floor)
                 return self.stack.pop()
-            if isinstance(fn, HostClosure):
-                return coerce(fn.fn(self, self_val, args))
+            if isinstance(fn, NativeClosure):
+                return fn.code(self, fn.env, self_val, *args)
             raise VmRuntimeError(f"called a {type_name(fn)} value")
         except BaseException:
             del self.frames[floor:]
@@ -162,7 +161,7 @@ class ReferenceVm(Vm):
                         call_args = []
                     fn = pop()
                     self_val = pop() if opcode == CALLM else None
-                    if isinstance(fn, NativeClosure):
+                    if isinstance(fn, RefClosure):
                         # the frame _push_frame builds, without the call
                         if len(frames) >= max_frames:
                             raise VmRuntimeError("stack overflow")
@@ -174,17 +173,18 @@ class ReferenceVm(Vm):
                         ip = fn.entry
                         frame = _Frame(ip, locals_, fn.env, len(stack))
                         frames.append(frame)
-                    elif isinstance(fn, HostClosure):
-                        # host code may re-enter call_value, which reads
+                    elif isinstance(fn, NativeClosure):
+                        # a built-in may re-enter call_value, which reads
                         # and leaves the remaining fuel in self._fuel,
                         # also when a callback it ran faulted
                         frame.ip = ip
                         self._fuel = fuel
                         try:
-                            result = fn.fn(self, self_val, call_args)
+                            result = fn.code(self, fn.env, self_val,
+                                             *call_args)
                         finally:
                             fuel = self._fuel
-                        push(coerce(result))
+                        push(result)
                     else:
                         raise VmRuntimeError(
                             f"called a {type_name(fn)} value")

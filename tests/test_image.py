@@ -340,6 +340,25 @@ def test_mutated_images_never_crash_the_host():
     assert len(stepped) > 5000 and sum(stepped) > 2500
 
 
+@pytest.mark.parametrize("name", SCRIPTS)
+def test_a_cut_table_fails_at_its_first_missing_u32(name):
+    # every length that ends inside the function or the debug table,
+    # their counts included: the tables are u32s from the function count
+    # on, and decode reports the first u32 that the cut leaves short
+    data = bundled_image_bytes(name)
+    img = BytecodeImage.decode(data)
+    assert img.functions and img.debug
+    start = (6 + 4 + sum(4 + len(s.encode("utf-8")) for s in img.strings)
+             + 4 + 9 * len(img.consts))
+    end = start + 4 + 8 * len(img.functions) + 4 + 16 * len(img.debug)
+    assert data[start:start + 4] == struct.pack("<I", len(img.functions))
+    assert data[end:end + 4] == struct.pack("<I", len(img.code))
+    for cut in range(start, end):
+        with pytest.raises(ImageError, match="truncated image") as err:
+            BytecodeImage.decode(data[:cut])
+        assert err.value.offset == start + 4 * ((cut - start) // 4), cut
+
+
 def splice(text, rng):
     """`text` with 1-4 spans of up to 8 characters each replaced by a span
     of up to 8 characters copied from elsewhere in it."""

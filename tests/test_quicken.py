@@ -108,7 +108,7 @@ def quick_arms(source):
         text, _, _ = translate._generate(program.instrs, program.depths,
                                          built, start, end, nparams,
                                          nlocals)
-        arms += re.findall(r"elif (s\d+) is k\d+ and ", text)
+        arms += re.findall(r"\bif (s\d+) is k\d+ and ", text)
     return arms
 
 

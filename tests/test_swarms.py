@@ -1,7 +1,8 @@
 import random
 
-from swarmlang.swarms import (SwarmRegistry, apply_to_view,
-                              enqueue_swarm_message, optimize_queue)
+from swarmlang.swarms import (FORGET_THRESHOLD, LIST_PERIOD, SwarmRegistry,
+                              apply_to_view, enqueue_swarm_message,
+                              optimize_queue)
 from swarmlang.wire import SwarmJoin, SwarmLeave, SwarmList
 
 from conftest import build_vm
@@ -154,32 +155,32 @@ def test_swarm_id_outside_exec_is_nil(run_script):
 # --- aging and the periodic LIST ----------------------------------------------
 
 def test_fresh_join_resets_age():
-    reg = SwarmRegistry(forget_threshold=3)
+    reg = SwarmRegistry()
     reg.handle_message(9, SwarmJoin(1))
-    for step in range(1, 3):
+    for step in range(1, FORGET_THRESHOLD + 1):
         reg.on_step(step)
-    assert reg.neighbor_info[9][1] == 2
+    assert reg.neighbor_info[9][1] == FORGET_THRESHOLD
     reg.handle_message(9, SwarmJoin(2))
     assert reg.neighbor_info[9][1] == 0
     assert reg.swarms_of(9) == {1, 2}
 
 
 def test_silent_neighbor_forgotten_past_threshold():
-    reg = SwarmRegistry(forget_threshold=3)
+    reg = SwarmRegistry()
     reg.handle_message(9, SwarmList([1]))
-    for step in range(1, 4):
+    for step in range(1, FORGET_THRESHOLD + 1):
         reg.on_step(step)
         assert reg.knows(9)
-    reg.on_step(4)  # age 4 > 3
+    reg.on_step(FORGET_THRESHOLD + 1)  # age 51 > 50
     assert not reg.knows(9)
 
 
 def test_list_queued_on_schedule():
-    reg = SwarmRegistry(list_period=10)
+    reg = SwarmRegistry()
     reg.set_membership(1, True)
-    for step in range(1, 10):
+    for step in range(1, LIST_PERIOD):
         assert reg.on_step(step) == []
-    msgs = reg.on_step(10)
+    msgs = reg.on_step(LIST_PERIOD)
     assert msgs == [SwarmList([1])]
 
 

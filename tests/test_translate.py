@@ -19,7 +19,7 @@ from swarmlang import behaviors, sim, translate
 from swarmlang.errors import SwarmlangError
 from swarmlang.linker import compile_and_link
 from swarmlang.sim import runner
-from swarmlang.values import CLOSURES, SwarmHandle, Table, VStigHandle
+from swarmlang.values import NativeClosure, SwarmHandle, Table, VStigHandle
 from swarmlang.vm import Vm, VmConfig
 from swarmlang.wire import Announce, Situated
 
@@ -39,7 +39,7 @@ def canonical(value, seen=()):
         return ("table", sorted(
             (repr(canonical(k)), canonical(v, inner))
             for k, v in value.data.items()))
-    if isinstance(value, CLOSURES):
+    if isinstance(value, NativeClosure):
         return ("closure",)
     if isinstance(value, (SwarmHandle, VStigHandle)):
         return repr(value)

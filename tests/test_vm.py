@@ -8,8 +8,8 @@ import pytest
 
 from swarmlang.errors import VmError, VmRuntimeError
 from swarmlang.linker import compile_and_link
-from swarmlang.neighbors import VIEW_METHODS
-from swarmlang.values import (CLOSURES, HostClosure, SwarmHandle, Table,
+from swarmlang.neighbors import VIEW_METHODS, make_view
+from swarmlang.values import (NativeClosure, SwarmHandle, Table,
                               VStigHandle, type_name)
 from swarmlang.vm import FRAMES_PER_LEVEL, HOST_FRAMES, Vm, VmConfig
 from swarmlang.wire import (Announce, Broadcast, Situated, SwarmJoin,
@@ -510,11 +510,14 @@ def test_a_script_level_costs_at_most_frames_per_level(name):
 
 
 def test_frames_per_level_is_the_dearest_chain():
-    # a call back through call_value (swarm exec) is the dearest level; a
-    # neighbor iterator calls its callback's code itself, one frame less
+    # a call back through a built-in (a neighbor iterator, swarm exec) is
+    # the dearest level: the built-in calls its callback's code itself,
+    # one frame more than a direct call or a listener
     per_level = {name: chain_frames(name)[1] for name in FRAME_CHAINS}
     assert max(per_level.values()) == FRAMES_PER_LEVEL == per_level["exec"]
-    assert per_level["reduce"] == FRAMES_PER_LEVEL - 1
+    assert per_level["reduce"] == FRAMES_PER_LEVEL
+    assert per_level["direct"] == per_level["listener"] == \
+        FRAMES_PER_LEVEL - 1
 
 
 @pytest.mark.parametrize("in_thread", [False, True], ids=["main", "thread"])
@@ -619,9 +622,9 @@ def test_ingest_applies_the_six_protocol_messages_in_arrival_order():
     store.merge = lambda msg, _vm: applied.append(msg)
     vm.swarm_registry.handle_message = \
         lambda sender, msg: applied.append(msg)
-    vm.listeners["k"] = HostClosure(
-        "record", lambda _vm, _self, args: applied.append(
-            Broadcast(args[0], args[1])))
+    vm.listeners["k"] = NativeClosure(
+        lambda _vm, _env, _self, *args: applied.append(
+            Broadcast(args[0], args[1])), None)
     protocol = [SwarmList([5]), VstigGet(1, "b", None, 0, 0),
                 Broadcast("k", 7), VstigPut(1, "a", 3, 1, 4),
                 SwarmLeave(4), SwarmJoin(4)]
@@ -675,7 +678,7 @@ def _listener_step(engine, src, inbox, budget=10_000):
     return (fault and (fault.message, fault.line, fault.col, fault.origin),
             vm._fuel,
             sorted((k, v) for k, v in vm.script_globals().items()
-                   if not isinstance(v, CLOSURES)))
+                   if not isinstance(v, NativeClosure)))
 
 
 def test_a_listener_fault_matches_the_interpreter():
@@ -828,7 +831,7 @@ CALLBACK_CALLS = dict(ITERATOR_CALLS, exec="""var s = swarm.create(1)
 
 @pytest.mark.parametrize("name", CALLBACK_CALLS)
 def test_a_faulting_callback_leaves_the_fuel_it_ran(name):
-    # a host method's callback faults: vm._fuel keeps what the callbacks
+    # a built-in's callback faults: vm._fuel keeps what the callbacks
     # spent, so the step used exactly the instructions that ran, one less
     # than the smallest budget that reaches the fault
     src = FAULTY_CALLBACK.replace("CALL", CALLBACK_CALLS[name])
@@ -863,6 +866,45 @@ def test_a_host_closure_callback_gets_each_record_in_id_order(name):
     assert (out, type(out)) == {
         "reduce": (1, int), "foreach": (None, type(None)), "map": (3, int),
         "filter": (2, int)}[name]
+
+
+# --- a host bool reaches a script as an int --------------------------------
+#
+# A bool comes only from the host: what a registered function returns, or
+# a value the host put in a table or a store.  The built-in that hands it
+# to the script turns it into an int, so no call site tests for one;
+# `probe()` returns what the script got to the host as it is.
+
+BOOL_SOURCES = {
+    "registered-true": ("return yes()", None, 1),
+    "registered-false": ("return no()", None, 0),
+    # a receiver in a local: a built-in call, not the quickened `get`
+    "view-get": ("var n = neighbors\n  return n.get(3)",
+                 lambda vm: vm.set_global("neighbors", make_view({3: True})),
+                 1),
+    "reduce-of-none": (
+        "return neighbors.reduce(function(rid, data, a) { return a }, "
+        "t.flag)",
+        lambda vm: vm.set_global("t", Table({"flag": False})), 0),
+    "stigmergy-get": ('var s = stigmergy.create(1)\n  return s.get("k")',
+                      lambda vm: vm.vstig_map(1).local_put("k", True, 0), 1),
+}
+
+
+@pytest.mark.parametrize("engine", [Vm, ReferenceVm],
+                         ids=["vm", "reference"])
+@pytest.mark.parametrize("name", BOOL_SOURCES)
+def test_a_host_bool_reaches_the_script_as_an_int(name, engine):
+    body, setup, want = BOOL_SOURCES[name]
+    vm = engine(compile_and_link(f"function probe() {{\n  {body}\n}}\n"), 0)
+    vm.register_function("yes", lambda _vm, _args: True)
+    vm.register_function("no", lambda _vm, _args: False)
+    vm.step([])  # defines probe; the view it leaves holds no neighbor
+    if setup is not None:
+        setup(vm)
+    got = vm.call_function("probe")
+    assert vm.faulted is None
+    assert (got, type(got)) == (want, int)
 
 
 # --- built-ins passed as script callbacks -----------------------------------
