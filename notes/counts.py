@@ -21,13 +21,14 @@ What it cost, which perf changes move on purpose:
 
 - `inbox_records`: inbox records delivered, one per heard sender link;
 - `decodes`: `decode_message` calls made by delivery: one per distinct
-  table-free body in a step, and one per envelope of a message that
-  holds a table or a swarm list;
+  encoded message (type byte onward) that decodes with `encoded` set in
+  a step, and one per envelope of any other message;
 - `merges`: `VStigMap.merge` calls, and `skipped`, `vstig_msgs - merges`;
 - `encodes`: `encode_message` calls made by the VM, and `reused`, the
   messages a step sent, its ANNOUNCE apart, whose bytes no encode of
-  that step made: adopted PUTs sent as their received bytes, and
-  broadcasts sent as their key's envelope from the step before;
+  that step made: queued messages sent as their `encoded` bytes
+  (docs/wire.md, "Known bytes"), that is adopted PUTs as they arrived
+  and broadcasts whose bytes an earlier drain kept;
 - `view_tables`: neighbor record tables built (`record_table` calls);
 - `collections`: garbage collections of each generation, young first,
   and `full_collections`, the last of them (oldest generation);

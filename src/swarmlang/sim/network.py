@@ -14,28 +14,23 @@ drawing (PCG64 takes one output per double): the generator's state after
 the step is the one the draws would leave.  A receiver's inbox holds
 one `Situated` record per heard link, sender ascending, whose `msgs` is
 the tuple of that sender's surviving messages in send order; a link with
-no survivor adds no record.  Each message that holds no mutable object
-is decoded once per distinct body (type byte onward) in one call:
-ANNOUNCE, SWARM_JOIN and SWARM_LEAVE, a BROADCAST whose value is not a
-table, and a VSTIG_PUT or VSTIG_GET whose key and value are not tables.
-Every robot sends the same ANNOUNCE, a broadcast value is often the same
-from robot to robot, and the flood repeats a PUT with only the sender id
-changed.  Such a message holds only scalars, so senders share it; each
-sender id is still read from its own envelope.  A message that holds a
-table, or a SWARM_LIST (its ids are a list), is decoded per envelope: a
-table key matches only the object it was decoded as.  At P=0, or when
-all of a sender's draws survive, its receivers share one tuple;
-otherwise the sender's block of the mask, one row per message, is
-transposed into one column per link, and a link whose column keeps every
-message still gets the shared tuple.
+no survivor adds no record.  A message with `encoded` (the rule is in
+`wire.py`) is decoded once per distinct encoded message (type byte
+onward) in one call, and the senders of those bytes share it; each
+sender id is still read from its own envelope.  Every robot sends the
+same ANNOUNCE, a broadcast value is often the same from robot to robot,
+and the flood repeats a PUT with only the sender id changed.  Any other
+message is decoded per envelope: a table key matches only the object it
+was decoded as.  At P=0, or when all of a sender's draws survive, its
+receivers share one tuple; otherwise the sender's block of the mask, one
+row per message, is transposed into one column per link, and a link
+whose column keeps every message still gets the shared tuple.
 """
 
 from itertools import compress
 
 from ..errors import WireError
-from ..values import Table
-from ..wire import (U32, Broadcast, Situated, SwarmList, VstigGet, VstigPut,
-                    decode_message)
+from ..wire import U32, Situated, decode_message
 
 
 def deliver(drop_prob, topology, outboxes, rng):
@@ -53,7 +48,7 @@ def deliver(drop_prob, topology, outboxes, rng):
     else:
         keep = (rng.random(total) >= drop_prob).tolist()
     situated = tuple.__new__  # a Situated without the __new__ call
-    shared = {}  # table-free body (type byte onward) -> decoded message
+    shared = {}  # encoded message (type byte onward) -> decoded one
     k = 0
     for outbox, links in zip(outboxes, out_links):
         m = len(links)
@@ -90,33 +85,21 @@ def deliver(drop_prob, topology, outboxes, rng):
 
 def _decode(outbox, shared):
     """(sender ids, messages) of one outbox, each sender id read from its
-    own envelope; a body already in `shared` is not decoded again."""
+    own envelope; an encoded message already in `shared` is not decoded
+    again."""
     skip = U32.size
     sender_ids = []
     msgs = []
     for sent in outbox:
         raw = sent.raw
-        body = raw[skip:]
-        msg = shared.get(body)
+        encoded = raw[skip:]
+        msg = shared.get(encoded)
         if msg is None:
             sender_id, msg = decode_message(raw)
-            if _table_free(msg):
-                shared[body] = msg
+            if msg.encoded is not None:
+                shared[encoded] = msg
         else:
             sender_id = U32.unpack_from(raw)[0]
         sender_ids.append(sender_id)
         msgs.append(msg)
     return sender_ids, tuple(msgs)
-
-
-def _table_free(msg):
-    """True when decoded `msg` holds no mutable object, so receivers of
-    several senders may share it."""
-    kind = type(msg)
-    if kind is Broadcast:
-        return type(msg.value) is not Table
-    if kind is VstigPut:
-        return msg.received is not None  # kept only without a table
-    if kind is VstigGet:
-        return type(msg.key) is not Table and type(msg.value) is not Table
-    return kind is not SwarmList

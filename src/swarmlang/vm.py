@@ -22,7 +22,6 @@ fault positions, direct calls and quickened built-in calls.
 import builtins
 import sys
 from dataclasses import dataclass
-from types import MappingProxyType
 
 from .errors import VmError, VmRuntimeError, WireError
 from .mathlib import METHODS as MATH_METHODS
@@ -63,9 +62,6 @@ FRAMES_PER_LEVEL = 2
 HOST_FRAMES = 250
 
 
-_NOTHING_SENT = MappingProxyType({})  # no broadcast in the last drain
-
-
 def _hc_print(vm, _env, _self, *args):
     vm.print_sink("".join(to_display(a) for a in args))
 
@@ -87,7 +83,7 @@ class Vm:
         self._announce = SentMessage(announce,
                                      encode_message(robot_id, announce))
         self._head = self._announce.raw[:4]  # envelope head: the sender id
-        self._last_broadcast = _NOTHING_SENT  # key -> SentMessage, `_drain`
+        self._broadcasts = {}  # key -> its last non-table Broadcast
         self.config = config or VmConfig()
         levels = (sys.getrecursionlimit() - HOST_FRAMES) // FRAMES_PER_LEVEL
         if self.config.max_frames > levels:
@@ -227,10 +223,20 @@ class Vm:
 
     def enqueue_broadcast(self, msg):
         # one queued message per key; the most recent wins and goes last.
-        # A table value is copied, so later changes to it stay local (and
-        # `_drain` never finds it the same object as one sent before)
-        if type(msg.value) is Table:
-            msg = Broadcast(msg.key, copy_value(msg.value))
+        # A table value is copied, so later changes to it stay local.  A
+        # value that is the very object of the key's last Broadcast (never
+        # a table) queues that Broadcast again, with the bytes `_drain`
+        # kept on it (`encoded`, see wire.py): the same object has the
+        # same bytes
+        value = msg.value
+        if type(value) is Table:
+            msg = Broadcast(msg.key, copy_value(value))
+        else:
+            last = self._broadcasts.get(msg.key)
+            if last is not None and last.value is value:
+                msg = last
+            else:
+                self._broadcasts[msg.key] = msg
         slot = ("bcast", msg.key)
         self.out_queue.pop(slot, None)
         self.out_queue[slot] = msg
@@ -331,40 +337,27 @@ class Vm:
         outbox = [self._announce]
         head = self._head
         queue = self.out_queue
-        # the broadcast envelopes of the last drain by key; only this
-        # drain's are kept (made at its first broadcast), so a key the
-        # script stopped sending is freed
-        last_sent = self._last_broadcast
-        kept = None
         sent = []
         try:
             for slot, msg in queue.items():
-                out = None
-                if type(msg) is VstigPut and msg.received is not None:
-                    raw = head + msg.received  # an adopted PUT, as received
-                elif type(msg) is Broadcast:
-                    # a value that is the very object of the key's last
-                    # encode (never a table: enqueue copies each one) has
-                    # that envelope, which goes again as it was
-                    out = last_sent.get(msg.key)
-                    if out is None or out.message.value is not msg.value:
-                        out = SentMessage(msg,
-                                          encode_message(self.robot_id, msg))
-                    if kept is None:
-                        kept = {}
-                    kept[msg.key] = out
-                    raw = out.raw
+                encoded = msg.encoded
+                if encoded is not None:
+                    raw = head + encoded
                 else:
                     raw = encode_message(self.robot_id, msg)
+                    # only a queued Broadcast never changes: a LIST is
+                    # edited in place (enqueue_swarm_message), and a
+                    # stigmergy message may share a table with the script
+                    if type(msg) is Broadcast:
+                        msg.encoded = raw[4:]
                 if len(raw) > budget:
                     break
                 sent.append(slot)
-                outbox.append(out or SentMessage(msg, raw))
+                outbox.append(SentMessage(msg, raw))
                 budget -= len(raw)
         except WireError as exc:
             self.faulted = VmRuntimeError(
                 f"cannot serialize outbound message: {exc}")
-        self._last_broadcast = kept or _NOTHING_SENT
         for slot in sent:  # one walk, then the deletes (not pop-first)
             del queue[slot]
         return outbox

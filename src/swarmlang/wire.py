@@ -31,30 +31,46 @@ TAG_TABLE = 4
 # Every wire message class is a `@dataclass(slots=True)`, not frozen:
 # decoding and sending build one per message, and a frozen dataclass sets
 # each field through object.__setattr__, about twice the cost of a slots
-# one.  Nothing changes a message after it is built (every receiver of a
-# sender shares the decoded one, and one without a table is shared by
-# every sender of its body in a step; tests/test_sim.py pins this), and
-# nothing hashes one.  Equality is by value within one type, so a PUT
-# never equals a GET with the same fields.  Perfbench counts messages by
-# class name, so the names stay.
+# one.  Nothing hashes one.  Equality is by value within one type, so a
+# PUT never equals a GET with the same fields.  Perfbench counts messages
+# by class name, so the names stay.
+#
+# `encoded` is the encoded message (type byte onward) that the message is
+# known to encode to, or None, left out of `==` and `repr`
+# (docs/wire.md, "Known bytes").  `decode_message` sets it on every
+# message that holds no table and is no SWARM_LIST: a scalar has one
+# encoding, while a received table may carry duplicate keys, a nil value,
+# or both 1 and 1.0, which re-encoding would not reproduce, and the queue
+# edits a LIST's ids in place.  Such a message is never changed, so
+# delivery shares one decoded message among the envelopes of its bytes
+# (tests/test_sim.py pins this), and a VM's drain sends a queued one as
+# its own sender id followed by those bytes; the drain also keeps the
+# bytes of each broadcast it encodes.  `encode_message` never reads it.
+_ENCODED = field(default=None, compare=False, repr=False)
+
+
 @dataclass(slots=True)
 class Announce:
     """Per-step id broadcast backing the neighbor structure."""
+    encoded: bytes = _ENCODED
 
 
 @dataclass(slots=True)
 class SwarmJoin:
     swarm_id: int
+    encoded: bytes = _ENCODED
 
 
 @dataclass(slots=True)
 class SwarmLeave:
     swarm_id: int
+    encoded: bytes = _ENCODED
 
 
 @dataclass(slots=True)
 class SwarmList:
     swarm_ids: list  # complete membership of the sender
+    encoded: bytes = _ENCODED  # always None
 
 
 @dataclass(slots=True)
@@ -64,14 +80,7 @@ class VstigPut:
     value: object
     timestamp: int
     robot_id: int
-    # The envelope after the sender id (type byte onward) as decoded.  A
-    # VM's drain sends an adopted PUT as its own sender id followed by
-    # these bytes, not through `encode_message`, which always encodes
-    # from the fields.  Only a PUT whose key and value are not tables
-    # keeps them: a scalar has one encoding, while a received table may
-    # carry duplicate keys, a nil value, or both 1 and 1.0, which
-    # re-encoding would not reproduce.
-    received: bytes = field(default=None, compare=False, repr=False)
+    encoded: bytes = _ENCODED
 
 
 @dataclass(slots=True)
@@ -81,12 +90,14 @@ class VstigGet:
     value: object
     timestamp: int
     robot_id: int
+    encoded: bytes = _ENCODED
 
 
 @dataclass(slots=True)
 class Broadcast:
     key: str
     value: object
+    encoded: bytes = _ENCODED
 
 
 class Situated(NamedTuple):
@@ -261,12 +272,10 @@ def decode_message(data):
         ts, rid = _VSTIG_TAIL.unpack_from(data, pos)
         if pos + 8 != end:
             raise WireError("trailing bytes after message body")
-        if mtype == MSG_VSTIG_GET:
-            return sender_id, VstigGet(vid, key, value, ts, rid)
-        if type(key) is Table or type(value) is Table:
-            return sender_id, VstigPut(vid, key, value, ts, rid)
-        return sender_id, VstigPut(vid, key, value, ts, rid,
-                                   bytes(data[U32.size:]))
+        encoded = None if type(key) is Table or type(value) is Table \
+            else bytes(data[U32.size:])
+        cls = VstigGet if mtype == MSG_VSTIG_GET else VstigPut
+        return sender_id, cls(vid, key, value, ts, rid, encoded)
     sender_id = U32.unpack_from(data)[0]
     pos = 5
     if mtype == MSG_ANNOUNCE:
@@ -297,4 +306,7 @@ def decode_message(data):
         raise WireError(f"unknown message type {mtype}")
     if pos != end:
         raise WireError("trailing bytes after message body")
+    if mtype != MSG_SWARM_LIST and (mtype != MSG_BCAST
+                                    or type(msg.value) is not Table):
+        msg.encoded = bytes(data[U32.size:])
     return sender_id, msg

@@ -1,6 +1,6 @@
 """Stigmergy ingest without wasted work: the no-op test in `Vm._ingest`,
-adopted PUTs forwarded as their received bytes, and one decode per
-distinct PUT body in each `deliver` call."""
+adopted PUTs forwarded as the bytes they arrived in (`encoded`), and one
+decode per distinct PUT body in each `deliver` call."""
 
 import copy
 import dataclasses
@@ -20,8 +20,9 @@ from swarmlang.sim.config import rng_for
 from swarmlang.values import Table
 from swarmlang.vm import SentMessage, Vm
 from swarmlang.vstig import VStigEntry, VStigMap
-from swarmlang.wire import (MSG_VSTIG_PUT, TAG_INT, TAG_TABLE, Announce,
-                            Situated, VstigGet, VstigPut, decode_message,
+from swarmlang.wire import (MSG_VSTIG_PUT, TAG_INT, TAG_TABLE, U32, Announce,
+                            Broadcast, Situated, SwarmJoin, SwarmLeave,
+                            SwarmList, VstigGet, VstigPut, decode_message,
                             encode_message)
 
 
@@ -85,9 +86,8 @@ def test_a_skipped_merge_is_one_that_changes_nothing(key, entry, msg):
 # --- adopted PUTs keep their bytes ---------------------------------------------
 
 def fresh(msg):
-    """The same message built without any received bytes."""
-    return type(msg)(msg.vstig_id, msg.key, msg.value, msg.timestamp,
-                     msg.robot_id)
+    """The same message built without any known bytes."""
+    return dataclasses.replace(msg, encoded=None)
 
 
 def test_forwarded_puts_are_the_bytes_a_fresh_encode_gives(monkeypatch):
@@ -100,7 +100,7 @@ def test_forwarded_puts_are_the_bytes_a_fresh_encode_gives(monkeypatch):
                 msg = sent.message
                 if type(msg) is VstigPut:
                     assert sent.raw == encode_message(sender, fresh(msg))
-                    if msg.received is not None:
+                    if msg.encoded is not None:
                         reused.append(msg)
         return real(drop_prob, topology, outboxes, rng)
 
@@ -111,28 +111,54 @@ def test_forwarded_puts_are_the_bytes_a_fresh_encode_gives(monkeypatch):
     assert len(reused) > 1000  # most PUTs sent are forwarded ones
 
 
+def decoded_kinds(key, value):
+    """Each of the seven kinds as sent and as decoded, with its envelope;
+    the stigmergy ones carry `key` and `value`, the broadcast `value`."""
+    sent = [Announce(), SwarmJoin(3), SwarmLeave(3), SwarmList([4, 1]),
+            VstigPut(1, key, value, 2, 4), VstigGet(1, key, value, 2, 4),
+            Broadcast("k", value)]
+    for msg in sent:
+        raw = encode_message(3, msg)
+        yield msg, decode_message(raw)[1], raw
+
+
+def check_encoded(got, raw):
+    """`encoded` is set iff the decoded message holds no table and is no
+    LIST; set, it is the bytes a fresh encode gives.  It is in neither
+    `repr` nor `==`, and `encode_message` never reads it."""
+    table = any(type(getattr(got, name, None)) is Table
+                for name in ("key", "value"))
+    if table or type(got) is SwarmList:
+        assert got.encoded is None
+    else:
+        assert got.encoded == raw[4:]
+        assert encode_message(9, fresh(got)) == U32.pack(9) + got.encoded
+    other = dataclasses.replace(got, encoded=b"\x00")
+    assert "encoded" not in repr(got) and got == fresh(got) == other
+    assert encode_message(9, other) == encode_message(9, fresh(got))
+
+
 @pytest.mark.parametrize("key, value", [
     ("k", Table({1: "a"})),
     (Table({"x": 1.5}), 7),
     (Table({}), Table({})),
 ], ids=["table-value", "table-key", "both"])
 def test_a_table_put_keeps_no_bytes(key, value):
-    _, got = decode_message(encode_message(3, VstigPut(1, key, value, 2, 4)))
-    assert type(got) is VstigPut and got.received is None
+    kinds = list(decoded_kinds(key, value))
+    for _, got, raw in kinds:
+        check_encoded(got, raw)
+    put = kinds[4][1]
+    assert type(put) is VstigPut and put.encoded is None
 
 
 @pytest.mark.parametrize("key, value", [
     (1, None), (-2 ** 63, 2 ** 63 - 1), ("clé", -0.0), (1.0, float("inf")),
     ("", "x" * 300)])
 def test_a_scalar_put_is_forwarded_as_received(key, value):
-    raw = encode_message(3, VstigPut(1, key, value, 2, 4))
-    _, got = decode_message(raw)
-    assert got.received == raw[4:]
-    assert encode_message(9, got) == struct.pack("<I", 9) + raw[4:] == \
-        encode_message(9, fresh(got))
-    assert "received" not in repr(got) and got == fresh(got)
-    _, get = decode_message(encode_message(3, VstigGet(1, key, value, 2, 4)))
-    assert not hasattr(get, "received")
+    for sent, got, raw in decoded_kinds(key, value):
+        check_encoded(got, raw)
+        if type(got) is not SwarmList:  # decoded with its ids sorted
+            assert got == sent
 
 
 @pytest.mark.parametrize("rid", [0, 2 ** 32 - 1])

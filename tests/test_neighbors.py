@@ -477,16 +477,17 @@ def test_a_changed_key_or_value_or_a_table_encodes_again(encoded):
         assert broadcast_raw(outbox) == [encode_message(
             0, Broadcast(key, value))]
         sent.append(len(encoded))
-    # a drain keeps only its own keys' envelopes, so "k" is forgotten in
-    # the step that sends "j"; an equal value that is another object is
-    # encoded again (0.0 == -0.0, and their bytes differ)
-    assert sent == [1, 1, 2, 3, 4, 5, 6, 6, 7, 8]
+    # a VM keeps each key's last broadcast for its whole life, so "k"
+    # goes again unencoded after the step that sends "j"; an equal value
+    # that is another object is encoded again (0.0 == -0.0, and their
+    # bytes differ)
+    assert sent == [1, 1, 2, 2, 3, 4, 5, 5, 6, 7]
 
     table = Table({"x": 1})
     vm.set_global("value", table)
     for n in range(3):  # copied on every enqueue, so encoded every step
         outbox, _ = vm.step([])
-        assert len(encoded) == 9 + n
+        assert len(encoded) == 8 + n
         assert broadcast_raw(outbox) == [encode_message(
             0, Broadcast("k", table))]
 
@@ -535,4 +536,4 @@ def test_a_failed_encode_is_not_remembered(encoded):
     vm.set_global("value", "\ud800")  # a lone surrogate has no UTF-8 form
     outbox, _ = vm.step([])
     assert "cannot serialize" in str(vm.faulted)
-    assert vm._last_broadcast == {}
+    assert vm.out_queue[("bcast", "k")].encoded is None

@@ -130,9 +130,11 @@ def _enqueue(vm, msg):
 
 
 def _signature(messages):
-    # tell 1 from 1.0 and one table from an equal other one
+    # tell 1 from 1.0 and one table from an equal other one; the fields
+    # of `==` only, so not the bytes a drain kept (`encoded`)
     return [(type(m), [(type(v), id(v) if isinstance(v, Table) else v)
-                       for v in (getattr(m, f.name) for f in fields(m))])
+                       for v in (getattr(m, f.name) for f in fields(m)
+                                 if f.compare)])
             for m in messages]
 
 
