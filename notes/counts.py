@@ -52,6 +52,9 @@ import re
 import sys
 from pathlib import Path
 
+# sim/config.py imports numpy at the first seed it draws: import it here,
+# so that no unit's `collections` count the import
+import numpy  # noqa: F401
 from swarmlang import image, translate, vm, vstig
 from swarmlang.sim import experiments, network, runner
 from swarmlang.wire import VstigGet, VstigPut
@@ -200,11 +203,12 @@ def traced(workload, seed):
     call, _ = workload.prepare(seed, workload.steps)
     with patched((translate, "_factory", recording_factory),
                  (image, "translate", recording_translate)):
+        outer = sys.gettrace()  # a coverage tool's, say: put back after
         sys.settrace(on_call)
         try:
             call()
         finally:
-            sys.settrace(None)
+            sys.settrace(outer)
     return {"fuel_tests": tests, "script_entries": entries}
 
 

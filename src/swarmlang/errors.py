@@ -6,7 +6,8 @@ class SwarmlangError(Exception):
 
 
 class SourceError(SwarmlangError):
-    """An error tied to a position in a source script."""
+    """An error at a position in a source script: a diagnostic of the
+    front end, or a runtime fault of a script (VmRuntimeError)."""
 
     def __init__(self, message, line=None, col=None, origin=None, hint=None):
         self.message = message
@@ -78,20 +79,8 @@ class VmError(SwarmlangError):
     """Host-side misuse of a VM (bad registration, bad robot id, ...)."""
 
 
-class VmRuntimeError(SwarmlangError):
+class VmRuntimeError(SourceError):
     """Script-level runtime failure; faults the VM that raised it.
 
     Carries the source position recovered from the image debug map.
     """
-
-    def __init__(self, message, line=None, col=None, origin=None):
-        self.message = message
-        self.line = line
-        self.col = col
-        self.origin = origin or "<script>"
-        super().__init__(str(self))
-
-    def __str__(self):
-        if self.line is not None:
-            return f"{self.origin}:{self.line}:{self.col}: {self.message}"
-        return f"{self.origin}: {self.message}"

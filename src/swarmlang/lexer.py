@@ -5,6 +5,7 @@ lexer emits NEWLINE tokens instead of discarding them; the parser decides
 where they may be skipped.  `#` starts a comment running to end of line.
 """
 
+import re
 from dataclasses import dataclass
 
 from .errors import LexError, SourceError
@@ -13,9 +14,14 @@ KEYWORDS = {"function", "return", "if", "else", "while", "var", "nil",
             "and", "or", "not"}
 
 # longest match first
-TWO_CHAR_OPS = {"==", "!=", "<=", ">="}
-ONE_CHAR_OPS = set("+-*/%^<>=(){}[].,;")
-
+OPERATOR = re.compile(r"==|!=|<=|>=|[-+*/%^<>=(){}\[\].,;]")
+# the rest of an identifier: \w is isalnum() or "_" on every code point, but
+# no class is isalpha() or isdigit(), the tests of its start and of numbers
+IDENT_TAIL = re.compile(r"\w*")
+# a string's body: plain characters and escape pairs, up to the first
+# '"', newline or lone backslash at the end of the text
+STRING_BODY = re.compile(r'[^"\\\n]*(?:\\.[^"\\\n]*)*', re.S)
+ESCAPE = re.compile(r"\\(.)", re.S)
 STRING_ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "t": "\t"}
 
 
@@ -42,121 +48,80 @@ def read_source(path):
 
 
 def tokenize(text, origin="<script>"):
-    """Tokenize source text into a list ending with an EOF token."""
+    """Tokenize source text into a list ending with an EOF token.
+
+    The offset `i` is the one position kept: a token's column is its
+    offset past the start of its line, plus 1.
+    """
     tokens = []
-    i = 0
+    i = line_start = 0  # the cursor, and the offset where its line starts
     line = 1
-    col = 1
     n = len(text)
 
-    def error(msg, l=None, c=None):
-        raise LexError(msg, l if l is not None else line,
-                       c if c is not None else col, origin)
+    def error(msg, at):
+        raise LexError(msg, line, at - line_start + 1, origin)
+
+    def digits(j):
+        while j < n and text[j].isdigit():
+            j += 1
+        return j
 
     while i < n:
         ch = text[i]
-
+        col = i - line_start + 1
         if ch == "\n":
             tokens.append(Token("NEWLINE", "\n", line, col))
             i += 1
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
+            line_start = i
+        elif ch in " \t\r":
             i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-                col += 1
-            continue
-
-        start_line, start_col = line, col
-
-        if ch == '"':
-            i += 1
-            col += 1
-            parts = []
-            while True:
-                if i >= n or text[i] == "\n":
-                    error("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == '"':
-                    i += 1
-                    col += 1
-                    break
-                if c == "\\":
-                    if i + 1 >= n:
-                        error("unterminated string", start_line, start_col)
-                    esc = text[i + 1]
-                    if esc not in STRING_ESCAPES:
-                        error(f"unknown escape '\\{esc}'")
-                    parts.append(STRING_ESCAPES[esc])
-                    i += 2
-                    col += 2
-                    continue
-                parts.append(c)
-                i += 1
-                col += 1
-            tokens.append(Token("STRING", "".join(parts), start_line, start_col))
-            continue
-
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            is_float = False
-            if j < n and text[j] == ".":
-                is_float = True
-                j += 1
-                while j < n and text[j].isdigit():
-                    j += 1
+        elif ch == "#":
+            i = text.find("\n", i)
+            if i < 0:
+                i = n
+        elif ch == '"':
+            j = STRING_BODY.match(text, i + 1).end()
+            for m in ESCAPE.finditer(text, i + 1, j):
+                if m[1] not in STRING_ESCAPES:
+                    error(f"unknown escape '\\{m[1]}'", m.start())
+            if j == n or text[j] != '"':  # a newline, a lone \ or the end
+                error("unterminated string", i)
+            value = ESCAPE.sub(lambda m: STRING_ESCAPES[m[1]], text[i + 1:j])
+            tokens.append(Token("STRING", value, line, col))
+            i = j + 1
+        elif ch.isdigit():
+            j = digits(i)
+            is_float = j < n and text[j] == "."
+            if is_float:
+                j = digits(j + 1)
             if j < n and text[j] in "eE":
                 k = j + 1
                 if k < n and text[k] in "+-":
                     k += 1
-                if k >= n or not text[k].isdigit():
-                    error("malformed number exponent", start_line, start_col)
+                if k == n or not text[k].isdigit():
+                    error("malformed number exponent", i)
                 is_float = True
-                j = k
-                while j < n and text[j].isdigit():
-                    j += 1
-            lexeme = text[i:j]
+                j = digits(k)
             try:
-                value = float(lexeme) if is_float else int(lexeme)
+                value = float(text[i:j]) if is_float else int(text[i:j])
             except ValueError:  # past int()'s digit limit, or a digit like ²
-                error("malformed number", start_line, start_col)
+                error("malformed number", i)
             tokens.append(Token("FLOAT" if is_float else "INT", value,
-                                start_line, start_col))
-            col += j - i
+                                line, col))
             i = j
-            continue
-
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        elif ch.isalpha() or ch == "_":
+            j = IDENT_TAIL.match(text, i + 1).end()
             word = text[i:j]
             kind = "KEYWORD" if word in KEYWORDS else "IDENT"
-            tokens.append(Token(kind, word, start_line, start_col))
-            col += j - i
+            tokens.append(Token(kind, word, line, col))
             i = j
-            continue
+        elif m := OPERATOR.match(text, i):
+            tokens.append(Token("OP", m.group(), line, col))
+            i = m.end()
+        else:
+            hint = " (did you mean '!='?)" if ch == "!" else ""
+            error(f"illegal character {ch!r}{hint}", i)
 
-        if text[i:i + 2] in TWO_CHAR_OPS:
-            tokens.append(Token("OP", text[i:i + 2], start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in ONE_CHAR_OPS:
-            tokens.append(Token("OP", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        if ch == "!":
-            error("illegal character '!' (did you mean '!='?)")
-        error(f"illegal character {ch!r}")
-
-    tokens.append(Token("EOF", None, line, col))
+    tokens.append(Token("EOF", None, line, n - line_start + 1))
     return tokens

@@ -19,8 +19,6 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -71,11 +69,13 @@ _STREAM_NETWORK = 2
 
 
 def rng_for(cfg, stream):
+    import numpy as np  # here, so that commands that draw nothing skip it
     return np.random.default_rng(np.random.SeedSequence([cfg.seed, stream]))
 
 
 def derive_seed(master_seed, n, p, rep):
     """Per-(N, P, rep) run seed: SeedSequence over the integerized cell."""
+    import numpy as np
     ss = np.random.SeedSequence(
         [int(master_seed), int(n), int(round(p * 10_000)), int(rep)])
     return int(ss.generate_state(1, np.uint64)[0])

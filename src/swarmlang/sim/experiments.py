@@ -42,7 +42,7 @@ class Experiment:
 
     def setup_vm(self, vm, rid, ctx):
         for name in self.bindings:
-            vm.register_function(name, _mock_binding(name), actuator=True)
+            vm.register_function(name, _mock_binding, actuator=True)
         for name, value in self.globals_setup.items():
             vm.set_global(name,
                           value(ctx, rid) if callable(value) else value)
@@ -60,11 +60,8 @@ def _linked(sources):
     return link([compile_source(text, origin) for origin, text in sources])
 
 
-def _mock_binding(name):
-    def fn(vm, args):
-        return None
-    fn.__name__ = name
-    return fn
+def _mock_binding(vm, args):
+    """Every mocked host binding: does nothing, returns nil."""
 
 
 # --- oracles ---------------------------------------------------------------
@@ -139,7 +136,6 @@ def _never(ctx):
 ORACLES = {
     "max-id-consensus": _max_id_consensus,
     "gradient-fixpoint": _gradient_fixpoint,
-    "barrier-passed": _all_ones,
     "all-ones": _all_ones,
     "none": _never,
 }
@@ -185,7 +181,7 @@ def build_barrier(threshold=None):
         sources=[("barrier.swl", behaviors.load_script("barrier")),
                  ("barrier_driver.swl", BARRIER_DRIVER)],
         readout="passed",
-        convergence="barrier-passed",
+        convergence="all-ones",
         payload_budget=4096,  # tuple re-propagation bursts at larger N
         globals_setup={"THRESHOLD": (lambda ctx, rid: ctx.cfg.n_robots)
                        if threshold is None else threshold},

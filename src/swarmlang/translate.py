@@ -394,5 +394,3 @@ def _segments(instrs, reach, leaders):
         if instrs[i][0] in _ENDS:
             yield segment
             segment = []
-    if segment:
-        yield segment

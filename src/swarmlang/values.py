@@ -1,8 +1,8 @@
 """Runtime values and the arithmetic/comparison semantics.
 
 nil is Python None; integers and floats are the native types; strings are
-native str.  Tables wrap a dict and may carry a method map consulted on
-string-key misses (used for the neighbor structure and factory objects).
+native str.  Tables wrap a dict and may carry a method map that script
+indexing consults on string-key misses (the neighbor structure's).
 Integers are int64, like the constant pool and the wire: a result
 outside [-2^63, 2^63) raises "integer overflow".  Truthiness: nil and
 integer 0 are false, everything else (including 0.0) is true.
@@ -28,10 +28,7 @@ class Table:
         self.methods = methods
 
     def get(self, key):
-        v = self.data.get(key)
-        if v is None and self.methods is not None and isinstance(key, str):
-            return self.methods.get(key)
-        return v
+        return self.data.get(key)
 
     def set(self, key, value):
         check_key(key)

@@ -2,6 +2,7 @@ import functools
 import random
 import struct
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,7 @@ from swarmlang import vm as vm_mod
 from swarmlang.asm import assemble, disassemble
 from swarmlang.compiler import compile_source
 from swarmlang.errors import (AsmError, CompileError, ImageError, LinkError,
-                             SwarmlangError)
+                             SourceError, SwarmlangError)
 from swarmlang.image import (MAGIC, MAX_LOCALS, BytecodeImage,
                              encode_instruction)
 from swarmlang.linker import compile_and_link, link
@@ -189,6 +190,15 @@ def test_debug_map_recovers_positions():
         assert img.strings[oidx] == "test.swl"
     origin, line, col = img.position_at(img.debug[0][0])
     assert origin == "test.swl" and line >= 1
+
+
+def test_a_fault_no_debug_entry_covers_has_no_position():
+    img = replace(compile_and_link("x = 1 / 0"), debug=[])
+    assert img.position_at(len(img.code) - 1) is None
+    vm = Vm(img, 0)
+    vm.step([])
+    assert isinstance(vm.faulted, SourceError) and vm.faulted.line is None
+    assert str(vm.faulted) == "<script>: division by zero"
 
 
 def test_assembler_rejects_gaps():

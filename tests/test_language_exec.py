@@ -171,6 +171,17 @@ def test_literals_beyond_int32_come_from_the_constant_pool(run_script):
         (3000000000, -3000000000, 2 ** 63 - 1)
 
 
+def test_integer_literal_past_int64_is_a_compile_error():
+    with pytest.raises(CompileError, match="out of 64-bit range") as err:
+        compile_and_link("x = 9223372036854775808")
+    assert (err.value.line, err.value.col) == (1, 5)
+
+
+def test_bare_return_leaves_with_nil(run_script):
+    vm = run_script("function f() { a = 1\nreturn\na = 2 }\nx = f()")
+    assert (g(vm, "a"), g(vm, "x")) == (1, None)
+
+
 def test_float_promotion(run_script):
     vm = run_script("a = 7 / 2.\nb = 1 + 0.5")
     assert g(vm, "a") == 3.5
@@ -242,6 +253,8 @@ def test_self_outside_method_position_is_compile_error():
     ("function f(a, b, a) { return a }", "duplicate parameter 'a'"),
     ("function f() { var self = 9\nreturn self }", "cannot declare 'self'"),
     ("var self = 9", "cannot declare 'self'"),
+    ("self = 1", "cannot assign to 'self'"),
+    ("function f() {}; function f() {}", "duplicate function 'f'"),
 ])
 def test_self_and_duplicate_names_are_compile_errors(src, message):
     with pytest.raises(CompileError, match=message) as err:

@@ -80,3 +80,41 @@ def test_positions_track_lines():
     toks = tokenize("a = 1\n  b = 2")
     b = next(t for t in toks if t.value == "b")
     assert (b.line, b.col) == (2, 3)
+
+
+# Each column is the offset past the start of its line, plus 1.
+@pytest.mark.parametrize("text, where, message", [
+    ('x = "ab\nc"', "1:5", "unterminated string"),
+    ('a = 1\n  "x', "2:3", "unterminated string"),
+    ('"ab\\', "1:1", "unterminated string"),
+    ('x = "a\\qb"', "1:7", "unknown escape '\\q'"),
+    ("a ! b", "1:3", "illegal character '!' (did you mean '!='?)"),
+    ("x = \u00bd", "1:5", "illegal character '\u00bd'"),
+    ("x = \u216b", "1:5", "illegal character '\u216b'"),
+    ("a =\u00a0b", "1:4", "illegal character '\\xa0'"),
+    ("a\x0bb", "1:2", "illegal character '\\x0b'"),
+], ids=["string-cut-by-newline", "string-on-line-2", "lone-backslash",
+        "unknown-escape", "lone-bang", "vulgar-half", "roman-twelve", "nbsp",
+        "vertical-tab"])
+def test_lex_error_texts_and_positions(text, where, message):
+    with pytest.raises(LexError) as err:
+        tokenize(text, origin="t.swl")
+    assert str(err.value) == f"t.swl:{where}: {message}"
+
+
+# A name starts with a letter (str.isalpha) or "_" and goes on with any
+# character str.isalnum accepts; a number is made of str.isdigit digits.
+@pytest.mark.parametrize("text, tokens", [
+    ("a\u00b2", [("IDENT", "a\u00b2")]),
+    ("a\u00bd\u216b", [("IDENT", "a\u00bd\u216b")]),
+    ("\u00e9t\u00e9", [("IDENT", "\u00e9t\u00e9")]),
+    ("\u0663\u0664 _\u0663", [("INT", 34), ("IDENT", "_\u0663")]),
+], ids=["superscript-two", "half-and-roman-twelve", "e-acute",
+        "arabic-indic-digits"])
+def test_unicode_letters_and_digits(text, tokens):
+    assert kinds(text) == tokens
+
+
+def test_a_comment_may_end_the_text():
+    assert kinds("a = 1 # no newline after") == [
+        ("IDENT", "a"), ("OP", "="), ("INT", 1)]

@@ -617,7 +617,7 @@ function step() {
 }
 """)],
         readout="passed",
-        convergence="barrier-passed",
+        convergence="all-ones",
         payload_budget=4096,
         globals_setup={"THRESHOLD": lambda ctx, rid: ctx.cfg.n_robots},
     )
