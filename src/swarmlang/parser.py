@@ -189,15 +189,15 @@ class Parser:
 
     # --- token helpers ---
 
-    def peek(self, skip_newlines=False):
+    def peek(self):
         i = self.pos
-        if skip_newlines or self.paren_depth > 0:
+        if self.paren_depth > 0:
             while self.tokens[i].kind == "NEWLINE":
                 i += 1
         return self.tokens[i]
 
-    def advance(self, skip_newlines=False):
-        if skip_newlines or self.paren_depth > 0:
+    def advance(self):
+        if self.paren_depth > 0:
             while self.tokens[self.pos].kind == "NEWLINE":
                 self.pos += 1
         tok = self.tokens[self.pos]
@@ -205,17 +205,17 @@ class Parser:
             self.pos += 1
         return tok
 
-    def at(self, kind, value=None, skip_newlines=False):
-        tok = self.peek(skip_newlines)
+    def at(self, kind, value=None):
+        tok = self.peek()
         return tok.kind == kind and (value is None or tok.value == value)
 
-    def expect(self, kind, value=None, hint=None, skip_newlines=False):
-        tok = self.peek(skip_newlines)
+    def expect(self, kind, value=None, hint=None):
+        tok = self.peek()
         if tok.kind != kind or (value is not None and tok.value != value):
             got = repr(tok.value) if tok.value is not None else tok.kind
             raise ParseError(f"unexpected {got}", tok.line, tok.col,
                              self.origin, hint or value or kind)
-        return self.advance(skip_newlines)
+        return self.advance()
 
     def error(self, msg, tok=None, hint=None):
         tok = tok or self.peek()
@@ -337,7 +337,8 @@ class Parser:
         return params
 
     def parse_func_body(self):
-        self.expect("OP", "{", hint="function body", skip_newlines=True)
+        self.skip_newlines()
+        self.expect("OP", "{", hint="function body")
         saved = self.paren_depth
         self.paren_depth = 0
         body = self.parse_statements()

@@ -1,12 +1,13 @@
-"""Swarm membership: local flags, neighbor knowledge, queue optimization.
+"""Swarm membership: the local set, neighbor knowledge, queue optimization.
 
-Membership changes queue JOIN/LEAVE messages; a periodic LIST message
-carries the complete current membership.  Knowledge about neighbors ages
-by one step per silent step and is forgotten past a threshold.  The
-outbound queue is optimized on enqueue: a JOIN or LEAVE for swarm id
-`sid` sits in slot ("swarm", sid) and the one LIST in slot ("swarm",),
-so at most one message per swarm id is in flight, and while a LIST is
-queued it subsumes everything (no JOIN/LEAVE slot is left beside it).
+A robot's swarms are the set of ids it is a member of.  Membership
+changes queue JOIN/LEAVE messages; a periodic LIST message carries the
+complete current membership.  Knowledge about neighbors ages by one step
+per silent step and is forgotten past a threshold.  The outbound queue is
+optimized on enqueue: a JOIN or LEAVE for swarm id `sid` sits in slot
+("swarm", sid) and the one LIST in slot ("swarm",), so at most one
+message per swarm id is in flight, and while a LIST is queued it
+subsumes everything (no JOIN/LEAVE slot is left beside it).
 """
 
 from .errors import VmRuntimeError
@@ -21,26 +22,25 @@ FORGET_THRESHOLD = 50  # a neighbor silent longer than this is forgotten
 
 class SwarmRegistry:
     def __init__(self):
-        self.flags = {}          # swarm_id -> 0/1
+        self.members = set()     # the swarm ids this robot is a member of
+        self.handles = {}        # swarm_id -> the script's SwarmHandle
         self.neighbor_info = {}  # robot_id -> [set(swarm_ids), age]
 
-    def create(self, swarm_id):
-        self.flags.setdefault(swarm_id, 0)
-
     def is_member(self, swarm_id):
-        return self.flags.get(swarm_id, 0) == 1
+        return swarm_id in self.members
 
     def set_membership(self, swarm_id, member):
-        """Set the local flag; returns the message to queue on change."""
-        self.create(swarm_id)
-        flag = 1 if member else 0
-        if self.flags[swarm_id] == flag:
+        """Join or leave a swarm; returns the message to queue on change."""
+        if (swarm_id in self.members) == member:
             return None
-        self.flags[swarm_id] = flag
-        return SwarmJoin(swarm_id) if flag else SwarmLeave(swarm_id)
+        if member:
+            self.members.add(swarm_id)
+            return SwarmJoin(swarm_id)
+        self.members.remove(swarm_id)
+        return SwarmLeave(swarm_id)
 
     def membership_list(self):
-        return sorted(sid for sid, flag in self.flags.items() if flag)
+        return sorted(self.members)
 
     def handle_message(self, sender_id, msg):
         """Ingest a JOIN/LEAVE/LIST from a neighbor; zeroes its age."""
@@ -139,12 +139,29 @@ def apply_to_view(view, msg):
 
 # --- script-facing methods -------------------------------------------------
 
+def _set_membership(vm, swarm_id, member):
+    msg = vm.swarm_registry.set_membership(swarm_id, member)
+    if msg is not None:
+        enqueue_swarm_message(vm.out_queue, msg)
+
+
+def _create(vm, swarm_id, member=False):
+    """The handle of swarm `swarm_id`, one per id; joins it if `member`."""
+    if not 0 <= swarm_id < 2 ** 16:
+        raise VmRuntimeError(f"swarm id {swarm_id} out of range")
+    handles = vm.swarm_registry.handles
+    handle = handles.setdefault(swarm_id, SwarmHandle(swarm_id))
+    if member:
+        _set_membership(vm, swarm_id, True)
+    return handle
+
+
 def _m_select(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "select")
     pred = args[0] if args else None
     if is_truthy(pred):
-        vm.swarm_set_membership(handle.swarm_id, True)
+        _set_membership(vm, handle.swarm_id, True)
 
 
 def _m_unselect(vm, _env, handle, *args):
@@ -152,19 +169,19 @@ def _m_unselect(vm, _env, handle, *args):
         raise wrong_receiver(handle, "unselect")
     pred = args[0] if args else None
     if is_truthy(pred):
-        vm.swarm_set_membership(handle.swarm_id, False)
+        _set_membership(vm, handle.swarm_id, False)
 
 
 def _m_join(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "join")
-    vm.swarm_set_membership(handle.swarm_id, True)
+    _set_membership(vm, handle.swarm_id, True)
 
 
 def _m_leave(vm, _env, handle, *args):
     if type(handle) is not SwarmHandle:
         raise wrong_receiver(handle, "leave")
-    vm.swarm_set_membership(handle.swarm_id, False)
+    _set_membership(vm, handle.swarm_id, False)
 
 
 def _m_in(vm, _env, handle, *args):
@@ -193,7 +210,7 @@ def _m_others(vm, _env, handle, *args):
         raise VmRuntimeError("others expects a new swarm id")
     new_id = args[0]
     member = not vm.swarm_registry.is_member(handle.swarm_id)
-    return vm.swarm_create(new_id, member)
+    return _create(vm, new_id, member)
 
 
 SwarmHandle.METHODS = {
@@ -210,7 +227,7 @@ SwarmHandle.METHODS = {
 def _f_create(vm, _env, _self, *args):
     if not args or type(args[0]) is not int:
         raise VmRuntimeError("swarm.create expects an integer id")
-    return vm.swarm_create(args[0])
+    return _create(vm, args[0])
 
 
 def _setop(vm, args, op, name):
@@ -221,7 +238,7 @@ def _setop(vm, args, op, name):
         raise VmRuntimeError(f"swarm.{name} expects swarm arguments")
     reg = vm.swarm_registry
     fa, fb = reg.is_member(a.swarm_id), reg.is_member(b.swarm_id)
-    return vm.swarm_create(new_id, op(fa, fb))
+    return _create(vm, new_id, op(fa, fb))
 
 
 def _f_intersection(vm, _env, _self, *args):

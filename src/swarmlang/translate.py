@@ -259,26 +259,25 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
         consts.append(value)
         return f"k{len(consts) - 1}"
 
-    def quickened(i, at):
-        # the _QUICK entry of the CALLM at i whose callee is slot `at`:
-        # the nearest TGET before it that fills that slot, above the
-        # arguments, read the key of the PUSHS before it from the receiver
-        # that a GLOAD then DUP put below (the compiler's `g.key(...)`)
-        for j in range(i - 1, start, -1):
-            h = depths[j]
-            if h is None:
-                continue
-            if h <= at:
-                return None
-            if h == at + 2 and instrs[j][0] == TGET:
-                if j - 3 < start:
-                    return None
-                (load, name), (dup, _), (push, key) = instrs[j - 3:j]
-                if (load, dup, push) != (GLOAD, DUP, PUSHS) or \
-                        depths[j - 3] != at - 1:
-                    return None
-                return _QUICK.get((name, key, instrs[i][1]))
-        return None
+    # the _QUICK entry of each CALLM on `g.key(...)`, in one pass: a TGET
+    # after the compiler's `GLOAD g; DUP; PUSHS key` records (g, key) for
+    # the slot it fills, any other TGET clears its slot, and a CALLM takes
+    # the record of its callee's slot.  The arm's guards decide what runs,
+    # so a record only picks which built-in the arm tests for
+    quickened, filled = {}, {}
+    for i in reach:
+        opcode, arg = instrs[i]
+        if opcode == TGET:
+            at, head = depths[i] - 2, instrs[i - 3:i]
+            if [op for op, _ in head] == [GLOAD, DUP, PUSHS] and \
+                    depths[i - 3] == at - 1:
+                filled[at] = (head[0][1], head[2][1])
+            else:
+                filled.pop(at, None)
+        elif opcode == CALLM:
+            record = filled.pop(depths[i] - 1 - arg, None)
+            if record is not None:
+                quickened[i] = _QUICK.get((*record, arg))
 
     def code(i):
         opcode, arg = instrs[i]
@@ -304,7 +303,7 @@ def _generate(instrs, depths, built, start, end, nparams, nlocals):
             fields.update(f=f"s{at}", args=args, more=", " * bool(args) + args)
             if opcode == CALLM:
                 fields.update(self=f"s{at - 1}", out=f"s{at - 1}")
-                quick = quickened(i, at)
+                quick = quickened.get(i)
                 if quick is not None:
                     fields.update(quick=const(quick[0]), a0=f"s{at + 1}",
                                   a1=f"s{at + 2}")

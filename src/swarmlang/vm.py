@@ -29,8 +29,7 @@ from .neighbors import make_view, record_table
 from .swarms import FACTORY_METHODS as SWARM_FACTORY
 from .swarms import SwarmRegistry, enqueue_swarm_message
 from .translate import call_closure
-from .values import (NativeClosure, SwarmHandle, Table, coerce, copy_value,
-                     to_display)
+from .values import NativeClosure, Table, coerce, copy_value, to_display
 from .vstig import FACTORY_METHODS as VSTIG_FACTORY
 from .vstig import VStigMap, enqueue_vstig_message
 from .wire import (Announce, Broadcast, SwarmJoin, SwarmLeave, SwarmList,
@@ -104,7 +103,6 @@ class Vm:
         self._destroyed = False
 
         self.swarm_registry = SwarmRegistry()
-        self._swarm_handles = {}
         self._vstigs = {}
         # whether `_ingest` builds the view for the script (see there)
         self._names_neighbors = "neighbors" in image.global_names
@@ -193,28 +191,6 @@ class Vm:
             self.call_function("destroy")
 
     # --- protocol plumbing ---------------------------------------------
-
-    def swarm_create(self, swarm_id, member=False):
-        if not 0 <= swarm_id < 2 ** 16:
-            raise VmRuntimeError(f"swarm id {swarm_id} out of range")
-        self.swarm_registry.create(swarm_id)
-        handle = self._swarm_handles.get(swarm_id)
-        if handle is None:
-            handle = SwarmHandle(swarm_id)
-            self._swarm_handles[swarm_id] = handle
-        if member:
-            self.swarm_set_membership(swarm_id, True)
-        return handle
-
-    def swarm_set_membership(self, swarm_id, member):
-        msg = self.swarm_registry.set_membership(swarm_id, member)
-        if msg is not None:
-            enqueue_swarm_message(self.out_queue, msg)
-
-    def vstig_create(self, vstig_id):
-        if not 0 <= vstig_id < 2 ** 16:
-            raise VmRuntimeError(f"stigmergy id {vstig_id} out of range")
-        return self.vstig_map(vstig_id).handle
 
     def vstig_map(self, vstig_id):
         if vstig_id not in self._vstigs:

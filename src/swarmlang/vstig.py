@@ -4,14 +4,13 @@ Every local write bumps the key's logical clock and queues a PUT; every
 read returns the local value and queues a GET carrying the local entry so
 neighbors can correct stale readers.  Entries with a higher timestamp
 always win; equal timestamps from different writers go through a conflict
-resolver (highest robot id by default).  The outbound queue holds at most
-one message per (stigmergy id, key), keeping the most up-to-date one, in
-slot ("vstig", vstig_id, key).  Slots match keys the way `VStigMap.entries`
-does: 1 and 1.0 share one, a table matches only itself, and a NaN key
-matches only the same float object.
+resolver (highest robot id by default).  An entry is the PUT that carries
+it, which nothing changes, so one PUT may be both entry and queued.  The
+outbound queue holds at most one message per (stigmergy id, key), keeping
+the most up-to-date one, in slot ("vstig", vstig_id, key).  Slots match
+keys the way `VStigMap.entries` does: 1 and 1.0 share one, a table
+matches only itself, and a NaN key matches only the same float object.
 """
-
-from dataclasses import dataclass
 
 from .errors import VmRuntimeError
 from .values import (NativeClosure, Table, VStigHandle, coerce, copy_value,
@@ -20,18 +19,11 @@ from .values import (NativeClosure, Table, VStigHandle, coerce, copy_value,
 from .wire import VstigGet, VstigPut
 
 
-@dataclass(slots=True)
-class VStigEntry:
-    value: object
-    timestamp: int
-    robot_id: int
-
-
 class VStigMap:
     def __init__(self, vstig_id):
         self.vstig_id = vstig_id
         self.handle = VStigHandle(vstig_id)  # what the script holds
-        self.entries = {}         # key -> VStigEntry
+        self.entries = {}         # key -> the VstigPut that carries it
         self.onconflict = None    # script closure (k, local, remote) -> entry
         self.onconflictlost = None
 
@@ -41,11 +33,12 @@ class VStigMap:
     # --- local access ---
 
     def local_put(self, key, value, robot_id):
-        value = copy_value(value)  # snapshot: later mutations stay local
         old = self.entries.get(key)
         ts = (old.timestamp if old else 0) + 1
-        self.entries[key] = VStigEntry(value, ts, robot_id)
-        return VstigPut(self.vstig_id, key, value, ts, robot_id)
+        # a copy of the value: later mutations stay local
+        put = VstigPut(self.vstig_id, key, copy_value(value), ts, robot_id)
+        self.entries[key] = put
+        return put
 
     def local_get(self, key):
         entry = self.entries.get(key)
@@ -65,30 +58,30 @@ class VStigMap:
         entry is answered with that entry; an older PUT is dropped.  Equal
         clocks from different writers go to the conflict resolver (for a
         GET too, or a reader stuck on a stale entry could starve forever).
+        An adopted PUT without a table value is itself the new entry.
         """
         key = msg.key
         local = self.entries.get(key)
         local_ts = local.timestamp if local is not None else 0
         is_put = type(msg) is VstigPut
         if msg.timestamp > local_ts or (local is None and is_put):
-            self.entries[key] = VStigEntry(copy_value(msg.value),
-                                           msg.timestamp, msg.robot_id)
-            if is_put:
-                return msg
-            entry = msg
-        elif msg.timestamp < local_ts:
-            if is_put:
-                return None
-            entry = local
-        elif local is None or msg.robot_id == local.robot_id:
+            put = msg if is_put else VstigPut(self.vstig_id, key, msg.value,
+                                              msg.timestamp, msg.robot_id)
+            # the entry copies a table: the queued PUT shares the message's
+            self.entries[key] = put if type(put.value) is not Table else \
+                VstigPut(self.vstig_id, key, copy_value(put.value),
+                         put.timestamp, put.robot_id)
+            return put
+        if msg.timestamp < local_ts:
+            # a GET is answered under its own key (1.0 and 1 share an entry)
+            return None if is_put else VstigPut(
+                self.vstig_id, key, local.value, local_ts, local.robot_id)
+        if local is None or msg.robot_id == local.robot_id:
             return None  # both sides lack the key, or the same writer
-        else:
-            entry = self._resolve(key, local, msg, vm)
-        return VstigPut(self.vstig_id, key, entry.value, entry.timestamp,
-                        entry.robot_id)
+        return self._resolve(key, local, msg, vm)
 
     def _resolve(self, key, local, remote_msg, vm):
-        """Run the conflict resolver; store the winner; fire the lost hook."""
+        """Resolve a tie; store and return the winner; fire the lost hook."""
         ts = max(local.timestamp, remote_msg.timestamp)
         if self.onconflict is not None:
             local_tbl = _entry_table(local.value, local.robot_id)
@@ -99,22 +92,20 @@ class VStigMap:
             if not isinstance(ret, Table):
                 raise VmRuntimeError(
                     "conflict resolver must return an entry table")
-            value = ret.get("data")
             robot = ret.get("robot")
             if type(robot) is not int:
                 raise VmRuntimeError(
                     "conflict resolver entry needs an integer 'robot' field")
-            winner = VStigEntry(copy_value(value), ts, robot)
-        else:
+            value = copy_value(ret.get("data"))
+        elif remote_msg.robot_id > local.robot_id:
             # default: the entry written by the highest robot id wins
-            if remote_msg.robot_id > local.robot_id:
-                winner = VStigEntry(copy_value(remote_msg.value), ts,
-                                    remote_msg.robot_id)
-            else:
-                winner = VStigEntry(local.value, ts, local.robot_id)
+            value, robot = copy_value(remote_msg.value), remote_msg.robot_id
+        else:
+            value, robot = local.value, local.robot_id
+        winner = VstigPut(self.vstig_id, key, value, ts, robot)
         self.entries[key] = winner
-        local_lost = not (winner.robot_id == local.robot_id and
-                          value_eq(winner.value, local.value))
+        local_lost = not (robot == local.robot_id and
+                          value_eq(value, local.value))
         if local_lost and self.onconflictlost is not None:
             vm.call_value(self.onconflictlost,
                           [key, _entry_table(local.value, local.robot_id)])
@@ -205,7 +196,10 @@ VStigHandle.METHODS = {
 def _f_create(vm, _env, _self, *args):
     if not args or type(args[0]) is not int:
         raise VmRuntimeError("stigmergy.create expects an integer id")
-    return vm.vstig_create(args[0])
+    vstig_id = args[0]
+    if not 0 <= vstig_id < 2 ** 16:
+        raise VmRuntimeError(f"stigmergy id {vstig_id} out of range")
+    return vm.vstig_map(vstig_id).handle
 
 
 FACTORY_METHODS = {

@@ -65,3 +65,16 @@ def test_script_entries_count_each_host_entry_into_the_script():
     steps = counts.counts(workload, 5)["robot_steps"]
     assert counts.traced(workload, 5)["script_entries"] \
         > steps + 2 * workload.n
+
+
+def test_a_row_depends_only_on_its_workload_and_seed():
+    # each unit compiles, links and translates its scripts before its gc
+    # window opens, so a cold process counts seeds in either order alike
+    for workload in counts.workloads.catalog(tiny=True).values():
+        rows = {}
+        for order in ((5, 11), (11, 5)):
+            counts.experiments._linked.cache_clear()
+            for seed in order:
+                rows.setdefault(seed, []).append(
+                    counts.counts(workload, seed))
+        assert all(first == second for first, second in rows.values())

@@ -19,7 +19,7 @@ from swarmlang.sim import network, runner
 from swarmlang.sim.config import rng_for
 from swarmlang.values import Table
 from swarmlang.vm import SentMessage, Vm
-from swarmlang.vstig import VStigEntry, VStigMap
+from swarmlang.vstig import VStigMap
 from swarmlang.wire import (MSG_VSTIG_PUT, TAG_INT, TAG_TABLE, U32, Announce,
                             Broadcast, Situated, SwarmJoin, SwarmLeave,
                             SwarmList, VstigGet, VstigPut, decode_message,
@@ -48,7 +48,8 @@ class RecordingMap(VStigMap):
 IMAGE = compile_and_link("x = 1")
 KEYS = st.sampled_from([1, 1.0, 2, "k"])
 SMALL = st.integers(0, 3)
-ENTRY = st.none() | st.builds(VStigEntry, st.integers(0, 9), SMALL, SMALL)
+ENTRY = st.none() | st.builds(VstigPut, st.just(1), KEYS,
+                                st.integers(0, 9), SMALL, SMALL)
 MESSAGE = st.builds(lambda cls, key, value, ts, rid: cls(1, key, value,
                                                          ts, rid),
                     st.sampled_from([VstigPut, VstigGet]), KEYS,
@@ -57,9 +58,9 @@ MESSAGE = st.builds(lambda cls, key, value, ts, rid: cls(1, key, value,
 
 @settings(max_examples=400, deadline=None)
 @given(KEYS, ENTRY, MESSAGE)
-@example(1, VStigEntry(5, 2, 3), VstigPut(1, 1, 5, 2, 3))
-@example(1, VStigEntry(5, 2, 3), VstigGet(1, 1.0, 5, 2, 3))
-@example(1, VStigEntry(5, 2, 3), VstigPut(1, 1, 5, 2, 1))
+@example(1, VstigPut(1, 1, 5, 2, 3), VstigPut(1, 1, 5, 2, 3))
+@example(1, VstigPut(1, 1, 5, 2, 3), VstigGet(1, 1.0, 5, 2, 3))
+@example(1, VstigPut(1, 1, 5, 2, 3), VstigPut(1, 1, 5, 2, 1))
 @example(1, None, VstigGet(1, 1, None, 0, 0))
 def test_a_skipped_merge_is_one_that_changes_nothing(key, entry, msg):
     vm = Vm(IMAGE, 0)

@@ -1,11 +1,16 @@
 import random
 
+import pytest
+
+from swarmlang.linker import compile_and_link
 from swarmlang.swarms import (FORGET_THRESHOLD, LIST_PERIOD, SwarmRegistry,
                               apply_to_view, enqueue_swarm_message,
                               optimize_queue)
+from swarmlang.vm import Vm
 from swarmlang.wire import SwarmJoin, SwarmLeave, SwarmList
 
 from conftest import build_vm
+from reference_vm import ReferenceVm
 
 
 # --- registry ---------------------------------------------------------------
@@ -150,6 +155,52 @@ def test_swarm_id_outside_exec_is_nil(run_script):
     vm = run_script("x = swarm.id()")
     assert vm.get_global("x") is None
     assert vm.faulted is None
+
+
+# --- argument errors ------------------------------------------------------------
+
+# name -> (script, the end of its fault's text or None, `x` after the step)
+SCRIPT_CASES = {
+    "unselect-true": ("s = swarm.create(1)\ns.join()\ns.unselect(id < 5)\n"
+                      "x = s.in()", None, 0),
+    "others-not-int": ('s = swarm.create(1)\nx = s.others("a")',
+                       "others expects a new swarm id", None),
+    "create-not-int": ("x = swarm.create(1.5)",
+                       "swarm.create expects an integer id", None),
+    "create-out-of-range": ("x = swarm.create(65536)",
+                            "swarm id 65536 out of range", None),
+    "set-op-arity": ("a = swarm.create(1)\nx = swarm.union(2, a)",
+                     "swarm.union expects (new_id, a, b)", None),
+    "set-op-id-not-int": ('a = swarm.create(1)\n'
+                          'x = swarm.difference("n", a, a)',
+                          "swarm.difference expects (new_id, a, b)", None),
+    "set-op-not-swarm": ("a = swarm.create(1)\n"
+                         "x = swarm.intersection(2, a, 3)",
+                         "swarm.intersection expects swarm arguments", None),
+    "id-negative": ("s = swarm.create(1)\ns.join()\n"
+                    "s.exec(function() { x = swarm.id(-1) })",
+                    "swarm.id expects a non-negative integer", None),
+}
+
+
+def _one_step(engine, script):
+    vm = engine(compile_and_link(script), 0)
+    vm.step([])
+    fault = vm.faulted
+    return (fault and (str(fault), fault.line), vm._fuel,
+            vm.get_global("x"))
+
+
+@pytest.mark.parametrize("case", SCRIPT_CASES)
+def test_swarm_calls_with_bad_arguments_fault_as_the_reference(case):
+    script, error, x = SCRIPT_CASES[case]
+    got = _one_step(Vm, script)
+    assert got == _one_step(ReferenceVm, script)
+    if error is None:
+        assert got[0] is None
+    else:
+        assert got[0][0].endswith(error)
+    assert got[2] == x
 
 
 # --- aging and the periodic LIST ----------------------------------------------

@@ -5,9 +5,11 @@ import pytest
 from swarmlang.errors import VmRuntimeError
 from swarmlang.linker import compile_and_link
 from swarmlang.values import Table, copy_value
-from swarmlang.vstig import VStigEntry, VStigMap, enqueue_vstig_message
+from swarmlang.vstig import VStigMap, enqueue_vstig_message
 from swarmlang.vm import Vm
 from swarmlang.wire import Broadcast, Situated, VstigGet, VstigPut
+
+from reference_vm import ReferenceVm
 
 class StubVm:
     """call_value stand-in for handler-level tests without a full VM."""
@@ -192,6 +194,22 @@ def test_get_with_older_local_adopts_and_rebroadcasts():
     assert out is not None and out.value == 42
 
 
+@pytest.mark.parametrize("cls", [VstigPut, VstigGet])
+def test_an_adopted_entry_is_the_queued_put_unless_it_holds_a_table(cls):
+    for value in (42, Table({"x": 1})):
+        store = make_store_ts(2)
+        msg = cls(1, "k", value, 4, 9)
+        out = store.merge(msg, StubVm())
+        entry = store.entries["k"]
+        assert type(out) is VstigPut and (out is msg) == (cls is VstigPut)
+        assert out.value is value  # the queue sends what arrived
+        assert (entry.timestamp, entry.robot_id) == (4, 9)
+        if type(value) is Table:  # a copy: the store's script may change it
+            assert entry.value is not value and entry.value.data == {"x": 1}
+        else:
+            assert entry is out
+
+
 def test_get_with_identical_entry_is_silent():
     store = make_store_ts(3, value=5, robot=2)
     out = store.merge(VstigGet(1, "k", 5, 3, 2), StubVm())
@@ -289,8 +307,9 @@ def _reference_on_put(self, msg, vm):
     key = msg.key
     local = self.entries.get(key)
     if local is None or msg.timestamp > local.timestamp:
-        self.entries[key] = VStigEntry(copy_value(msg.value),
-                                       msg.timestamp, msg.robot_id)
+        self.entries[key] = VstigPut(self.vstig_id, key,
+                                     copy_value(msg.value),
+                                     msg.timestamp, msg.robot_id)
         return [msg]
     if msg.timestamp < local.timestamp:
         return []
@@ -309,8 +328,9 @@ def _reference_on_get(self, msg, vm):
         return [VstigPut(self.vstig_id, key, local.value, local.timestamp,
                          local.robot_id)]
     if local_ts < msg.timestamp:
-        self.entries[key] = VStigEntry(copy_value(msg.value),
-                                       msg.timestamp, msg.robot_id)
+        self.entries[key] = VstigPut(self.vstig_id, key,
+                                     copy_value(msg.value),
+                                     msg.timestamp, msg.robot_id)
         return [VstigPut(self.vstig_id, key, msg.value, msg.timestamp,
                          msg.robot_id)]
     if local is None:
@@ -461,6 +481,38 @@ function init() {
     assert "u32" in str(bad.faulted)
     assert good.faulted is None and good.step_count == 4
     assert good.vstig_map(1).entries["k"].robot_id == 2
+
+
+def _two_steps(engine, script, inbox):
+    vm = engine(compile_and_link(script), 1)
+    vm.step()
+    vm.step(inbox)
+    fault = vm.faulted
+    return (fault and (str(fault), fault.line), vm._fuel,
+            vm.get_global("x"))
+
+
+# name -> (script, second step's inbox, the end of the fault's text)
+FAULT_CASES = {
+    "resolver-entry-without-robot": ("""
+v = stigmergy.create(1)
+v.onconflict(function(key, local, remote) { return {data=remote.data} })
+v.put("k", 1)
+""", [Situated(7, 10.0, 0.0, 0.0, (VstigPut(1, "k", 2, 1, 7),))],
+        "conflict resolver entry needs an integer 'robot' field"),
+    "put-arity": ('v = stigmergy.create(1)\nv.put("k")', [],
+                  "put expects (key, value)"),
+    "create-out-of-range": ("x = stigmergy.create(-1)", [],
+                            "stigmergy id -1 out of range"),
+}
+
+
+@pytest.mark.parametrize("case", FAULT_CASES)
+def test_stigmergy_faults_match_the_reference(case):
+    script, inbox, error = FAULT_CASES[case]
+    got = _two_steps(Vm, script, inbox)
+    assert got == _two_steps(ReferenceVm, script, inbox)
+    assert got[0][0].endswith(error)
 
 
 def test_size_counts_distinct_keys(run_script):
